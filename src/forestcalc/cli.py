@@ -63,6 +63,17 @@ def parse_partition(text):
     return make_partition(support, blocks)
 
 
+def _model_count(spec):
+    """The k of points:k or wedge:k, which must be a non-negative integer."""
+    try:
+        k = int(spec.split(":", 1)[1])
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise ValidationError(f"bad model {spec!r}: k must be a non-negative integer")
+    return k
+
+
 def load_model(spec):
     """Built-in names (points:k, circle, interval, wedge:k) or a JSON file."""
     if spec == "circle":
@@ -70,9 +81,9 @@ def load_model(spec):
     if spec == "interval":
         return model_interval()
     if spec.startswith("points:"):
-        return model_points(int(spec.split(":", 1)[1]))
+        return model_points(_model_count(spec))
     if spec.startswith("wedge:"):
-        return model_wedge_of_circles(int(spec.split(":", 1)[1]))
+        return model_wedge_of_circles(_model_count(spec))
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             try:
@@ -83,19 +94,6 @@ def load_model(spec):
     raise ValidationError(
         f"unknown model {spec!r}; use points:k, circle, interval, wedge:k, or a JSON path"
     )
-
-
-def _homology_payload(result):
-    return {
-        "coefficients": result.coefficients,
-        "reduced": result.reduced,
-        "groups": {
-            str(k): g.to_json()
-            for k, g in sorted(result.groups.items())
-            if not g.is_zero()
-        },
-        "euler": result.euler(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,7 @@ def run_tspace(args):
         "lam": lam.to_json(),
         "model": args.model,
         "cells": {str(k): v for k, v in space.cell_count().items()},
-        "homology": _homology_payload(result),
+        "homology": result.to_json(),
     }, EXIT_OK
 
 
@@ -203,7 +201,7 @@ def run_cube_check(args):
             "case": args.demo,
             "acyclic": ok,
             "expected_acyclic": expected,
-            "homology": _homology_payload(result),
+            "homology": result.to_json(),
         }
         return payload, EXIT_OK if ok == expected else EXIT_COMPUTATION
     if args.file is None:
@@ -223,7 +221,7 @@ def run_cube_check(args):
     payload = {
         "file": os.path.basename(args.file),
         "acyclic": ok,
-        "homology": _homology_payload(result),
+        "homology": result.to_json(),
     }
     return payload, EXIT_OK if ok else EXIT_COMPUTATION
 

@@ -100,12 +100,19 @@ def cache_key(command, config, input_blobs=()):
 
 
 def cache_get(directory, key):
+    """The cached envelope, or None when the entry is missing, unreadable
+    or its digest does not match its payload."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            env = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not isinstance(env, dict) or "payload" not in env:
+        return None
+    if env.get("digest") != payload_digest(env["payload"]):
+        return None
+    return env
 
 
 def cache_put(directory, key, env):

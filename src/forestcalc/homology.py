@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .kernel import normalize_divisor_chain, sparse_elementary_divisors
+from .kernel import sparse_elementary_divisors
 from .simplicial import surj_identity
 
 COEFFICIENT_CHOICES = ("Z", "Q")  # plus "F<p>" for prime p
@@ -85,6 +85,18 @@ class ChainComplex:
         return True
 
 
+def _face_sum(obj, c, k):
+    """Boundary of the k-cell c in normalized chains: the alternating sum
+    of its nondegenerate faces, as face -> nonzero coefficient."""
+    ident = surj_identity(k - 1)
+    acc = {}
+    for i in range(k + 1):
+        tcell, alpha = obj.faces[c][i]
+        if alpha == ident:
+            acc[tcell] = acc.get(tcell, 0) + (1 if i % 2 == 0 else -1)
+    return {t: v for t, v in acc.items() if v}
+
+
 def chain_complex(obj, reduced=True):
     """Normalized chains of a simplicial object.
 
@@ -92,14 +104,11 @@ def chain_complex(obj, reduced=True):
     get an augmentation in degree -1.
     """
     pointed = obj.basepoint is not None
+    dropped = {obj.basepoint} if reduced and pointed else set()
     basis = {}
     index = {}
     for k in sorted(obj.cells):
-        names = [
-            c
-            for c in obj.cells_of_dim(k)
-            if not (reduced and pointed and c == obj.basepoint)
-        ]
+        names = [c for c in obj.cells_of_dim(k) if c not in dropped]
         basis[k] = names
         index.update({c: i for i, c in enumerate(names)})
     ranks = {k: len(v) for k, v in basis.items()}
@@ -107,19 +116,10 @@ def chain_complex(obj, reduced=True):
     for k in sorted(obj.cells):
         if k == 0:
             continue
-        ident = surj_identity(k - 1)
         es = []
         for j, c in enumerate(basis.get(k, ())):
-            acc = {}
-            for i in range(k + 1):
-                tcell, alpha = obj.faces[c][i]
-                if alpha != ident:
-                    continue
-                if reduced and pointed and tcell == obj.basepoint:
-                    continue
-                acc[tcell] = acc.get(tcell, 0) + (1 if i % 2 == 0 else -1)
-            for tcell, v in acc.items():
-                if v:
+            for tcell, v in _face_sum(obj, c, k).items():
+                if tcell not in dropped:
                     es.append((index[tcell], j, v))
         if es or ranks.get(k):
             entries[k] = es
@@ -134,9 +134,9 @@ def chain_complex(obj, reduced=True):
 
 
 def integer_divisors(entries, nrows, ncols):
-    """Nonzero elementary divisors, normalized to a divisibility chain."""
-    divs = sparse_elementary_divisors(list(entries), nrows, ncols)
-    return normalize_divisor_chain(divs)
+    """Nonzero elementary divisors; the kernel returns them as a
+    divisibility chain."""
+    return sparse_elementary_divisors(list(entries), nrows, ncols)
 
 
 def rank_mod_p(entries, nrows, ncols, p):
@@ -211,12 +211,22 @@ class HomologyResult:
     def is_acyclic(self):
         return all(g.is_zero() for g in self.groups.values())
 
+    def groups_json(self):
+        """The nonzero groups by degree and the Euler characteristic."""
+        return {
+            "groups": {
+                str(k): g.to_json()
+                for k, g in sorted(self.groups.items())
+                if not g.is_zero()
+            },
+            "euler": self.euler(),
+        }
+
     def to_json(self):
         return {
             "coefficients": self.coefficients,
             "reduced": self.reduced,
-            "groups": {str(k): g.to_json() for k, g in sorted(self.groups.items())},
-            "euler": self.euler(),
+            **self.groups_json(),
         }
 
 
@@ -394,21 +404,11 @@ class LabeledComplex:
 def labeled_chains(obj):
     """Absolute normalized chains of an object, with cell labels."""
     degrees = {k: list(obj.cells_of_dim(k)) for k in sorted(obj.cells)}
-    diff = {}
-    for k in sorted(obj.cells):
-        if k == 0:
-            continue
-        ident = surj_identity(k - 1)
-        cols = {}
-        for c in obj.cells_of_dim(k):
-            acc = {}
-            for i in range(k + 1):
-                tcell, alpha = obj.faces[c][i]
-                if alpha != ident:
-                    continue
-                acc[tcell] = acc.get(tcell, 0) + (1 if i % 2 == 0 else -1)
-            cols[c] = {t: v for t, v in acc.items() if v}
-        diff[k] = cols
+    diff = {
+        k: {c: _face_sum(obj, c, k) for c in obj.cells_of_dim(k)}
+        for k in sorted(obj.cells)
+        if k != 0
+    }
     return LabeledComplex(degrees=degrees, diff=diff)
 
 

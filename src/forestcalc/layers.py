@@ -315,17 +315,6 @@ def _reduced_euler(obj):
     )
 
 
-def _homology_json(result):
-    return {
-        "groups": {
-            str(k): g.to_json()
-            for k, g in sorted(result.groups.items())
-            if not g.is_zero()
-        },
-        "euler": result.euler(),
-    }
-
-
 def derivative_report(M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_large=False):
     """Everything the layer computation determines, as plain JSON data.
 
@@ -343,7 +332,7 @@ def derivative_report(M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_lar
             "cells": {str(k): v for k, v in M.cell_count().items()},
             "pointed": M.basepoint is not None,
         },
-        "coend": _homology_json(coend_homology),
+        "coend": coend_homology.groups_json(),
         "gluing": {str(k): v for k, v in sorted(assembly.gluing_log.items())},
     }
     strata = {}
@@ -364,14 +353,14 @@ def derivative_report(M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_lar
                 "group_order": res.group_order,
             }
             if res.free:
-                entry["homology"] = _homology_json(
-                    homology(res.space, coefficients=coefficients, reduced=True)
-                )
+                entry["homology"] = homology(
+                    res.space, coefficients=coefficients, reduced=True
+                ).groups_json()
                 entry["model"] = coefficients
             else:
-                entry["homology"] = _homology_json(
-                    homology(res.space, coefficients="Q", reduced=True)
-                )
+                entry["homology"] = homology(
+                    res.space, coefficients="Q", reduced=True
+                ).groups_json()
                 entry["model"] = "rational, invariants model"
             strata[label] = entry
             stratum_sum += entry["homology"]["euler"]

@@ -345,11 +345,6 @@ def power(m, k, dim_cap=PRODUCT_DIM_CAP):
     return product([m] * k, dim_cap=dim_cap)
 
 
-def coordinate_refs(cell):
-    """The tuple of coordinate refs of a product cell."""
-    return cell
-
-
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -34,7 +34,7 @@ from .homology import (
     homology,
     smith_normal_form,
 )
-from .kernel import normalize_divisor_chain, sparse_elementary_divisors
+from .kernel import sparse_elementary_divisors
 from .layers import derivative_report, t_space_map
 from .partitions import (
     SetMap,
@@ -495,9 +495,7 @@ def check_kernel_vs_dense_snf(budget, ctx):
         entries = [
             (i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v
         ]
-        sparse = normalize_divisor_chain(
-            sparse_elementary_divisors(entries, len(mat), len(mat[0]))
-        )
+        sparse = sparse_elementary_divisors(entries, len(mat), len(mat[0]))
         d, u, v = smith_normal_form(mat)
         via_dense = [x for x in diagonal_of(d) if x]
         if list(sparse) != via_dense:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import forestcalc
 from forestcalc.cli import main
 
 
@@ -147,6 +148,27 @@ def test_layer_unknown_model(capsys):
     code, _, err = run_cli(capsys, ["layer", "--m", "bogus", "--n", "1"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        ("points:abc", 2),
+        ("wedge:x", 2),
+        ("points:-1", 2),
+        ("wedge:-2", 2),
+        ("points:0", 0),  # the empty model
+        ("wedge:0", 0),  # a point
+    ],
+)
+def test_layer_model_count(capsys, spec, code):
+    got, out, err = run_cli(capsys, ["layer", "--m", spec, "--n", "1"])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["config"]["m"] == spec
 
 
 def test_layer_model_from_file(capsys, tmp_path):
@@ -298,6 +320,26 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert len(os.listdir(cache)) == 2
 
 
+def test_edited_cache_entry_is_a_miss(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = ["tspace", "--lambda", "(0 1 2)"]
+    _, fresh, _ = run_cli(capsys, argv)
+    run_cli(capsys, ["--cache", cache] + argv)
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path, encoding="utf-8") as fh:
+        env = json.load(fh)
+    env["payload"]["homology"]["euler"] += 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(env, fh)
+    code, out, _ = run_cli(capsys, ["--cache", cache] + argv)
+    assert code == 0
+    assert out == fresh
+    # the fresh envelope replaced the edited entry
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(fresh)
+
+
 def test_failures_are_not_cached(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     code, _, _ = run_cli(capsys, ["--cache", cache, "verify", "--inject-fault"])
@@ -306,10 +348,13 @@ def test_failures_are_not_cached(capsys, tmp_path):
 
 
 def test_module_entrypoint():
+    # run from the directory holding the package under test, so a checkout
+    # works without installing it
     proc = subprocess.run(
         [sys.executable, "-m", "forestcalc", "enumerate", "--n", "1"],
         capture_output=True,
         text=True,
+        cwd=os.path.dirname(os.path.dirname(forestcalc.__file__)),
     )
     assert proc.returncode == 0
     env = json.loads(proc.stdout)

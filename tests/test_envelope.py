@@ -102,5 +102,6 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_get_tolerates_garbage(tmp_path):
     d = tmp_path
     key = "0" * 64
-    (d / (key + ".json")).write_text("{not json", encoding="utf-8")
-    assert cache_get(str(d), key) is None
+    for text in ("{not json", "[1, 2]", '{"payload": {"rank": 1}}'):
+        (d / (key + ".json")).write_text(text, encoding="utf-8")
+        assert cache_get(str(d), key) is None
