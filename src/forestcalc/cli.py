@@ -170,14 +170,9 @@ def run_tspace(args):
 
 def run_layer(args):
     model = load_model(args.m)
-    report = derivative_report(model, args.n, coefficients=args.coeff)
-    if args.emit_cells:
-        from .layers import coend
-
-        assembly = coend(model, args.n)
-        report["coend_cells"] = {
-            str(k): v for k, v in assembly.total.cell_count().items()
-        }
+    report = derivative_report(
+        model, args.n, coefficients=args.coeff, emit_cells=args.emit_cells
+    )
     exit_code = EXIT_OK
     if not report["euler_additivity"]["passed"] or not report["degree_support"]["passed"]:
         exit_code = EXIT_COMPUTATION
@@ -333,9 +328,7 @@ def main(argv=None):
     exit_code = EXIT_OK
     if cache_dir is not None:
         key = cache_key(args.command, config, _input_blobs(args))
-        cached = cache_get(cache_dir, key)
-        if cached is not None:
-            env = cached
+        env = cache_get(cache_dir, key, args.command, config)
     if env is None:
         try:
             payload, exit_code = args.func(args)

@@ -99,9 +99,10 @@ def cache_key(command, config, input_blobs=()):
     return h.hexdigest()
 
 
-def cache_get(directory, key):
+def cache_get(directory, key, command, config):
     """The cached envelope, or None when the entry is missing, unreadable
-    or its digest does not match its payload."""
+    or differs from the envelope of its payload for this command and
+    config (an edited digest, config or version)."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,7 +111,7 @@ def cache_get(directory, key):
         return None
     if not isinstance(env, dict) or "payload" not in env:
         return None
-    if env.get("digest") != payload_digest(env["payload"]):
+    if env != envelope(command, config, env["payload"]):
         return None
     return env
 

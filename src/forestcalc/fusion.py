@@ -56,14 +56,6 @@ class PartitionMorphism:
     def is_refinement(self):
         return self.map.is_identity()
 
-    def is_elementary(self):
-        """A fusion whose map glues exactly two elements and is otherwise injective."""
-        if not self.is_fusion():
-            return False
-        if self.map.source_size != self.map.target_size + 1:
-            return False
-        return self.map.is_surjective()
-
     def is_isomorphism(self):
         return self.map.is_bijective() and self.is_fusion()
 

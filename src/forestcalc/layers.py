@@ -27,7 +27,6 @@ from .simplicial import (
     SimplicialObject,
     descend_to_quotients,
     identity_simplicial,
-    nerve,
     point_object,
     power,
     product,
@@ -53,14 +52,16 @@ def t_space_map(f, lam, lam_target):
 
     Chains of refinements map elementwise through the image partition;
     repeats collapse into degeneracy words, and boundary chains land in
-    the boundary, so the map descends to the quotients.
+    the boundary, so only the cells of the source quotient are mapped.
     """
     pos = refinement_poset(lam)
     pos2 = refinement_poset(lam_target)
     src = t_space(lam)
     tgt = t_space(lam_target)
     mapping = {}
-    for chain in nerve(pos).all_cells():
+    for chain in src.all_cells():
+        if chain == BASEPOINT:
+            continue
         images = [pos2.index[image_partition(f, pos.elements[i])] for i in chain]
         strict = [images[0]]
         tau = [0]
@@ -114,7 +115,6 @@ def _coend_over(M, table, dim_cap):
     # W_f = (power quotient of lam_j) smashed with (tree space of lam_i)
     relations = []
     for i in range(nobj):
-        prod_i = product([pairs[i].quotient, trees[i]], dim_cap=dim_cap)
         ident_t = identity_simplicial(trees[i])
         for j in range(nobj):
             homset = table.hom(i, j)
@@ -122,15 +122,12 @@ def _coend_over(M, table, dim_cap):
                 continue
             w_prod = product([pairs[j].quotient, trees[i]], dim_cap=dim_cap)
             w = smash(pairs[j].quotient, trees[i], dim_cap=dim_cap)
-            prod_j = product([pairs[j].quotient, trees[j]], dim_cap=dim_cap)
             ident_p = identity_simplicial(pairs[j].quotient)
             for f in homset:
                 pw = power_quotient_map(f, pairs[i], pairs[j])
                 tw = t_space_map(f, table.objects[i], table.objects[j])
-                a_prod = product_map([pw, ident_t], w_prod, prod_i)
-                b_prod = product_map([ident_p, tw], w_prod, prod_j)
-                a = descend_to_quotients(a_prod.mapping, w, pieces[i])
-                b = descend_to_quotients(b_prod.mapping, w, pieces[j])
+                a = descend_to_quotients(product_map([pw, ident_t], w_prod), w, pieces[i])
+                b = descend_to_quotients(product_map([ident_p, tw], w_prod), w, pieces[j])
                 relations.append((i, j, w, a, b))
     top = max(p.dimension for p in pieces.values())
     # dimensionwise colimit of all simplices
@@ -315,11 +312,13 @@ def _reduced_euler(obj):
     )
 
 
-def derivative_report(M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_large=False):
+def derivative_report(
+    M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_large=False, emit_cells=False
+):
     """Everything the layer computation determines, as plain JSON data.
 
     No raw cell names appear, so relabeling the model leaves the report
-    unchanged.
+    unchanged.  The full coend is filtration stage n, so it is built once.
     """
     assembly = coend(M, n, dim_cap=dim_cap, allow_large=allow_large)
     table = assembly.table
@@ -335,11 +334,18 @@ def derivative_report(M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_lar
         "coend": coend_homology.groups_json(),
         "gluing": {str(k): v for k, v in sorted(assembly.gluing_log.items())},
     }
+    if emit_cells:
+        report["coend_cells"] = {
+            str(k): v for k, v in assembly.total.cell_count().items()
+        }
     strata = {}
     stage_eulers = {0: 0}
     additivity = []
     for i in range(1, n + 1):
-        stage = coend_over_filtration(M, n, i, dim_cap=dim_cap)
+        if i == n:
+            stage = assembly.total
+        else:
+            stage = coend_over_filtration(M, n, i, dim_cap=dim_cap)
         stage_eulers[i] = _reduced_euler(stage)
         stratum_sum = 0
         for idx, lam in enumerate(table.objects):

@@ -98,12 +98,6 @@ class Partition:
         """True when no block is a singleton."""
         return all(len(b) >= 2 for b in self.blocks)
 
-    def is_discrete(self):
-        return len(self.blocks) == self.support_size
-
-    def is_indiscrete(self):
-        return len(self.blocks) <= 1
-
     def block_of(self):
         """List mapping each support element to its block index."""
         out = [0] * self.support_size

@@ -126,10 +126,6 @@ class SimplicialObject:
         fcell, gamma = self.faces[cell][j]
         return (fcell, surj_compose(gamma, beta))
 
-    def degeneracy_of_ref(self, ref, i):
-        cell, alpha = ref
-        return (cell, surj_degeneracy(alpha, i))
-
     def simplices_of_dim(self, k):
         """All k-simplices (degenerate included) as refs."""
         for p in sorted(self.cells):
@@ -225,27 +221,6 @@ def nerve(poset):
                 (ch[:i] + ch[i + 1:], ident) for i in range(k + 1)
             )
     return SimplicialObject(cells, faces)
-
-
-def boundary_chain_cells(poset):
-    """Nerve cells that do not contain both the minimum and the maximum.
-
-    When the poset is a single point the subobject is empty.
-    """
-    mn, mx = poset.min_index, poset.max_index
-    if mn == mx:
-        return frozenset()
-    out = []
-    full = nerve(poset)
-    for c in full.all_cells():
-        if not (mn in c and mx in c):
-            out.append(c)
-    return frozenset(out)
-
-
-def boundary_part(poset):
-    """The boundary subobject of the nerve of a bounded poset."""
-    return subobject(nerve(poset), boundary_chain_cells(poset))
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +548,14 @@ def identity_simplicial(obj):
     return SimplicialMap(obj, obj, mapping)
 
 
-def product_map(maps, source_prod, target_prod):
-    """Coordinatewise map of product objects built from factor maps."""
+def product_map(maps, source_prod):
+    """Coordinatewise image of each cell of a product under factor maps,
+    as a cell -> ref dict into the product of the targets."""
     mapping = {}
     for cell in source_prod.all_cells():
         imgs = [maps[j].ref_image(cell[j]) for j in range(len(maps))]
-        name, tau = joint_normalize(imgs)
-        mapping[cell] = (name, tau)
-    return SimplicialMap(source_prod, target_prod, mapping)
+        mapping[cell] = joint_normalize(imgs)
+    return mapping
 
 
 def descend_to_quotients(mapping, src_quot, tgt_quot):
@@ -605,13 +580,33 @@ def t_space(lam, cap=None):
     """Nerve of the refinement poset of lam modulo its boundary part.
 
     The boundary consists of the chains missing the minimum or the
-    maximum; for the discrete partition the quotient degenerates to two
-    points, one of them the basepoint.
+    maximum, so the cells left are the chains from the minimum to the
+    maximum: their first and last faces fall to the basepoint, and an
+    inner face drops one element and stays such a chain.  For the
+    discrete partition the space degenerates to two points, one of them
+    the basepoint.
     """
     from .partitions import POSET_SUPPORT_CAP, refinement_poset
 
     poset = refinement_poset(lam, cap or POSET_SUPPORT_CAP)
-    return quotient(nerve(poset), boundary_chain_cells(poset))
+    mn, mx = poset.min_index, poset.max_index
+    if mn == mx:
+        return SimplicialObject({0: [BASEPOINT, (mn,)]}, {}, basepoint=BASEPOINT)
+    cells = {0: [BASEPOINT]}
+    faces = {}
+    chains, k = [(mn,)], 1  # chains from the minimum that miss the maximum
+    while chains:
+        ident = surj_identity(k - 1)
+        collapsed = (BASEPOINT, surj_zero(k - 1))
+        cells[k] = [ch + (mx,) for ch in chains]
+        for cell in cells[k]:
+            inner = tuple((cell[:i] + cell[i + 1:], ident) for i in range(1, k))
+            faces[cell] = (collapsed,) + inner + (collapsed,)
+        chains = [
+            ch + (j,) for ch in chains for j in poset.strictly_above(ch[-1]) if j != mx
+        ]
+        k += 1
+    return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
 def t_space_suspension_model(lam, cap=None):

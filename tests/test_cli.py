@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import forestcalc
+from forestcalc import layers
 from forestcalc.cli import main
 
 
@@ -142,6 +143,25 @@ def test_layer_emit_cells(capsys):
     )
     assert code == 0
     assert "coend_cells" in env["payload"]
+
+
+@pytest.mark.parametrize("emit", [False, True], ids=["plain", "emit-cells"])
+def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
+    # the full coend serves as the last filtration stage and as the
+    # source of coend_cells, so n = 2 glues two coends: stages 2 and 1
+    calls = []
+    original = layers._coend_over
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "_coend_over", counting)
+    argv = ["layer", "--m", "points:2", "--n", "2"] + (["--emit-cells"] if emit else [])
+    code, env, _ = run_json(capsys, argv)
+    assert code == 0
+    assert len(calls) == 2
+    assert ("coend_cells" in env["payload"]) == emit
 
 
 def test_layer_unknown_model(capsys):
@@ -320,24 +340,35 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert len(os.listdir(cache)) == 2
 
 
+def _bump_euler(env):
+    env["payload"]["homology"]["euler"] += 1
+
+
+def _edit_config_and_version(env):
+    # payload and digest still agree; only the context is wrong
+    env["config"]["lam"] = "(0 1)"
+    env["version"] = "0.0.0"
+
+
 def test_edited_cache_entry_is_a_miss(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
     argv = ["tspace", "--lambda", "(0 1 2)"]
     _, fresh, _ = run_cli(capsys, argv)
-    run_cli(capsys, ["--cache", cache] + argv)
-    (name,) = os.listdir(cache)
-    path = os.path.join(cache, name)
-    with open(path, encoding="utf-8") as fh:
-        env = json.load(fh)
-    env["payload"]["homology"]["euler"] += 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(env, fh)
-    code, out, _ = run_cli(capsys, ["--cache", cache] + argv)
-    assert code == 0
-    assert out == fresh
-    # the fresh envelope replaced the edited entry
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == json.loads(fresh)
+    for edit in (_bump_euler, _edit_config_and_version):
+        cache = str(tmp_path / edit.__name__)
+        run_cli(capsys, ["--cache", cache] + argv)
+        (name,) = os.listdir(cache)
+        path = os.path.join(cache, name)
+        with open(path, encoding="utf-8") as fh:
+            env = json.load(fh)
+        edit(env)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(env, fh)
+        code, out, _ = run_cli(capsys, ["--cache", cache] + argv)
+        assert code == 0
+        assert out == fresh, edit.__name__
+        # the fresh envelope replaced the edited entry
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == json.loads(fresh)
 
 
 def test_failures_are_not_cached(capsys, tmp_path):

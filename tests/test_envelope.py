@@ -89,14 +89,16 @@ def test_cache_key_sensitivity():
 
 def test_cache_roundtrip(tmp_path):
     d = str(tmp_path / "cache")
-    key = cache_key("tspace", {"lam": "(0 1)"})
-    assert cache_get(d, key) is None
-    env = envelope("tspace", {"lam": "(0 1)"}, {"rank": 1})
+    config = {"lam": "(0 1)"}
+    key = cache_key("tspace", config)
+    assert cache_get(d, key, "tspace", config) is None
+    env = envelope("tspace", config, {"rank": 1})
     cache_put(d, key, env)
-    back = cache_get(d, key)
+    back = cache_get(d, key, "tspace", config)
     assert back == json.loads(canonical_json(env))
     # unrelated keys stay empty
-    assert cache_get(d, cache_key("tspace", {"lam": "(0 2)"})) is None
+    other = {"lam": "(0 2)"}
+    assert cache_get(d, cache_key("tspace", other), "tspace", other) is None
 
 
 def test_cache_get_tolerates_garbage(tmp_path):
@@ -104,4 +106,4 @@ def test_cache_get_tolerates_garbage(tmp_path):
     key = "0" * 64
     for text in ("{not json", "[1, 2]", '{"payload": {"rank": 1}}'):
         (d / (key + ".json")).write_text(text, encoding="utf-8")
-        assert cache_get(str(d), key) is None
+        assert cache_get(str(d), key, "tspace", {}) is None

@@ -12,6 +12,8 @@ from forestcalc.homology import betti_numbers, homology
 from forestcalc.partitions import (
     SetMap,
     all_partitions,
+    canonicalize,
+    discrete,
     indiscrete,
     make_partition,
     refinement_poset,
@@ -19,7 +21,6 @@ from forestcalc.partitions import (
 from forestcalc.simplicial import (
     PermutationAction,
     SimplicialObject,
-    boundary_part,
     compose_simplicial,
     identity_simplicial,
     joint_normalize,
@@ -125,14 +126,16 @@ def test_nerve_of_partition_poset_three():
     n.validate()
 
 
-def test_boundary_part_misses_min_max_chains():
-    poset = refinement_poset(indiscrete(3))
-    b = boundary_part(poset)
-    mn, mx = poset.min_index, poset.max_index
-    for c in b.all_cells():
-        assert not (mn in c and mx in c)
-    # the three triangles all contain both ends
-    assert b.cell_count() == {0: 5, 1: 6}
+def test_t_space_is_nerve_modulo_boundary_chains():
+    # oracle: the full nerve with every chain missing an end collapsed
+    shapes = {canonicalize(p) for m in range(7) for p in all_partitions(m)}
+    assert discrete(6) in shapes
+    for lam in shapes:
+        poset = refinement_poset(lam)
+        mn, mx = poset.min_index, poset.max_index
+        full = nerve(poset)
+        boundary = [c for c in full.all_cells() if not (mn in c and mx in c)]
+        assert same_object(t_space(lam), quotient(full, boundary)), lam
 
 
 # --- products and powers -------------------------------------------------------
