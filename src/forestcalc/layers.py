@@ -1,14 +1,18 @@
 """Layer assembly: powers glued with tree spaces over the fusion category.
 
-The coend is computed as an honest colimit of simplicial sets: in each
-dimension the simplices of all pieces are identified along both actions
-of every morphism, then nondegenerate cells and their face words are
-recovered bottom-up from normal forms.
+The coend is the colimit of simplicial sets that glues each piece along
+both actions of every morphism.  It is computed from nondegenerate cells
+alone, one dimension at a time: the relations are applied to the cells
+of each mixing piece, and a degenerate image stands for its
+Eilenberg-Zilber normal form, fixed in a lower dimension.  Because both
+actions are simplicial, the identifications of degenerate simplices
+follow from these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .category import automorphism_group, enumerate_en, filtration
 from .errors import CapExceededError, ValidationError
@@ -29,13 +33,12 @@ from .simplicial import (
     identity_simplicial,
     point_object,
     power,
-    product,
     product_map,
     quotient,
     quotient_by_group,
     smash,
     sort_key,
-    surj_degeneracy,
+    surj_compose,
     surj_identity,
     t_space,
 )
@@ -47,17 +50,27 @@ COEND_N_CAP = 2  # n = 3 must be asked for explicitly
 # induced maps on tree spaces and power quotients
 
 
-def t_space_map(f, lam, lam_target):
+def _tree(trees, lam):
+    """The refinement poset and tree space of lam, from the caller's dict
+    partition -> (poset, tree space); a missing entry is built and kept."""
+    if lam not in trees:
+        trees[lam] = (refinement_poset(lam), t_space(lam))
+    return trees[lam]
+
+
+def t_space_map(f, lam, lam_target, trees=None):
     """Map of tree spaces induced by a strict fusion.
 
     Chains of refinements map elementwise through the image partition;
     repeats collapse into degeneracy words, and boundary chains land in
     the boundary, so only the cells of the source quotient are mapped.
+    A caller that maps many fusions passes one `trees` dict (see `_tree`)
+    so that each poset and tree space is built once.
     """
-    pos = refinement_poset(lam)
-    pos2 = refinement_poset(lam_target)
-    src = t_space(lam)
-    tgt = t_space(lam_target)
+    if trees is None:
+        trees = {}
+    pos, src = _tree(trees, lam)
+    pos2, tgt = _tree(trees, lam_target)
     mapping = {}
     for chain in src.all_cells():
         if chain == BASEPOINT:
@@ -99,112 +112,133 @@ class CoendAssembly:
     table: object
 
 
-def _coend_over(M, table, dim_cap):
-    """Colimit of the pieces of a category table; the workhorse."""
-    nobj = len(table.objects)
-    if nobj == 0:
-        return point_object(), {}, {}
+def _coend_pieces(M, table, dim_cap):
+    """The pieces of the coend and the relations that glue them.
+
+    Piece i is the power quotient of object i smashed with its tree
+    space.  An arrow f: lam_i -> lam_j gives the relation (i, j, w, a, b)
+    on the mixing piece w = (power quotient of lam_j) smashed with (tree
+    space of lam_i), with a: w -> piece i and b: w -> piece j.
+    """
     pairs = {}
     trees = {}
     pieces = {}
     for i, lam in enumerate(table.objects):
         pairs[i] = power_pair(M, lam, dim_cap=dim_cap)
-        trees[i] = t_space(lam)
-        pieces[i] = smash(pairs[i].quotient, trees[i], dim_cap=dim_cap)
-    # relation maps per arrow f: lam_i -> lam_j, through the mixing piece
-    # W_f = (power quotient of lam_j) smashed with (tree space of lam_i)
+        pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1], dim_cap=dim_cap)
     relations = []
-    for i in range(nobj):
-        ident_t = identity_simplicial(trees[i])
-        for j in range(nobj):
+    for i, lam in enumerate(table.objects):
+        tree = trees[lam][1]
+        ident_t = identity_simplicial(tree)
+        for j, lam_j in enumerate(table.objects):
             homset = table.hom(i, j)
             if not homset:
                 continue
-            w_prod = product([pairs[j].quotient, trees[i]], dim_cap=dim_cap)
-            w = smash(pairs[j].quotient, trees[i], dim_cap=dim_cap)
+            if i == j:
+                w = pieces[i]
+            else:
+                w = smash(pairs[j].quotient, tree, dim_cap=dim_cap)
             ident_p = identity_simplicial(pairs[j].quotient)
             for f in homset:
                 pw = power_quotient_map(f, pairs[i], pairs[j])
-                tw = t_space_map(f, table.objects[i], table.objects[j])
-                a = descend_to_quotients(product_map([pw, ident_t], w_prod), w, pieces[i])
-                b = descend_to_quotients(product_map([ident_p, tw], w_prod), w, pieces[j])
+                tw = t_space_map(f, lam, lam_j, trees)
+                a = descend_to_quotients(product_map([pw, ident_t], w), w, pieces[i])
+                b = descend_to_quotients(product_map([ident_p, tw], w), w, pieces[j])
                 relations.append((i, j, w, a, b))
+    return pieces, relations
+
+
+def _glue(pieces, relations):
+    """Colimit of the pieces along a(w) ~ b(w), with shared basepoints.
+
+    In each dimension k, union-find runs over the nondegenerate k-cells
+    (i, cell) of the pieces.  A degenerate image enters as its normal
+    form (glued cell, word), which a lower dimension fixed; a class that
+    holds one takes it, any other class becomes a glued cell named after
+    its smallest member.  gluing counts, per dimension k, the
+    identifications the colimit makes among all k-simplices: the pieces
+    have sum over q of n_q * C(k, q) of them, the glued space the same
+    sum over its own q-cells.
+    """
     top = max(p.dimension for p in pieces.values())
-    # dimensionwise colimit of all simplices
-    finds = []
-    glue_counts = {}
+    normal = {}  # (piece, cell) -> normal form in the glued space
+    cells = {}
+    faces = {}
+
+    def form(i, ref):
+        cell, alpha = ref
+        name, beta = normal[(i, cell)]
+        return name, surj_compose(beta, alpha)
+
+    gluing = {}
     for k in range(top + 1):
         parent = {}
         for i, piece in pieces.items():
-            for ref in piece.simplices_of_dim(k):
-                parent[(i, ref)] = (i, ref)
+            for cell in piece.cells_of_dim(k):
+                parent[(i, cell)] = (i, cell)
 
-        def find(x, parent=parent):
+        def node(i, ref):
+            # a degenerate simplex is the node (None, its normal form)
+            cell, alpha = ref
+            return (i, cell) if alpha[-1] == k else (None, form(i, ref))
+
+        def find(x):
+            parent.setdefault(x, x)
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        merges = 0
-        # wedge convention: one shared basepoint
-        bases = [(i, (pieces[i].basepoint, (0,) * (k + 1))) for i in pieces]
-        for other in bases[1:]:
-            ra, rb = find(bases[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-                merges += 1
+        def join(x, y):
+            parent[find(y)] = find(x)
+
+        if k == 0:
+            # wedge convention: one shared basepoint
+            for i in pieces:
+                join((0, pieces[0].basepoint), (i, pieces[i].basepoint))
         for i, j, w, a, b in relations:
-            for ref in w.simplices_of_dim(k):
-                na = (i, a.ref_image(ref))
-                nb = (j, b.ref_image(ref))
-                ra, rb = find(na), find(nb)
-                if ra != rb:
-                    parent[rb] = ra
-                    merges += 1
-        finds.append((parent, find))
-        glue_counts[k] = merges
-    # normal forms bottom-up: a degenerate class inherits the form of the
-    # simplex below its repeated word entry, a nondegenerate class becomes
-    # a cell named after its smallest member
-    normal = [{} for _ in range(top + 1)]
-    cells = {}
-    faces = {}
-    for k in range(top + 1):
-        parent, find = finds[k]
+            for cell in w.cells_of_dim(k):
+                join(node(i, a.mapping[cell]), node(j, b.mapping[cell]))
         members = {}
-        for node in parent:
-            members.setdefault(find(node), []).append(node)
-        for root, group in sorted(members.items(), key=lambda kv: sort_key(kv[0])):
-            degenerate = None
-            for (i, (cell, alpha)) in group:
-                if alpha != surj_identity(pieces[i].dim_of[cell]):
-                    degenerate = (i, cell, alpha)
-                    break
-            if degenerate is None:
-                name = min(((i, cell) for (i, (cell, _)) in group), key=sort_key)
-                normal[k][root] = (name, surj_identity(k))
+        for x in parent:
+            members.setdefault(find(x), []).append(x)
+        for group in members.values():
+            forms = [nf for i, nf in group if i is None]
+            if len(forms) > 1:
+                raise ValidationError(
+                    "gluing maps are not simplicial: one class holds the normal "
+                    f"forms {forms[0]!r} and {forms[1]!r}"
+                )
+            group = [x for x in group if x[0] is not None]
+            if forms:
+                nf = forms[0]
+            else:
+                name = min(group, key=sort_key)
+                nf = (name, surj_identity(k))
                 cells.setdefault(k, []).append(name)
                 if k > 0:
                     i, cell = name
-                    _, sub_find = finds[k - 1]
-                    fs = []
-                    for t in range(k + 1):
-                        fref = pieces[i].face(cell, t)
-                        fs.append(normal[k - 1][sub_find((i, fref))])
-                    faces[name] = tuple(fs)
-            else:
-                i, cell, alpha = degenerate
-                drop = next(
-                    t for t in range(len(alpha) - 1) if alpha[t] == alpha[t + 1]
-                )
-                lower_ref = (cell, alpha[: drop + 1] + alpha[drop + 2:])
-                _, sub_find = finds[k - 1]
-                lname, lword = normal[k - 1][sub_find((i, lower_ref))]
-                normal[k][root] = (lname, surj_degeneracy(lword, drop))
-    _, find0 = finds[0]
-    bp_name = normal[0][find0((0, (pieces[0].basepoint, (0,))))][0]
-    total = SimplicialObject(cells, faces, basepoint=bp_name)
-    return total, pieces, glue_counts
+                    faces[name] = tuple(
+                        form(i, pieces[i].face(cell, t)) for t in range(k + 1)
+                    )
+            for x in group:
+                normal[x] = nf
+        gluing[k] = sum(
+            n_q * comb(k, q)
+            for piece in pieces.values()
+            for q, n_q in piece.cell_count().items()
+        ) - sum(len(names) * comb(k, q) for q, names in cells.items())
+    bp_name = normal[(0, pieces[0].basepoint)][0]
+    return SimplicialObject(cells, faces, basepoint=bp_name), gluing
+
+
+def _coend_over(M, table, dim_cap):
+    """Colimit of the pieces of a category table; the workhorse."""
+    if not table.objects:
+        return point_object(), {}, {}
+    pieces, relations = _coend_pieces(M, table, dim_cap)
+    total, gluing = _glue(pieces, relations)
+    return total, pieces, gluing
 
 
 def coend(M, n, dim_cap=PRODUCT_DIM_CAP, allow_large=False):
@@ -266,13 +300,14 @@ def stratum(M, n, i, lam, dim_cap=PRODUCT_DIM_CAP):
     big = power(M, m, dim_cap=dim_cap)
     fat = fat_diagonal_cells(big)
     collapsed = quotient(big, fat)
-    tree = t_space(lam)
+    trees = {}
+    tree = _tree(trees, lam)[1]
     smashed = smash(collapsed, tree, dim_cap=dim_cap)
     group = automorphism_group(lam)
     generators = []
     for g in group.generators:
         perm_cells = coordinate_permutation_cellmap(big, _invert_perm(g))
-        tmap = t_space_map(SetMap(m, m, g), lam, lam)
+        tmap = t_space_map(SetMap(m, m, g), lam, lam, trees)
         gen = {BASEPOINT: BASEPOINT}
         for cell in smashed.all_cells():
             if cell == BASEPOINT:

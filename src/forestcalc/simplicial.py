@@ -126,15 +126,6 @@ class SimplicialObject:
         fcell, gamma = self.faces[cell][j]
         return (fcell, surj_compose(gamma, beta))
 
-    def simplices_of_dim(self, k):
-        """All k-simplices (degenerate included) as refs."""
-        for p in sorted(self.cells):
-            if p > k:
-                break
-            for c in self.cells[p]:
-                for alpha in surjections(k, p):
-                    yield (c, alpha)
-
     def validate(self):
         for k, names in self.cells.items():
             if k == 0:
@@ -548,11 +539,14 @@ def identity_simplicial(obj):
     return SimplicialMap(obj, obj, mapping)
 
 
-def product_map(maps, source_prod):
-    """Coordinatewise image of each cell of a product under factor maps,
-    as a cell -> ref dict into the product of the targets."""
+def product_map(maps, source):
+    """Coordinatewise image of each product cell of source (a product, or
+    a quotient of one such as a smash) under factor maps, as a
+    cell -> ref dict into the product of the targets."""
     mapping = {}
-    for cell in source_prod.all_cells():
+    for cell in source.all_cells():
+        if cell == BASEPOINT:
+            continue
         imgs = [maps[j].ref_image(cell[j]) for j in range(len(maps))]
         mapping[cell] = joint_normalize(imgs)
     return mapping

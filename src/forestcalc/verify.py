@@ -319,6 +319,7 @@ def check_tspace_model_agreement(budget, ctx):
 def check_tree_map_functoriality(budget, ctx):
     """Induced tree-space maps respect composition and identities."""
     checked = 0
+    trees = {}  # each partition's poset and tree space, built once
     top = min(budget["support"], 4)
     for m in range(2, top + 1):
         for mid in range(1, m + 1):
@@ -333,10 +334,10 @@ def check_tree_map_functoriality(budget, ctx):
                             if lam_mid.excess != lam_out.excess:
                                 continue
                             gf = SetMap(m, mp, tuple(g(f(x)) for x in range(m)))
-                            lhs = t_space_map(gf, src, lam_out)
+                            lhs = t_space_map(gf, src, lam_out, trees)
                             rhs = compose_simplicial(
-                                t_space_map(g, lam_mid, lam_out),
-                                t_space_map(f, src, lam_mid),
+                                t_space_map(g, lam_mid, lam_out, trees),
+                                t_space_map(f, src, lam_mid, trees),
                             )
                             if lhs.mapping != rhs.mapping:
                                 return False, {"instances": checked}, {

@@ -9,6 +9,8 @@ from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.homology import HomologyGroup, betti_numbers, homology
 from forestcalc.layers import (
     COEND_N_CAP,
+    _coend_pieces,
+    _glue,
     coend,
     coend_over_filtration,
     derivative_report,
@@ -19,11 +21,20 @@ from forestcalc.layers import (
 from forestcalc.partitions import SetMap, compose, indiscrete, make_partition
 from forestcalc.powers import power_pair
 from forestcalc.simplicial import (
+    PRODUCT_DIM_CAP,
+    SimplicialMap,
+    SimplicialObject,
     compose_simplicial,
     identity_simplicial,
     model_circle,
+    model_interval,
     model_points,
+    model_wedge_of_circles,
     same_object,
+    sort_key,
+    surj_degeneracy,
+    surj_identity,
+    surjections,
     t_space,
 )
 
@@ -132,6 +143,175 @@ def test_coend_cap():
     assert COEND_N_CAP == 2
     with pytest.raises(CapExceededError):
         coend(model_points(2), 3)
+
+
+# --- the colimit against an all-simplices oracle ---------------------------------
+
+
+def _all_simplices(obj, k):
+    for p in range(k + 1):
+        for cell in obj.cells_of_dim(p):
+            for alpha in surjections(k, p):
+                yield (cell, alpha)
+
+
+def glue_all_simplices(pieces, relations):
+    """The colimit taken over every simplex, degenerate ones included:
+    union-find on all k-simplices of the pieces along a(s) ~ b(s) for all
+    k-simplices s of each mixing piece, then normal forms bottom-up."""
+    top = max(p.dimension for p in pieces.values())
+    finds = []
+    glue_counts = {}
+    for k in range(top + 1):
+        parent = {}
+        for i, piece in pieces.items():
+            for ref in _all_simplices(piece, k):
+                parent[(i, ref)] = (i, ref)
+
+        def find(x, parent=parent):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        merges = 0
+        bases = [(i, (pieces[i].basepoint, (0,) * (k + 1))) for i in pieces]
+        for other in bases[1:]:
+            ra, rb = find(bases[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+                merges += 1
+        for i, j, w, a, b in relations:
+            for ref in _all_simplices(w, k):
+                ra, rb = find((i, a.ref_image(ref))), find((j, b.ref_image(ref)))
+                if ra != rb:
+                    parent[rb] = ra
+                    merges += 1
+        finds.append((parent, find))
+        glue_counts[k] = merges
+    normal = [{} for _ in range(top + 1)]
+    cells = {}
+    faces = {}
+    for k in range(top + 1):
+        parent, find = finds[k]
+        members = {}
+        for node in parent:
+            members.setdefault(find(node), []).append(node)
+        for root, group in members.items():
+            degenerate = None
+            for i, (cell, alpha) in group:
+                if alpha != surj_identity(pieces[i].dim_of[cell]):
+                    degenerate = (i, cell, alpha)
+                    break
+            if degenerate is None:
+                name = min(((i, cell) for (i, (cell, _)) in group), key=sort_key)
+                normal[k][root] = (name, surj_identity(k))
+                cells.setdefault(k, []).append(name)
+                if k > 0:
+                    i, cell = name
+                    _, sub_find = finds[k - 1]
+                    faces[name] = tuple(
+                        normal[k - 1][sub_find((i, pieces[i].face(cell, t)))]
+                        for t in range(k + 1)
+                    )
+            else:
+                i, cell, alpha = degenerate
+                drop = next(t for t in range(len(alpha) - 1) if alpha[t] == alpha[t + 1])
+                lower_ref = (cell, alpha[: drop + 1] + alpha[drop + 2:])
+                _, sub_find = finds[k - 1]
+                lname, lword = normal[k - 1][sub_find((i, lower_ref))]
+                normal[k][root] = (lname, surj_degeneracy(lword, drop))
+    _, find0 = finds[0]
+    bp_name = normal[0][find0((0, (pieces[0].basepoint, (0,))))][0]
+    return SimplicialObject(cells, faces, basepoint=bp_name), glue_counts
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (lambda: model_points(2), 1),
+        (lambda: model_points(2), 2),
+        (lambda: model_points(3), 2),
+        (model_circle, 1),
+        (model_interval, 1),
+        (lambda: model_wedge_of_circles(2), 1),
+    ],
+    ids=["points2-n1", "points2-n2", "points3-n2", "circle-n1", "interval-n1", "wedge2-n1"],
+)
+def test_glue_matches_all_simplices_colimit(model, n):
+    table = enumerate_en(n, include_homs=True)
+    pieces, relations = _coend_pieces(model(), table, PRODUCT_DIM_CAP)
+    total, gluing = _glue(pieces, relations)
+    oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
+    assert same_object(total, oracle_total)
+    assert gluing == oracle_gluing
+
+
+def test_glue_matches_all_simplices_colimit_with_degenerate_images():
+    # the relation maps of the coends above send every cell to a
+    # nondegenerate one; here an edge of a triangle collapses onto a
+    # vertex of another piece, so classes take degenerate normal forms
+    # and the triangle keeps a degenerate face
+    vert, edge = (0,), (0, 1)  # identity words in dimensions 0 and 1
+    point = SimplicialObject({0: ["*", "v"]}, {}, basepoint="*")
+    triangle = SimplicialObject(
+        {0: ["*", "x", "y", "z"], 1: ["xy", "xz", "yz"], 2: ["t"]},
+        {
+            "xy": (("y", vert), ("x", vert)),
+            "xz": (("z", vert), ("x", vert)),
+            "yz": (("z", vert), ("y", vert)),
+            "t": (("yz", edge), ("xz", edge), ("xy", edge)),
+        },
+        basepoint="*",
+    )
+    w = SimplicialObject(
+        {0: ["p", "q", "r"], 1: ["f", "g"]},
+        {"f": (("q", vert), ("p", vert)), "g": (("r", vert), ("r", vert))},
+    )
+    a = SimplicialMap(
+        w, point, {"p": ("v", vert), "q": ("v", vert), "r": ("v", vert),
+                   "f": ("v", (0, 0)), "g": ("v", (0, 0))}
+    )
+    b = SimplicialMap(
+        w, triangle, {"p": ("x", vert), "q": ("y", vert), "r": ("x", vert),
+                      "f": ("xy", edge), "g": ("x", (0, 0))}
+    )
+    pieces = {0: point, 1: triangle}
+    relations = [(0, 1, w, a, b)]
+    total, gluing = _glue(pieces, relations)
+    oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
+    assert same_object(total, oracle_total)
+    assert gluing == oracle_gluing
+    assert total.cell_count() == {0: 3, 1: 2, 2: 1}
+    assert total.faces[(1, "t")][2] == ((0, "v"), (0, 0))
+
+
+def _loop(vertices, edge):
+    faces = {edge: (("*", (0,)), ("*", (0,)))}
+    return SimplicialObject({0: vertices, 1: [edge]}, faces, basepoint="*")
+
+
+@pytest.mark.parametrize("through_a_cell", [False, True], ids=["direct", "via-e0"])
+def test_glue_rejects_two_normal_forms_in_one_class(through_a_cell):
+    # on_v sends the loop e to the degenerate simplex on v but e's vertex
+    # to *, so it is not simplicial; gluing it against the degenerate
+    # simplex on *, directly or through the loop e0, puts both normal
+    # forms in one class
+    piece = _loop(["*", "v"], "e0")
+    w = _loop(["*"], "e")
+
+    def sending_e_to(ref):
+        return SimplicialMap(w, piece, {"*": ("*", (0,)), "e": ref})
+
+    on_base = sending_e_to(("*", (0, 0)))
+    on_v = sending_e_to(("v", (0, 0)))
+    on_e0 = sending_e_to(("e0", (0, 1)))
+    if through_a_cell:
+        relations = [(0, 0, w, on_e0, on_base), (0, 0, w, on_e0, on_v)]
+    else:
+        relations = [(0, 0, w, on_base, on_v)]
+    with pytest.raises(ValidationError, match="not simplicial"):
+        _glue({0: piece}, relations)
 
 
 # --- filtration stages ------------------------------------------------------------
