@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import CapExceededError, ValidationError
 from .fusion import PartitionMorphism
 from .partitions import (
-    Partition,
     SetMap,
+    UnionFind,
     compose,
     image_partition,
     make_partition,
@@ -296,27 +296,17 @@ class CategoryTable:
         """Orbits of hom(i, j) under post-composition with target
         automorphisms; the classical way these morphisms get counted."""
         maps = self.hom(i, j)
-        if not maps:
-            return 0
-        index = {f.values: k for k, f in enumerate(maps)}
-        parent = list(range(len(maps)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(f.values for f in maps)
         for g in self.groups[j].generators:
-            m = self.objects[j].support_size
-            gmap = SetMap(m, m, g)
-            for k, f in enumerate(maps):
-                gf = compose(gmap, f)
-                other = index[gf.values]
-                rk, ro = find(k), find(other)
-                if rk != ro:
-                    parent[ro] = rk
-        return len({find(k) for k in range(len(maps))})
+            for f in maps:
+                gf = tuple(g[v] for v in f.values)
+                if gf not in uf:
+                    raise ValidationError(
+                        f"composite {gf} of {f.values} then automorphism {g} "
+                        f"is not listed in hom({i}, {j})"
+                    )
+                uf.union(f.values, gf)
+        return len(uf.classes())
 
     def validate(self):
         for i, p in enumerate(self.objects):
@@ -395,7 +385,7 @@ class CategoryTable:
         return data
 
 
-def enumerate_en(n, cap=EN_CAP, include_homs=None):
+def enumerate_en(n, include_homs=None):
     """The table for excess n: canonical objects and all strict fusions.
 
     Hom sets are materialized by default only for n small enough that
@@ -404,8 +394,8 @@ def enumerate_en(n, cap=EN_CAP, include_homs=None):
     """
     if n < 1:
         raise ValidationError("excess must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds cap {cap}")
+    if n > EN_CAP:
+        raise CapExceededError(f"n={n} exceeds cap {EN_CAP}")
     if include_homs is None:
         include_homs = n <= HOM_MATERIALIZE_CAP
     objects = tuple(canonical_object(s) for s in shapes_of_excess(n))
@@ -476,7 +466,7 @@ def verify_nice_filtration(table):
 # essential cofibrancy
 
 
-def verify_essentially_cofibrant(n, model, dim_cap=None):
+def verify_essentially_cofibrant(n, model):
     """Checks that lower-stratum images glued with the bad diagonal
     cover the fat diagonal bijectively, stratum by stratum.
 
@@ -491,17 +481,16 @@ def verify_essentially_cofibrant(n, model, dim_cap=None):
         fat_diagonal_cells,
         induced_power_map,
     )
-    from .simplicial import PRODUCT_DIM_CAP, power
+    from .simplicial import power
 
     if n > 3:
         raise CapExceededError("cofibrancy check is capped at excess 3")
-    cap = dim_cap or PRODUCT_DIM_CAP
     table = enumerate_en(n)
     powers = {}
 
     def power_of(m):
         if m not in powers:
-            powers[m] = power(model, m, dim_cap=cap)
+            powers[m] = power(model, m)
         return powers[m]
 
     strata_reports = []
@@ -517,23 +506,11 @@ def verify_essentially_cofibrant(n, model, dim_cap=None):
                 arrows.append((j, f))
         arrow_id = {(j, f.values): a for a, (j, f) in enumerate(arrows)}
         # disjoint simplices of the lower powers, glued over commuting triangles
-        nodes = {}
-        for a, (j, _) in enumerate(arrows):
-            for cell in power_of(table.objects[j].support_size).all_cells():
-                nodes[(a, cell)] = (a, cell)
-        parent = {k: k for k in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
+        uf = UnionFind(
+            (a, cell)
+            for a, (j, _) in enumerate(arrows)
+            for cell in power_of(table.objects[j].support_size).all_cells()
+        )
         for a, (j, f) in enumerate(arrows):
             pj = power_of(table.objects[j].support_size)
             for k in lower:
@@ -544,7 +521,7 @@ def verify_essentially_cofibrant(n, model, dim_cap=None):
                     gmap = induced_power_map(g, pk, pj)
                     for cell in pk.all_cells():
                         image_ref = gmap.cell_image(cell)
-                        union((a, image_ref[0]), (b, cell))
+                        uf.union((a, image_ref[0]), (b, cell))
         # image of each class inside the big power
         image_of_class = {}
         conflict = None
@@ -552,7 +529,7 @@ def verify_essentially_cofibrant(n, model, dim_cap=None):
             pj = power_of(table.objects[j].support_size)
             fmap = induced_power_map(f, pj, big)
             for cell in pj.all_cells():
-                root = find((a, cell))
+                root = uf.find((a, cell))
                 img = fmap.cell_image(cell)[0]
                 if root in image_of_class and image_of_class[root] != img:
                     conflict = (root, image_of_class[root], img)
@@ -570,7 +547,7 @@ def verify_essentially_cofibrant(n, model, dim_cap=None):
             "object": str(lam),
             "stratum": table.strata[idx],
             "arrows": len(arrows),
-            "colimit_classes": len(set(map(find, nodes))) if nodes else 0,
+            "colimit_classes": len(uf.classes()),
             "fat_cells": len(fat),
             "bad_cells": len(bad),
             "glued_cells": len(covered),

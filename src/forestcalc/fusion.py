@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import NotAFusionError, SupportMismatchError, ValidationError
 from .partitions import (
+    POSET_SUPPORT_CAP,
     Partition,
     SetMap,
     UnionFind,
@@ -141,8 +142,8 @@ def decompose_elementary(m):
 
 
 @dataclass(frozen=True)
-class MarkedGraph:
-    """A finite multigraph with a marked vertex subset.
+class Multigraph:
+    """A finite multigraph on vertices {0..num_vertices-1}.
 
     Edges are an ordered tuple of (u, v) pairs; loops and parallel
     edges are allowed.
@@ -150,56 +151,20 @@ class MarkedGraph:
 
     num_vertices: int
     edges: tuple
-    marked: frozenset
 
     def __post_init__(self):
         for u, v in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValidationError(f"edge ({u}, {v}) outside vertex range")
-        for x in self.marked:
-            if not 0 <= x < self.num_vertices:
-                raise ValidationError(f"marked vertex {x} outside vertex range")
 
     def component_count(self):
-        uf = UnionFind(self.num_vertices)
+        uf = UnionFind(range(self.num_vertices))
         for u, v in self.edges:
             uf.union(u, v)
-        return len({uf.find(x) for x in range(self.num_vertices)})
+        return len(uf.classes())
 
     def first_betti(self):
         return len(self.edges) - self.num_vertices + self.component_count()
-
-    def collapse_marked(self):
-        """Identify all marked vertices to a single new vertex 0."""
-        if not self.marked:
-            return self
-        relabel = {}
-        nxt = 1
-        for x in range(self.num_vertices):
-            if x in self.marked:
-                relabel[x] = 0
-            else:
-                relabel[x] = nxt
-                nxt += 1
-        edges = tuple((relabel[u], relabel[v]) for u, v in self.edges)
-        return MarkedGraph(nxt, edges, frozenset({0}))
-
-
-def cylinder_graph(p):
-    """Mapping cylinder of support -> components as a marked graph.
-
-    Vertices 0..m-1 are the (marked) support, vertices m..m+c-1 are the
-    blocks, with one edge per support element.
-    """
-    m = p.support_size
-    where = p.block_of()
-    edges = tuple((x, m + where[x]) for x in range(m))
-    return MarkedGraph(m + p.components, edges, frozenset(range(m)))
-
-
-def collapsed_b1(p):
-    """First Betti number of the cylinder graph with the support collapsed."""
-    return cylinder_graph(p).collapse_marked().first_betti()
 
 
 def _int_det(rows):
@@ -283,7 +248,7 @@ def pushout_graph(delta, lam):
     edges = tuple(
         (where_l[x], cl + where_d[x]) for x in range(lam.support_size)
     )
-    return MarkedGraph(cl + delta.components, edges, frozenset())
+    return Multigraph(cl + delta.components, edges)
 
 
 def goodness_via_graph(delta, lam):
@@ -306,11 +271,11 @@ def goodness_via_graph_forest_only(delta, lam):
     return pushout_graph(delta, lam).first_betti() == 0
 
 
-def bad_diagonals(lam, cap=9):
+def bad_diagonals(lam):
     """All partitions of the support of lam that are bad relative to it."""
-    if lam.support_size > cap:
+    if lam.support_size > POSET_SUPPORT_CAP:
         raise ValidationError(
-            f"support {lam.support_size} exceeds cap {cap}; raise cap= to override"
+            f"support {lam.support_size} exceeds cap {POSET_SUPPORT_CAP}"
         )
     out = [d for d in all_partitions(lam.support_size) if not is_good(d, lam)]
     out.sort(key=lambda d: d.blocks)

@@ -17,7 +17,7 @@ from math import comb
 from .category import automorphism_group, enumerate_en, filtration
 from .errors import CapExceededError, ValidationError
 from .homology import chain_complex, homology
-from .partitions import SetMap, image_partition, refinement_poset
+from .partitions import SetMap, UnionFind, image_partition, refinement_poset
 from .powers import (
     coordinate_permutation_cellmap,
     fat_diagonal_cells,
@@ -26,7 +26,6 @@ from .powers import (
 )
 from .simplicial import (
     BASEPOINT,
-    PRODUCT_DIM_CAP,
     PermutationAction,
     SimplicialObject,
     descend_to_quotients,
@@ -112,7 +111,7 @@ class CoendAssembly:
     table: object
 
 
-def _coend_pieces(M, table, dim_cap):
+def _coend_pieces(M, table):
     """The pieces of the coend and the relations that glue them.
 
     Piece i is the power quotient of object i smashed with its tree
@@ -124,8 +123,8 @@ def _coend_pieces(M, table, dim_cap):
     trees = {}
     pieces = {}
     for i, lam in enumerate(table.objects):
-        pairs[i] = power_pair(M, lam, dim_cap=dim_cap)
-        pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1], dim_cap=dim_cap)
+        pairs[i] = power_pair(M, lam)
+        pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1])
     relations = []
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
@@ -137,7 +136,7 @@ def _coend_pieces(M, table, dim_cap):
             if i == j:
                 w = pieces[i]
             else:
-                w = smash(pairs[j].quotient, tree, dim_cap=dim_cap)
+                w = smash(pairs[j].quotient, tree)
             ident_p = identity_simplicial(pairs[j].quotient)
             for f in homset:
                 pw = power_quotient_map(f, pairs[i], pairs[j])
@@ -172,37 +171,23 @@ def _glue(pieces, relations):
 
     gluing = {}
     for k in range(top + 1):
-        parent = {}
-        for i, piece in pieces.items():
-            for cell in piece.cells_of_dim(k):
-                parent[(i, cell)] = (i, cell)
+        uf = UnionFind(
+            (i, cell) for i, piece in pieces.items() for cell in piece.cells_of_dim(k)
+        )
 
         def node(i, ref):
             # a degenerate simplex is the node (None, its normal form)
             cell, alpha = ref
             return (i, cell) if alpha[-1] == k else (None, form(i, ref))
 
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def join(x, y):
-            parent[find(y)] = find(x)
-
         if k == 0:
             # wedge convention: one shared basepoint
             for i in pieces:
-                join((0, pieces[0].basepoint), (i, pieces[i].basepoint))
+                uf.union((0, pieces[0].basepoint), (i, pieces[i].basepoint))
         for i, j, w, a, b in relations:
             for cell in w.cells_of_dim(k):
-                join(node(i, a.mapping[cell]), node(j, b.mapping[cell]))
-        members = {}
-        for x in parent:
-            members.setdefault(find(x), []).append(x)
-        for group in members.values():
+                uf.union(node(i, a.mapping[cell]), node(j, b.mapping[cell]))
+        for group in uf.classes():
             forms = [nf for i, nf in group if i is None]
             if len(forms) > 1:
                 raise ValidationError(
@@ -232,16 +217,16 @@ def _glue(pieces, relations):
     return SimplicialObject(cells, faces, basepoint=bp_name), gluing
 
 
-def _coend_over(M, table, dim_cap):
+def _coend_over(M, table):
     """Colimit of the pieces of a category table; the workhorse."""
     if not table.objects:
         return point_object(), {}, {}
-    pieces, relations = _coend_pieces(M, table, dim_cap)
+    pieces, relations = _coend_pieces(M, table)
     total, gluing = _glue(pieces, relations)
     return total, pieces, gluing
 
 
-def coend(M, n, dim_cap=PRODUCT_DIM_CAP, allow_large=False):
+def coend(M, n, allow_large=False):
     """The glued space of all power quotients smashed with tree spaces.
 
     Identifications run along both actions of every strict fusion,
@@ -252,17 +237,17 @@ def coend(M, n, dim_cap=PRODUCT_DIM_CAP, allow_large=False):
             f"coend for n={n} exceeds the default cap {COEND_N_CAP}; pass allow_large"
         )
     table = enumerate_en(n, include_homs=True)
-    total, pieces, glue = _coend_over(M, table, dim_cap)
+    total, pieces, glue = _coend_over(M, table)
     return CoendAssembly(n=n, total=total, pieces=pieces, gluing_log=glue, table=table)
 
 
-def coend_over_filtration(M, n, i, dim_cap=PRODUCT_DIM_CAP):
+def coend_over_filtration(M, n, i):
     """Coend restricted to objects with at most i components; i = 0
     degenerates to the basepoint."""
     if i == 0:
         return point_object()
     table = filtration(enumerate_en(n, include_homs=True), i)
-    total, _, _ = _coend_over(M, table, dim_cap)
+    total, _, _ = _coend_over(M, table)
     return total
 
 
@@ -280,14 +265,7 @@ class StratumResult:
     orbit_defects: list
 
 
-def _invert_perm(perm):
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
-
-
-def stratum(M, n, i, lam, dim_cap=PRODUCT_DIM_CAP):
+def stratum(M, n, i, lam):
     """(power / fat diagonal, smashed with the tree space) modulo the
     partition's automorphisms, with a freeness certificate.
 
@@ -297,17 +275,18 @@ def stratum(M, n, i, lam, dim_cap=PRODUCT_DIM_CAP):
     if lam.components != i or lam.excess != n:
         raise ValidationError("partition does not sit in the requested stratum")
     m = lam.support_size
-    big = power(M, m, dim_cap=dim_cap)
+    big = power(M, m)
     fat = fat_diagonal_cells(big)
     collapsed = quotient(big, fat)
     trees = {}
     tree = _tree(trees, lam)[1]
-    smashed = smash(collapsed, tree, dim_cap=dim_cap)
+    smashed = smash(collapsed, tree)
     group = automorphism_group(lam)
     generators = []
     for g in group.generators:
-        perm_cells = coordinate_permutation_cellmap(big, _invert_perm(g))
-        tmap = t_space_map(SetMap(m, m, g), lam, lam, trees)
+        gmap = SetMap(m, m, g)
+        perm_cells = coordinate_permutation_cellmap(big, gmap.inverse().values)
+        tmap = t_space_map(gmap, lam, lam, trees)
         gen = {BASEPOINT: BASEPOINT}
         for cell in smashed.all_cells():
             if cell == BASEPOINT:
@@ -319,13 +298,12 @@ def stratum(M, n, i, lam, dim_cap=PRODUCT_DIM_CAP):
         generators.append(gen)
     action = PermutationAction(smashed, tuple(generators))
     sizes = action.orbit_sizes()
-    orbit_of = action.orbits()
-    defects = []
-    for rep, size in sorted(sizes.items(), key=lambda kv: sort_key(kv[0])):
-        if rep == orbit_of[smashed.basepoint]:
-            continue
-        if size != group.order:
-            defects.append({"orbit": repr(rep), "size": size})
+    base = action.orbit_of[smashed.basepoint]
+    defects = [
+        {"orbit": repr(rep), "size": sizes[rep]}
+        for rep in sorted(sizes, key=sort_key)
+        if rep != base and sizes[rep] != group.order
+    ]
     return StratumResult(
         lam=lam,
         space=quotient_by_group(action),
@@ -347,15 +325,13 @@ def _reduced_euler(obj):
     )
 
 
-def derivative_report(
-    M, n, coefficients="Z", dim_cap=PRODUCT_DIM_CAP, allow_large=False, emit_cells=False
-):
+def derivative_report(M, n, coefficients="Z", allow_large=False, emit_cells=False):
     """Everything the layer computation determines, as plain JSON data.
 
     No raw cell names appear, so relabeling the model leaves the report
     unchanged.  The full coend is filtration stage n, so it is built once.
     """
-    assembly = coend(M, n, dim_cap=dim_cap, allow_large=allow_large)
+    assembly = coend(M, n, allow_large=allow_large)
     table = assembly.table
     coend_homology = homology(assembly.total, coefficients=coefficients, reduced=True)
     report = {
@@ -380,13 +356,13 @@ def derivative_report(
         if i == n:
             stage = assembly.total
         else:
-            stage = coend_over_filtration(M, n, i, dim_cap=dim_cap)
+            stage = coend_over_filtration(M, n, i)
         stage_eulers[i] = _reduced_euler(stage)
         stratum_sum = 0
         for idx, lam in enumerate(table.objects):
             if table.strata[idx] != i:
                 continue
-            res = stratum(M, n, i, lam, dim_cap=dim_cap)
+            res = stratum(M, n, i, lam)
             label = "-".join(str(s) for s in lam.shape())
             entry = {
                 "support": lam.support_size,

@@ -16,37 +16,47 @@ POSET_SUPPORT_CAP = 9
 
 
 class UnionFind:
-    """Disjoint sets over {0..n-1} with path compression and union by size."""
+    """Disjoint sets of hashable elements with path compression.  An
+    element not seen before joins as a singleton class."""
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    def __init__(self, elements=()):
+        self.parent = {}
+        for x in elements:
+            self.find(x)
 
     def find(self, x):
+        parent = self.parent
+        if x not in parent:
+            parent[x] = x
+            return x
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
+
+    def __contains__(self, x):
+        return x in self.parent
 
     def union(self, x, y):
         """Merge the sets containing x and y. Returns False if already joined."""
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
         self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
         return True
+
+    def classes(self):
+        """Current classes as lists; members and classes in first-seen order."""
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
 
     def blocks(self):
         """Current classes as a tuple of sorted tuples, ordered by minimum."""
-        groups = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(g) for g in sorted(groups.values()))
+        return tuple(sorted(tuple(sorted(g)) for g in self.classes()))
 
 
 @dataclass(frozen=True)
@@ -265,7 +275,7 @@ def image_partition(f, p):
         raise SupportMismatchError(
             f"partition support {p.support_size} != map source {f.source_size}"
         )
-    uf = UnionFind(f.target_size)
+    uf = UnionFind(range(f.target_size))
     for block in p.blocks:
         first = f.values[block[0]]
         for x in block[1:]:
@@ -277,7 +287,7 @@ def meet(p, q):
     """Finest common coarsening: transitive closure of the union relation."""
     if p.support_size != q.support_size:
         raise SupportMismatchError("meet needs equal supports")
-    uf = UnionFind(p.support_size)
+    uf = UnionFind(range(p.support_size))
     for block in itertools.chain(p.blocks, q.blocks):
         for x in block[1:]:
             uf.union(block[0], x)
@@ -389,16 +399,15 @@ class PosetTable:
         return PosetTable([self.elements[i] for i in keep_indices], validate=False)
 
 
-def refinement_poset(p, cap=POSET_SUPPORT_CAP):
+def refinement_poset(p):
     """The poset of refinements of p, minimum p and maximum discrete.
 
     Elements are produced as products of per-block partitions.  The
-    support cap guards against Bell-number blowup; pass a larger cap
-    explicitly to override.
+    support cap guards against Bell-number blowup.
     """
-    if p.support_size > cap:
+    if p.support_size > POSET_SUPPORT_CAP:
         raise CapExceededError(
-            f"support {p.support_size} exceeds cap {cap}; raise cap= to override"
+            f"support {p.support_size} exceeds cap {POSET_SUPPORT_CAP}"
         )
     per_block = [partitions_of_block(b) for b in p.blocks]
     elements = []

@@ -15,7 +15,6 @@ from .errors import SupportMismatchError, ValidationError
 from .fusion import is_good
 from .partitions import Partition, make_partition
 from .simplicial import (
-    PRODUCT_DIM_CAP,
     SimplicialMap,
     SimplicialObject,
     power,
@@ -81,8 +80,8 @@ class PowerPair:
     quotient: SimplicialObject
 
 
-def power_pair(model, lam, dim_cap=PRODUCT_DIM_CAP):
-    p = power(model, lam.support_size, dim_cap=dim_cap)
+def power_pair(model, lam):
+    p = power(model, lam.support_size)
     bad = frozenset(bad_diagonal_cells(p, lam))
     return PowerPair(
         lam=lam,

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceededError, ValidationError
+from .partitions import UnionFind, refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
@@ -266,7 +269,7 @@ def joint_normalize(refs):
     return stripped, tuple(tau)
 
 
-def product(factors, dim_cap=PRODUCT_DIM_CAP):
+def product(factors):
     """Product of finitely many simplicial objects.
 
     Cells are jointly nondegenerate tuples of refs; faces are computed
@@ -275,10 +278,8 @@ def product(factors, dim_cap=PRODUCT_DIM_CAP):
     if not factors:
         raise ValidationError("product needs at least one factor")
     top = sum(f.dimension for f in factors)
-    if top > dim_cap:
-        raise CapExceededError(
-            f"product dimension {top} exceeds cap {dim_cap}; raise dim_cap= to override"
-        )
+    if top > PRODUCT_DIM_CAP:
+        raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
     cells = {}
     for combo in itertools.product(*[list(f.all_cells()) for f in factors]):
         dims = [factors[i].dim_of[c] for i, c in enumerate(combo)]
@@ -304,11 +305,11 @@ def product(factors, dim_cap=PRODUCT_DIM_CAP):
     return SimplicialObject(cells, faces, basepoint=basepoint)
 
 
-def power(m, k, dim_cap=PRODUCT_DIM_CAP):
+def power(m, k):
     """The k-fold product of a single object with itself."""
     if k < 1:
         raise ValidationError("power needs at least one factor")
-    return product([m] * k, dim_cap=dim_cap)
+    return product([m] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +358,11 @@ def quotient(obj, collapse, validate_closed=True):
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
-def smash(a, b, dim_cap=PRODUCT_DIM_CAP):
+def smash(a, b):
     """Smash product of pointed objects: product over wedge."""
     if a.basepoint is None or b.basepoint is None:
         raise ValidationError("smash needs basepoints on both factors")
-    prod = product([a, b], dim_cap=dim_cap)
+    prod = product([a, b])
     wedge = [
         cell
         for cell in prod.all_cells()
@@ -410,45 +411,29 @@ class PermutationAction:
             if self.space.basepoint is not None and g[self.space.basepoint] != self.space.basepoint:
                 raise ValidationError("generator moves the basepoint")
 
-    def orbits(self):
-        """Orbit classes of cells, as a dict cell -> canonical representative."""
-        rep = {c: c for c in self.space.dim_of}
-        # union-find by canonical (minimal) name
-        parent = {c: c for c in self.space.dim_of}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
+    @cached_property
+    def orbit_of(self):
+        """Orbit classes of cells, as a dict cell -> canonical (smallest)
+        representative; computed once per action."""
+        uf = UnionFind(self.space.dim_of)
         for g in self.generators:
             for c, d in g.items():
-                rc, rd = find(c), find(d)
-                if rc != rd:
-                    parent[rd] = rc
-        groups = {}
-        for c in self.space.dim_of:
-            groups.setdefault(find(c), []).append(c)
+                uf.union(c, d)
         out = {}
-        for members in groups.values():
+        for members in uf.classes():
             canon = min(members, key=sort_key)
             for c in members:
                 out[c] = canon
         return out
 
     def orbit_sizes(self):
-        orbit_of = self.orbits()
-        sizes = {}
-        for c, r in orbit_of.items():
-            sizes[r] = sizes.get(r, 0) + 1
-        return sizes
+        return Counter(self.orbit_of.values())
 
 
 def quotient_by_group(action):
     """Cellwise orbit object of a simplicial group action."""
     obj = action.space
-    orbit_of = action.orbits()
+    orbit_of = action.orbit_of
     reps = sorted(set(orbit_of.values()), key=sort_key)
     cells = {}
     for r in reps:
@@ -570,7 +555,7 @@ def descend_to_quotients(mapping, src_quot, tgt_quot):
 # tree spaces of partitions
 
 
-def t_space(lam, cap=None):
+def t_space(lam):
     """Nerve of the refinement poset of lam modulo its boundary part.
 
     The boundary consists of the chains missing the minimum or the
@@ -580,9 +565,7 @@ def t_space(lam, cap=None):
     discrete partition the space degenerates to two points, one of them
     the basepoint.
     """
-    from .partitions import POSET_SUPPORT_CAP, refinement_poset
-
-    poset = refinement_poset(lam, cap or POSET_SUPPORT_CAP)
+    poset = refinement_poset(lam)
     mn, mx = poset.min_index, poset.max_index
     if mn == mx:
         return SimplicialObject({0: [BASEPOINT, (mn,)]}, {}, basepoint=BASEPOINT)
@@ -603,17 +586,15 @@ def t_space(lam, cap=None):
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
-def t_space_suspension_model(lam, cap=None):
+def t_space_suspension_model(lam):
     """Suspension description: circle smashed with a quotient of nerves.
 
     Uses the subposet below the maximum; requires positive excess, the
     degenerate case has no suspension description.
     """
-    from .partitions import POSET_SUPPORT_CAP, refinement_poset
-
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
-    poset = refinement_poset(lam, cap or POSET_SUPPORT_CAP)
+    poset = refinement_poset(lam)
     mx = poset.max_index
     mn = poset.min_index
     keep = [i for i in range(len(poset.elements)) if i != mx]

@@ -1,5 +1,6 @@
 """Tests for the skeletal category tables of irreducible partitions."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -217,6 +218,16 @@ def test_glue_patterns_by_independent_orbit_count():
             g = compose(SetMap(3, 3, perm), f)
             seen.add(g.values)
     assert orbits == 4
+
+
+def test_glue_patterns_reject_a_hom_set_not_closed():
+    # drop one map of the 24 in E2 (2,2) -> (3): some automorphism of
+    # the target carries a listed map onto it
+    table = enumerate_en(2)
+    homs = dict(table.homs)
+    homs[(1, 0)] = homs[(1, 0)][1:]
+    with pytest.raises(ValidationError):
+        dataclasses.replace(table, homs=homs).glue_pattern_count(1, 0)
 
 
 # --- filtration ---------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import forestcalc
 from forestcalc import layers
 from forestcalc.cli import main
+from forestcalc.simplicial import SimplicialObject
 
 
 @pytest.fixture(autouse=True)
@@ -162,6 +163,31 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     assert code == 0
     assert len(calls) == 2
     assert ("coend_cells" in env["payload"]) == emit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["layer", "--m", "points:3", "--n", "2"], ["tspace", "--lambda", "(0 1 2)(3 4)"]],
+    ids=["layer", "tspace"],
+)
+def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
+    # FORESTCALC_DEBUG=1 validates every simplicial object on construction
+    validated = []
+    original = SimplicialObject.validate
+
+    def counting(self):
+        validated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SimplicialObject, "validate", counting)
+    monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
+    code, plain, _ = run_cli(capsys, argv)
+    unchecked = len(validated)
+    monkeypatch.setenv("FORESTCALC_DEBUG", "1")
+    code_debug, debug, _ = run_cli(capsys, argv)
+    assert code == code_debug == 0
+    assert debug == plain
+    assert len(validated) > unchecked
 
 
 def test_layer_unknown_model(capsys):

@@ -21,7 +21,6 @@ from forestcalc.layers import (
 from forestcalc.partitions import SetMap, compose, indiscrete, make_partition
 from forestcalc.powers import power_pair
 from forestcalc.simplicial import (
-    PRODUCT_DIM_CAP,
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
@@ -240,7 +239,7 @@ def glue_all_simplices(pieces, relations):
 )
 def test_glue_matches_all_simplices_colimit(model, n):
     table = enumerate_en(n, include_homs=True)
-    pieces, relations = _coend_pieces(model(), table, PRODUCT_DIM_CAP)
+    pieces, relations = _coend_pieces(model(), table)
     total, gluing = _glue(pieces, relations)
     oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
     assert same_object(total, oracle_total)

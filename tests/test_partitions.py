@@ -7,6 +7,7 @@ from forestcalc.errors import SupportMismatchError, ValidationError
 from forestcalc.partitions import (
     Partition,
     SetMap,
+    UnionFind,
     all_partitions,
     are_isomorphic,
     canonicalize,
@@ -261,3 +262,32 @@ def test_refinement_poset_cap():
 
     with pytest.raises(CapExceededError):
         refinement_poset(indiscrete(10))
+
+
+# --- union-find ---------------------------------------------------------------
+
+
+def test_union_find_on_tuples_and_unseen_elements():
+    uf = UnionFind([(0, "a"), (1, "b")])
+    assert (2, "c") not in uf
+    assert uf.find((2, "c")) == (2, "c")  # joins as a singleton
+    assert (2, "c") in uf
+    assert uf.union((0, "a"), (2, "c"))
+    assert not uf.union((2, "c"), (0, "a"))
+    assert uf.find((0, "a")) == uf.find((2, "c")) != uf.find((1, "b"))
+
+
+def test_union_find_classes_in_first_seen_order():
+    uf = UnionFind(["d", "c", "b", "a"])
+    uf.union("a", "c")
+    uf.union("b", "d")
+    uf.union("e", "a")  # e is new: it is seen last
+    assert uf.classes() == [["d", "b"], ["c", "a", "e"]]
+
+
+def test_union_find_blocks_sorted_by_minimum():
+    uf = UnionFind(range(6))
+    uf.union(5, 1)
+    uf.union(4, 0)
+    uf.union(3, 5)
+    assert uf.blocks() == ((0, 4), (1, 3, 5), (2,))

@@ -19,6 +19,7 @@ from forestcalc.partitions import (
     refinement_poset,
 )
 from forestcalc.simplicial import (
+    PRODUCT_DIM_CAP,
     PermutationAction,
     SimplicialObject,
     compose_simplicial,
@@ -156,7 +157,7 @@ def test_torus_from_power_of_circle():
 
 def test_product_dim_cap():
     with pytest.raises(CapExceededError):
-        product([model_circle()] * 3, dim_cap=2)
+        product([model_circle()] * (PRODUCT_DIM_CAP + 1))
 
 
 def test_product_needs_factor():

@@ -1,15 +1,18 @@
-"""The benchmark's traced run (perfbench/tracing.py) wraps package
-functions by module and name, so each of them must keep existing."""
+"""Tooling around the package.  The benchmark's traced run
+(perfbench/tracing.py) wraps package functions by module and name, so
+each of them must keep existing; the README's examples must run."""
 
 import importlib
 import os
+import re
 from collections import Counter
 
 import forestcalc.verify
 from forestcalc.layers import coend
 from forestcalc.simplicial import model_points
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _tracing(monkeypatch):
@@ -30,3 +33,15 @@ def test_trace_coend_counter_reads_assembly(monkeypatch):
     counts = Counter()
     tracing.count_coend(counts, "layers.coend", (), coend(model_points(2), 1))
     assert counts["layers.coend.glued_cells"] > 0
+
+
+def test_readme_python_blocks_run(capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        # a print line's trailing comment is one line of its output
+        for expected in re.findall(r"^print\(.*\)\s+# (.+)$", block, re.MULTILINE):
+            assert expected in printed, (expected, printed)
