@@ -310,7 +310,7 @@ class CategoryTable:
 
     def validate(self):
         for i, p in enumerate(self.objects):
-            if not p.is_irreducible:
+            if not p.is_irreducible():
                 raise ValidationError(f"object {p} has a singleton block")
             if p.excess != self.n:
                 raise ValidationError(f"object {p} has wrong excess")

@@ -164,8 +164,14 @@ def sparse_elementary_divisors(entries, nrows, ncols):
 
 
 def normalize_divisor_chain(values):
-    """gcd/lcm closure turning a diagonal multiset into a divisor chain."""
-    d = [v if v > 0 else -v for v in values if v]
+    """gcd/lcm closure turning a diagonal multiset into a divisor chain.
+
+    Units divide everything, so they are counted and put first; only the
+    entries > 1 go through the pairwise closure.  The invariant factors
+    of a diagonal are unique, so this is the chain the full closure gives.
+    """
+    units = sum(1 for v in values if v in (1, -1))
+    d = [abs(v) for v in values if v not in (0, 1, -1)]
     changed = True
     while changed:
         changed = False
@@ -177,4 +183,4 @@ def normalize_divisor_chain(values):
                     changed = True
     for i in range(len(d) - 1):
         assert d[i + 1] % d[i] == 0
-    return d
+    return [1] * units + d

@@ -18,18 +18,12 @@ from .category import automorphism_group, enumerate_en, filtration
 from .errors import CapExceededError, ValidationError
 from .homology import chain_complex, homology
 from .partitions import SetMap, UnionFind, image_partition, refinement_poset
-from .powers import (
-    coordinate_permutation_cellmap,
-    fat_diagonal_cells,
-    induced_power_map,
-    power_pair,
-)
+from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
     PermutationAction,
     SimplicialObject,
     descend_to_quotients,
-    identity_simplicial,
     point_object,
     power,
     product_map,
@@ -128,7 +122,6 @@ def _coend_pieces(M, table):
     relations = []
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
-        ident_t = identity_simplicial(tree)
         for j, lam_j in enumerate(table.objects):
             homset = table.hom(i, j)
             if not homset:
@@ -137,12 +130,11 @@ def _coend_pieces(M, table):
                 w = pieces[i]
             else:
                 w = smash(pairs[j].quotient, tree)
-            ident_p = identity_simplicial(pairs[j].quotient)
             for f in homset:
                 pw = power_quotient_map(f, pairs[i], pairs[j])
                 tw = t_space_map(f, lam, lam_j, trees)
-                a = descend_to_quotients(product_map([pw, ident_t], w), w, pieces[i])
-                b = descend_to_quotients(product_map([ident_p, tw], w), w, pieces[j])
+                a = product_map([pw, None], w, pieces[i])
+                b = product_map([None, tw], w, pieces[j])
                 relations.append((i, j, w, a, b))
     return pieces, relations
 
@@ -285,17 +277,12 @@ def stratum(M, n, i, lam):
     generators = []
     for g in group.generators:
         gmap = SetMap(m, m, g)
-        perm_cells = coordinate_permutation_cellmap(big, gmap.inverse().values)
+        pmap = descend_to_quotients(
+            induced_power_map(gmap.inverse(), big, big).mapping, collapsed, collapsed
+        )
         tmap = t_space_map(gmap, lam, lam, trees)
-        gen = {BASEPOINT: BASEPOINT}
-        for cell in smashed.all_cells():
-            if cell == BASEPOINT:
-                continue
-            (pcell, pword), (tcell, tword) = cell
-            new_p = perm_cells[pcell] if pcell != BASEPOINT else BASEPOINT
-            new_t = tmap.mapping[tcell][0] if tcell != BASEPOINT else BASEPOINT
-            gen[cell] = ((new_p, pword), (new_t, tword))
-        generators.append(gen)
+        gen = product_map([pmap, tmap], smashed, smashed).mapping
+        generators.append({c: ref[0] for c, ref in gen.items()})
     action = PermutationAction(smashed, tuple(generators))
     sizes = action.orbit_sizes()
     base = action.orbit_of[smashed.basepoint]

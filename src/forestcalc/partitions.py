@@ -330,7 +330,7 @@ class PosetTable:
     relation are stored as bitmasks.
     """
 
-    def __init__(self, elements, validate=True):
+    def __init__(self, elements):
         self.elements = tuple(elements)
         n = len(self.elements)
         rows = []
@@ -344,8 +344,6 @@ class PosetTable:
         self.index = {p: i for i, p in enumerate(self.elements)}
         if len(self.index) != n:
             raise ValidationError("duplicate poset elements")
-        if validate:
-            self._validate()
 
     def __len__(self):
         return len(self.elements)
@@ -381,22 +379,9 @@ class PosetTable:
                 return i
         raise ValidationError("poset has no maximum")
 
-    def _validate(self):
-        n = len(self.elements)
-        for i in range(n):
-            if not self.leq(i, i):
-                raise ValidationError("order not reflexive")
-        for i in range(n):
-            for j in self.strictly_above(i):
-                if self.leq(j, i):
-                    raise ValidationError("order not antisymmetric")
-                # transitivity: everything above j must be above i
-                if self.rows[j] & ~self.rows[i]:
-                    raise ValidationError("order not transitive")
-
     def restrict(self, keep_indices):
         """Subposet on the given element indices."""
-        return PosetTable([self.elements[i] for i in keep_indices], validate=False)
+        return PosetTable([self.elements[i] for i in keep_indices])
 
 
 def refinement_poset(p):
@@ -416,7 +401,7 @@ def refinement_poset(p):
         blocks.sort(key=lambda b: b[0])
         elements.append(Partition(p.support_size, tuple(blocks)))
     elements.sort(key=lambda q: q.blocks)
-    table = PosetTable(elements, validate=False)
+    table = PosetTable(elements)
     # min/max sanity: the construction guarantees both exist
     assert table.elements[table.min_index] == p
     return table

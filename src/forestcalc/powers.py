@@ -108,11 +108,3 @@ def induced_power_map(f, source_power, target_power):
         moved = tuple(cell[f(t)] for t in range(f.source_size))
         mapping[cell] = (moved, surj_identity(source_power.dim_of[cell]))
     return SimplicialMap(source_power, target_power, mapping)
-
-
-def coordinate_permutation_cellmap(power_obj, perm):
-    """Cell bijection of a power induced by permuting coordinates."""
-    out = {}
-    for cell in power_obj.all_cells():
-        out[cell] = tuple(cell[perm[t]] for t in range(len(perm)))
-    return out

@@ -316,7 +316,7 @@ def power(m, k):
 # quotients
 
 
-def quotient(obj, collapse, validate_closed=True):
+def quotient(obj, collapse):
     """Collapse a face-closed set of cells to a fresh basepoint.
 
     Collapsing the empty set adds a disjoint basepoint.
@@ -325,15 +325,14 @@ def quotient(obj, collapse, validate_closed=True):
     for c in collapse:
         if c not in obj.dim_of:
             raise ValidationError(f"unknown cell {c!r} in collapse set")
-    if validate_closed:
-        for c in collapse:
-            if obj.dim_of[c] == 0:
-                continue
-            for tcell, _ in obj.faces[c]:
-                if tcell not in collapse:
-                    raise ValidationError(
-                        f"collapse set not face-closed at {c!r} (face {tcell!r})"
-                    )
+    for c in collapse:
+        if obj.dim_of[c] == 0:
+            continue
+        for tcell, _ in obj.faces[c]:
+            if tcell not in collapse:
+                raise ValidationError(
+                    f"collapse set not face-closed at {c!r} (face {tcell!r})"
+                )
     if BASEPOINT in obj.dim_of:
         raise ValidationError("object already uses the reserved basepoint name")
     cells = {0: [BASEPOINT]}
@@ -524,17 +523,28 @@ def identity_simplicial(obj):
     return SimplicialMap(obj, obj, mapping)
 
 
-def product_map(maps, source):
-    """Coordinatewise image of each product cell of source (a product, or
-    a quotient of one such as a smash) under factor maps, as a
-    cell -> ref dict into the product of the targets."""
+def product_map(maps, source, target):
+    """The map source -> target acting on coordinate j by maps[j].
+
+    source and target are products, or smash products, of the factors'
+    sources and targets.  A factor given as None is the identity: its
+    coordinate ref is copied unchanged.  The image refs are renormalized
+    jointly, since a factor's image can add degeneracies shared by all
+    coordinates.  An image outside target (a simplex of the collapsed
+    wedge, when target is a smash) goes to the basepoint.
+    """
     mapping = {}
     for cell in source.all_cells():
         if cell == BASEPOINT:
+            mapping[cell] = (BASEPOINT, (0,))
             continue
-        imgs = [maps[j].ref_image(cell[j]) for j in range(len(maps))]
-        mapping[cell] = joint_normalize(imgs)
-    return mapping
+        image = joint_normalize(
+            [ref if f is None else f.ref_image(ref) for f, ref in zip(maps, cell)]
+        )
+        if image[0] not in target.dim_of:
+            image = (BASEPOINT, surj_zero(source.dim_of[cell]))
+        mapping[cell] = image
+    return SimplicialMap(source, target, mapping)
 
 
 def descend_to_quotients(mapping, src_quot, tgt_quot):

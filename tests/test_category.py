@@ -18,7 +18,7 @@ from forestcalc.category import (
     verify_nice_filtration,
 )
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.partitions import SetMap, compose, image_partition
+from forestcalc.partitions import SetMap, compose, image_partition, make_partition
 
 
 # --- oracles ---------------------------------------------------------------
@@ -179,6 +179,15 @@ def test_aut_generators_preserve_partition():
 def test_table_validates():
     for n in (1, 2, 3):
         assert enumerate_en(n).validate() is True
+
+
+def test_table_validation_rejects_a_reducible_object():
+    p = make_partition(3, [[0, 1], [2]])
+    table = CategoryTable(
+        n=1, objects=(p,), strata=(2,), groups=(automorphism_group(p),), homs=None
+    )
+    with pytest.raises(ValidationError, match="singleton"):
+        table.validate()
 
 
 def test_composition_closure():

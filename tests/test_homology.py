@@ -1,6 +1,8 @@
 """Tests for chain complexes, Smith forms, homology, and cofiber cubes."""
 
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ from forestcalc.homology import (
     smith_normal_form,
     total_cofiber,
 )
-from forestcalc.kernel import IMPLEMENTATION
+from forestcalc.kernel import IMPLEMENTATION, normalize_divisor_chain
 from forestcalc.partitions import indiscrete
 from forestcalc.simplicial import (
     SimplicialObject,
@@ -192,6 +194,38 @@ def test_sparse_divisors_on_tree_boundary():
 
 def test_kernel_implementation_label():
     assert IMPLEMENTATION == "python"
+
+
+def closure_divisor_chain(values):
+    """The pairwise gcd/lcm closure over every entry, units included."""
+    d = [abs(v) for v in values if v]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                if d[j] % d[i]:
+                    g = math.gcd(d[i], d[j])
+                    d[i], d[j] = g, d[i] * d[j] // g
+                    changed = True
+    return d
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1, -1]), st.integers(min_value=-36, max_value=36)),
+        max_size=14,
+    )
+)
+def test_divisor_chain_matches_full_closure(values):
+    assert normalize_divisor_chain(values) == closure_divisor_chain(values)
+
+
+def test_unit_divisor_chain_is_linear():
+    values = [1, -1] * 25_000
+    start = time.perf_counter()
+    assert normalize_divisor_chain(values) == [1] * 50_000
+    assert time.perf_counter() - start < 1.0
 
 
 # --- mod p ranks ------------------------------------------------------------------

@@ -29,7 +29,9 @@ from forestcalc.simplicial import (
     model_interval,
     model_points,
     model_wedge_of_circles,
+    product_map,
     same_object,
+    smash,
     sort_key,
     surj_degeneracy,
     surj_identity,
@@ -244,6 +246,40 @@ def test_glue_matches_all_simplices_colimit(model, n):
     oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
     assert same_object(total, oracle_total)
     assert gluing == oracle_gluing
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(lambda: model_points(2), 2), (model_circle, 1)],
+    ids=["points2-n2", "circle-n1"],
+)
+def test_relation_maps_are_simplicial(model, n):
+    table = enumerate_en(n, include_homs=True)
+    pieces, relations = _coend_pieces(model(), table)
+    assert relations
+    for i, j, w, a, b in relations:
+        assert a.source is w and a.target is pieces[i]
+        assert b.source is w and b.target is pieces[j]
+        a.validate()
+        b.validate()
+
+
+def test_product_map_identity_factor_as_none():
+    # the relation of f: (2,2) -> (3,) for the circle at n = 2, with the
+    # identity factor given as None and as an explicit identity map
+    table = en2()
+    f = table.hom(1, 0)[0]
+    src, tgt = table.objects[1], table.objects[0]
+    pairs = {k: power_pair(model_circle(), table.objects[k]) for k in (0, 1)}
+    w = smash(pairs[0].quotient, t_space(src))
+    pw = power_quotient_map(f, pairs[1], pairs[0])
+    piece = smash(pairs[1].quotient, t_space(src))
+    a = product_map([pw, None], w, piece)
+    assert a.mapping == product_map([pw, identity_simplicial(t_space(src))], w, piece).mapping
+    tw = t_space_map(f, src, tgt)
+    piece = smash(pairs[0].quotient, t_space(tgt))
+    b = product_map([None, tw], w, piece)
+    assert b.mapping == product_map([identity_simplicial(pairs[0].quotient), tw], w, piece).mapping
 
 
 def test_glue_matches_all_simplices_colimit_with_degenerate_images():

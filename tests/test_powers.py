@@ -14,13 +14,12 @@ from forestcalc.partitions import (
 from forestcalc.powers import (
     bad_diagonal_cells,
     coincidence_partition,
-    coordinate_permutation_cellmap,
     fat_diagonal_cells,
     induced_power_map,
     power_pair,
     sub_diagonal_cells,
 )
-from forestcalc.simplicial import model_interval, model_points, power
+from forestcalc.simplicial import model_interval, model_points, power, surj_identity
 
 
 # --- oracle: diagonals by sweeping every partition ---------------------------
@@ -168,8 +167,13 @@ def test_induced_power_map_support_mismatch():
 
 def test_coordinate_permutation_is_cell_bijection():
     p = power(model_interval(), 2)
-    swap = coordinate_permutation_cellmap(p, (1, 0))
-    assert set(swap) == set(swap.values()) == set(p.all_cells())
+    swap = induced_power_map(SetMap(2, 2, (1, 0)), p, p)
+    swap.validate()
+    # every cell goes to a nondegenerate cell, bijectively
+    for cell in p.all_cells():
+        assert swap.cell_image(cell)[1] == surj_identity(p.dim_of[cell])
+    moved = {cell: swap.cell_image(cell)[0] for cell in p.all_cells()}
+    assert set(moved.values()) == set(p.all_cells())
     # applying the swap twice is the identity
     for cell in p.all_cells():
-        assert swap[swap[cell]] == cell
+        assert moved[moved[cell]] == cell

@@ -19,8 +19,10 @@ from forestcalc.partitions import (
     refinement_poset,
 )
 from forestcalc.simplicial import (
+    BASEPOINT,
     PRODUCT_DIM_CAP,
     PermutationAction,
+    SimplicialMap,
     SimplicialObject,
     compose_simplicial,
     identity_simplicial,
@@ -34,6 +36,7 @@ from forestcalc.simplicial import (
     point_object,
     power,
     product,
+    product_map,
     quotient,
     quotient_by_group,
     same_object,
@@ -43,6 +46,7 @@ from forestcalc.simplicial import (
     surj_degeneracy,
     surj_face,
     surj_identity,
+    surj_zero,
     surjections,
     t_space,
     t_space_suspension_model,
@@ -277,9 +281,27 @@ def test_compose_rejects_mismatch():
         compose_simplicial(g, f)
 
 
-def test_map_validation_catches_bad_word():
-    from forestcalc.simplicial import SimplicialMap
+def test_product_map_renormalizes_and_collapses():
+    # on a product, a factor that collapses an edge adds shared degeneracies
+    interval = model_interval()
+    squash = SimplicialMap(
+        interval, interval, {"v0": ("v0", (0,)), "v1": ("v0", (0,)), "e": ("v0", (0, 0))}
+    )
+    square = product([interval, interval])
+    m = product_map([squash, None], square, square)
+    m.validate()
+    assert m.cell_image(square.cells_of_dim(2)[0])[1] in ((0, 0, 1), (0, 1, 1))
+    # on a smash, an image in the collapsed wedge goes to the basepoint
+    circle = model_circle(pointed=True)
+    torus = smash(circle, circle)
+    constant = SimplicialMap(circle, circle, {"v": ("v", (0,)), "e": ("v", (0, 0))})
+    m = product_map([constant, None], torus, torus)
+    m.validate()
+    assert m.mapping == {c: (BASEPOINT, surj_zero(torus.dim_of[c])) for c in torus.dim_of}
+    assert product_map([None, None], torus, torus).mapping == identity_simplicial(torus).mapping
 
+
+def test_map_validation_catches_bad_word():
     obj = model_interval()
     bad = SimplicialMap(obj, obj, {
         "v0": ("v0", (0,)),
