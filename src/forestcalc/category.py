@@ -292,21 +292,60 @@ class CategoryTable:
         m = self.objects[i].support_size
         return SetMap(m, m, tuple(range(m)))
 
+    def _orbits(self, i, j, precompose):
+        """Orbits of hom(i, j) under post-composition with the generators
+        of Aut(j) and, if precompose, pre-composition with those of
+        Aut(i).  Each orbit lists value tuples in hom order, so it starts
+        with its smallest arrow; orbits come in order of that arrow."""
+        maps = self.hom(i, j)
+        uf = UnionFind(f.values for f in maps)
+        pre = self.groups[i].generators if precompose else ()
+        for f in maps:
+            v = f.values
+            composites = [tuple(g[x] for x in v) for g in self.groups[j].generators]
+            composites += [tuple(v[x] for x in g) for g in pre]
+            for gf in composites:
+                if gf not in uf:
+                    raise ValidationError(
+                        f"composite {gf} of {v} with an automorphism is not "
+                        f"listed in hom({i}, {j})"
+                    )
+                uf.union(v, gf)
+        return uf.classes()
+
     def glue_pattern_count(self, i, j):
         """Orbits of hom(i, j) under post-composition with target
         automorphisms; the classical way these morphisms get counted."""
-        maps = self.hom(i, j)
-        uf = UnionFind(f.values for f in maps)
-        for g in self.groups[j].generators:
-            for f in maps:
-                gf = tuple(g[v] for v in f.values)
-                if gf not in uf:
-                    raise ValidationError(
-                        f"composite {gf} of {f.values} then automorphism {g} "
-                        f"is not listed in hom({i}, {j})"
-                    )
-                uf.union(f.values, gf)
-        return len(uf.classes())
+        return len(self._orbits(i, j, precompose=False))
+
+    def generating_arrows(self, i, j):
+        """Arrows of hom(i, j) that generate it under composition with
+        automorphisms: the generators of Aut(i) when i == j, else the
+        smallest arrow of each orbit under Aut(j) x Aut(i).
+
+        Every arrow is g' f0 g with f0 listed here and g, g' products of
+        the listed automorphism generators, so a functor's colimit is
+        fixed by the relations of these arrows alone.  Raises when the
+        generators of Aut(i) do not generate all of hom(i, i), or when a
+        composite is not listed; either would under-glue silently.
+        """
+        if i != j:
+            maps = {f.values: f for f in self.hom(i, j)}
+            return tuple(maps[orbit[0]] for orbit in self._orbits(i, j, precompose=True))
+        group = self.groups[i]
+        listed = {f.values for f in self.hom(i, i)}
+        for g in group.generators:
+            if g not in listed:
+                raise ValidationError(
+                    f"automorphism generator {g} is not listed in hom({i}, {i})"
+                )
+        generated = _group_order(group.degree, group.generators)
+        if generated != len(listed):
+            raise ValidationError(
+                f"the generators of Aut({i}) generate {generated} of the "
+                f"{len(listed)} arrows of hom({i}, {i})"
+            )
+        return tuple(SetMap(group.degree, group.degree, g) for g in group.generators)
 
     def validate(self):
         for i, p in enumerate(self.objects):

@@ -1,12 +1,18 @@
 """Layer assembly: powers glued with tree spaces over the fusion category.
 
 The coend is the colimit of simplicial sets that glues each piece along
-both actions of every morphism.  It is computed from nondegenerate cells
-alone, one dimension at a time: the relations are applied to the cells
-of each mixing piece, and a degenerate image stands for its
-Eilenberg-Zilber normal form, fixed in a lower dimension.  Because both
-actions are simplicial, the identifications of degenerate simplices
-follow from these.
+both actions of every morphism.  The relations of a set of arrows that
+generates the category under composition already fix it, so only the
+generating arrows of the table are applied: the automorphism generators
+of each object and one arrow per double coset of automorphisms in each
+other hom set (`CategoryTable.generating_arrows`).  Both actions are
+functorial, so the relation of a composite follows from those of its
+factors.  The colimit is computed from nondegenerate cells alone, one
+dimension at a time: the relations are applied to the cells of each
+mixing piece, and a degenerate image stands for its Eilenberg-Zilber
+normal form, fixed in a lower dimension.  Because both actions are
+simplicial, the identifications of degenerate simplices follow from
+these.
 """
 
 from __future__ import annotations
@@ -112,6 +118,12 @@ def _coend_pieces(M, table):
     space.  An arrow f: lam_i -> lam_j gives the relation (i, j, w, a, b)
     on the mixing piece w = (power quotient of lam_j) smashed with (tree
     space of lam_i), with a: w -> piece i and b: w -> piece j.
+
+    Only the generating arrows get a relation.  For f = g' f0 g with g,
+    g' automorphisms, functoriality of both actions chains
+    (pw_g pw_f0 pw_g' q, t) ~ (pw_f0 pw_g' q, tw_g t)
+    ~ (pw_g' q, tw_f0 tw_g t) ~ (q, tw_g' tw_f0 tw_g t), which is the
+    relation of f; a product of generators of a group chains the same way.
     """
     pairs = {}
     trees = {}
@@ -123,14 +135,14 @@ def _coend_pieces(M, table):
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
         for j, lam_j in enumerate(table.objects):
-            homset = table.hom(i, j)
-            if not homset:
+            arrows = table.generating_arrows(i, j)
+            if not arrows:
                 continue
             if i == j:
                 w = pieces[i]
             else:
                 w = smash(pairs[j].quotient, tree)
-            for f in homset:
+            for f in arrows:
                 pw = power_quotient_map(f, pairs[i], pairs[j])
                 tw = t_space_map(f, lam, lam_j, trees)
                 a = product_map([pw, None], w, pieces[i])

@@ -251,6 +251,10 @@ def joint_normalize(refs):
     returns (product cell name, outer word).
     """
     k1 = len(refs[0][1])
+    for _, a in refs:
+        if a[-1] == k1 - 1:
+            # an identity word shares no degeneracy position
+            return tuple(refs), a
     shared = [
         t
         for t in range(k1 - 1)

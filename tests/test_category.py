@@ -235,8 +235,67 @@ def test_glue_patterns_reject_a_hom_set_not_closed():
     table = enumerate_en(2)
     homs = dict(table.homs)
     homs[(1, 0)] = homs[(1, 0)][1:]
+    broken = dataclasses.replace(table, homs=homs)
     with pytest.raises(ValidationError):
-        dataclasses.replace(table, homs=homs).glue_pattern_count(1, 0)
+        broken.glue_pattern_count(1, 0)
+    with pytest.raises(ValidationError, match="not listed"):
+        broken.generating_arrows(1, 0)
+
+
+# --- generating arrows ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generating_arrows_generate_each_hom_set(n):
+    # close the generating arrows of hom(i, j) under pre-composition with
+    # those of hom(i, i) and post-composition with those of hom(j, j)
+    table = enumerate_en(n, include_homs=True)
+    nobj = len(table.objects)
+    for i in range(nobj):
+        pre = table.generating_arrows(i, i)
+        for j in range(nobj):
+            post = table.generating_arrows(j, j)
+            reached = {f.values for f in table.generating_arrows(i, j)}
+            frontier = list(reached)
+            while frontier:
+                v = frontier.pop()
+                for gf in [tuple(g.values[x] for x in v) for g in post] + [
+                    tuple(v[x] for x in g.values) for g in pre
+                ]:
+                    if gf not in reached:
+                        reached.add(gf)
+                        frontier.append(gf)
+            assert reached == {f.values for f in table.hom(i, j)}, (i, j)
+
+
+@pytest.mark.parametrize("n, arrows, generating", [(1, 2, 1), (2, 38, 6), (3, 1140, 14)])
+def test_generating_arrow_counts(n, arrows, generating):
+    table = enumerate_en(n, include_homs=True)
+    pairs = list(itertools.product(range(len(table.objects)), repeat=2))
+    assert sum(len(table.hom(i, j)) for i, j in pairs) == arrows
+    assert sum(len(table.generating_arrows(i, j)) for i, j in pairs) == generating
+
+
+def test_generating_arrows_are_smallest_of_their_orbits():
+    # (2,2) -> (3) in E2: the 24 fusions form one orbit under both groups
+    table = enumerate_en(2)
+    assert [f.values for f in table.generating_arrows(1, 0)] == [table.hom(1, 0)[0].values]
+    assert table.generating_arrows(0, 1) == ()
+
+
+def test_generating_arrows_reject_generators_that_do_not_generate():
+    table = enumerate_en(2)
+    for i in range(2):
+        groups = list(table.groups)
+        groups[i] = dataclasses.replace(groups[i], generators=groups[i].generators[:-1])
+        broken = dataclasses.replace(table, groups=tuple(groups))
+        with pytest.raises(ValidationError, match="generate"):
+            broken.generating_arrows(i, i)
+    # an automorphism missing from the hom set
+    homs = dict(table.homs)
+    homs[(1, 1)] = homs[(1, 1)][:-1]
+    with pytest.raises(ValidationError):
+        dataclasses.replace(table, homs=homs).generating_arrows(1, 1)
 
 
 # --- filtration ---------------------------------------------------------------

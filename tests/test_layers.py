@@ -248,6 +248,60 @@ def test_glue_matches_all_simplices_colimit(model, n):
     assert gluing == oracle_gluing
 
 
+def all_arrow_relations(M, table):
+    """The pieces, glued along one relation for every arrow of every hom
+    set rather than along the generating arrows only."""
+    pairs = {i: power_pair(M, lam) for i, lam in enumerate(table.objects)}
+    pieces = {
+        i: smash(pairs[i].quotient, t_space(lam)) for i, lam in enumerate(table.objects)
+    }
+    trees = {}
+    relations = []
+    for i, lam in enumerate(table.objects):
+        for j, lam_j in enumerate(table.objects):
+            w = pieces[i] if i == j else smash(pairs[j].quotient, t_space(lam))
+            for f in table.hom(i, j):
+                pw = power_quotient_map(f, pairs[i], pairs[j])
+                tw = t_space_map(f, lam, lam_j, trees)
+                a = product_map([pw, None], w, pieces[i])
+                b = product_map([None, tw], w, pieces[j])
+                relations.append((i, j, w, a, b))
+    return pieces, relations
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (lambda: model_points(2), 1),
+        (lambda: model_points(2), 2),
+        (lambda: model_points(3), 2),
+        (model_circle, 1),
+        (model_circle, 2),
+        (model_interval, 1),
+        (lambda: model_wedge_of_circles(2), 1),
+    ],
+    ids=[
+        "points2-n1",
+        "points2-n2",
+        "points3-n2",
+        "circle-n1",
+        "circle-n2",
+        "interval-n1",
+        "wedge2-n1",
+    ],
+)
+def test_generating_arrows_glue_like_all_arrows(model, n):
+    M = model()
+    table = enumerate_en(n, include_homs=True)
+    pieces, relations = _coend_pieces(M, table)
+    total, gluing = _glue(pieces, relations)
+    oracle_pieces, oracle_relations = all_arrow_relations(M, table)
+    assert len(relations) < len(oracle_relations)
+    oracle_total, oracle_gluing = _glue(oracle_pieces, oracle_relations)
+    assert same_object(total, oracle_total)
+    assert gluing == oracle_gluing
+
+
 @pytest.mark.parametrize(
     "model, n",
     [(lambda: model_points(2), 2), (model_circle, 1)],

@@ -180,6 +180,28 @@ def test_joint_normalize_strips_shared_degeneracies():
     assert tau == (0, 1, 2)
 
 
+def test_joint_normalize_matches_stripping_every_shared_position():
+    # the shortcut for a coordinate with an identity word against a
+    # plain strip of the shared positions, on all pairs of words up to [3]
+    def strip(refs):
+        k1 = len(refs[0][1])
+        keep = [0] + [t for t in range(1, k1) if any(a[t - 1] != a[t] for _, a in refs)]
+        tau = [0]
+        for t in range(1, k1):
+            tau.append(tau[-1] + (t in keep))
+        return tuple((c, tuple(a[t] for t in keep)) for c, a in refs), tuple(tau)
+
+    checked = 0
+    for k in range(4):
+        words = [a for p in range(k + 1) for a in surjections(k, p)]
+        for a in words:
+            for b in words:
+                refs = (("c", a), ("d", b))
+                assert joint_normalize(refs) == strip(refs), refs
+                checked += 1
+    assert checked == 1 + 4 + 16 + 64
+
+
 # --- quotients and smash --------------------------------------------------------
 
 
