@@ -1,20 +1,24 @@
 """Homology of finite simplicial objects over Z, Q and prime fields.
 
 Normalized chains: one generator per nondegenerate cell, faces with a
-degenerate normal form contribute nothing.  Integer homology is read
-off elementary divisors computed by the sparse kernel; the mod-p route
-is an independent Gaussian elimination so the two can cross-check each
-other.
+degenerate normal form contribute nothing.  Every complex is first
+reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
+chain-homotopy-equivalent subcomplex; a tree space keeps only its
+top-degree homology generators and needs no elimination at all.
+Integer homology is then read off elementary divisors computed by the
+sparse kernel; the mod-p route is an independent Gaussian elimination
+so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .kernel import sparse_elementary_divisors
-from .simplicial import surj_identity
+from .simplicial import _debug, surj_identity
 
 COEFFICIENT_CHOICES = ("Z", "Q")  # plus "F<p>" for prime p
 
@@ -129,6 +133,76 @@ def chain_complex(obj, reduced=True):
     return ChainComplex(ranks=ranks, entries=entries, labels=basis)
 
 
+def reduce_complex(cx):
+    """The subcomplex left after removing unit pairs, homotopy equivalent
+    to cx over Z and hence over every field.
+
+    A generator a is paired with b when <da, b> = +-1 and either b is
+    the only remaining face of a or a the only remaining coface of b.
+    Such a pair's Schur complement has no fill, so the survivors keep
+    their original entries.  Generators are visited first-in first-out
+    in (degree, index) order and neighbours of a removed pair requeued;
+    a last-in first-out order stalls far from a perfect matching on tree
+    spaces.  Entries other than +-1 are never paired, so torsion stays.
+    """
+    offset = {}
+    n = 0
+    for k in sorted(cx.ranks):
+        offset[k] = n
+        n += cx.ranks[k]
+    bd = [{} for _ in range(n)]
+    cobd = [{} for _ in range(n)]
+    for k, es in cx.entries.items():
+        if not es:
+            continue
+        col, row = offset[k], offset[k - 1]
+        for i, j, v in es:
+            a, b = col + j, row + i
+            w = bd[a].get(b, 0) + v
+            if w:
+                bd[a][b] = cobd[b][a] = w
+            else:
+                bd[a].pop(b, None)
+                cobd[b].pop(a, None)
+    alive = [True] * n
+    queue = deque(range(n))
+    while queue:
+        g = queue.popleft()
+        if not alive[g]:
+            continue
+        for nbrs in (bd[g], cobd[g]):
+            if len(nbrs) == 1 and next(iter(nbrs.values())) in (1, -1):
+                (h,) = nbrs
+                for x in (g, h):
+                    alive[x] = False
+                    for f in bd[x]:
+                        del cobd[f][x]
+                        queue.append(f)
+                    for c in cobd[x]:
+                        del bd[c][x]
+                        queue.append(c)
+                    bd[x], cobd[x] = {}, {}
+                break
+    ranks, entries, index = {}, {}, {}
+    for k, start in offset.items():
+        keep = [start + i for i in range(cx.ranks[k]) if alive[start + i]]
+        ranks[k] = len(keep)
+        index.update((g, new) for new, g in enumerate(keep))
+    for k in cx.entries:
+        start = offset.get(k, 0)
+        entries[k] = [
+            (index[f], index[g], v)
+            for g in range(start, start + cx.ranks.get(k, 0))
+            if alive[g]
+            for f, v in bd[g].items()
+        ]
+    return ChainComplex(ranks=ranks, entries=entries)
+
+
+def _euler(cx):
+    return sum((-1) ** k * r for k, r in cx.ranks.items())
+
+
 # ---------------------------------------------------------------------------
 # rank computations
 
@@ -233,6 +307,12 @@ class HomologyResult:
 def homology_of_complex(cx, coefficients="Z"):
     kind, p = parse_coefficients(coefficients)
     reduced = -1 in cx.ranks
+    small = reduce_complex(cx)
+    if _debug():
+        small.validate()
+        if _euler(small) != _euler(cx):
+            raise ValidationError("reduction changed the Euler characteristic")
+    cx = small
     degrees = cx.degrees()
     top = max(degrees, default=-1)
     ranks_of_boundary = {}

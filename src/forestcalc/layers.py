@@ -237,9 +237,7 @@ def coend(M, n, allow_large=False):
     automorphisms included; basepoints are shared.
     """
     if n > COEND_N_CAP and not allow_large:
-        raise CapExceededError(
-            f"coend for n={n} exceeds the default cap {COEND_N_CAP}; pass allow_large"
-        )
+        raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
     table = enumerate_en(n, include_homs=True)
     total, pieces, glue = _coend_over(M, table)
     return CoendAssembly(n=n, total=total, pieces=pieces, gluing_log=glue, table=table)

@@ -11,6 +11,7 @@ all be computed concretely.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .partitions import UnionFind, refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
+T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 12 s end to end; T8 has 1,587,600
 
 
 def _debug():
@@ -569,6 +571,27 @@ def descend_to_quotients(mapping, src_quot, tgt_quot):
 # tree spaces of partitions
 
 
+def t_space_top_cells(lam):
+    """Maximal chains from lam to the discrete partition, the top cells
+    of T(lam): per block of size m, m!(m-1)!/2^(m-1) maximal chains of
+    the partition lattice, shuffled by a multinomial coefficient."""
+    steps = [len(b) - 1 for b in lam.blocks]
+    count = math.factorial(sum(steps))
+    for s in steps:
+        count //= math.factorial(s)
+    for s in steps:
+        count *= math.factorial(s + 1) * math.factorial(s) // 2 ** s
+    return count
+
+
+def _check_t_space_size(lam):
+    top = t_space_top_cells(lam)
+    if top > T_SPACE_TOP_CELL_CAP:
+        raise CapExceededError(
+            f"tree space has {top} top cells, exceeds cap {T_SPACE_TOP_CELL_CAP}"
+        )
+
+
 def t_space(lam):
     """Nerve of the refinement poset of lam modulo its boundary part.
 
@@ -579,6 +602,7 @@ def t_space(lam):
     discrete partition the space degenerates to two points, one of them
     the basepoint.
     """
+    _check_t_space_size(lam)
     poset = refinement_poset(lam)
     mn, mx = poset.min_index, poset.max_index
     if mn == mx:
@@ -608,6 +632,7 @@ def t_space_suspension_model(lam):
     """
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
+    _check_t_space_size(lam)
     poset = refinement_poset(lam)
     mx = poset.max_index
     mn = poset.min_index

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -126,6 +127,23 @@ def test_tspace_bad_partition(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("model", ["quotient", "suspension"])
+def test_tspace_too_big_is_rejected_at_once(capsys, model):
+    argv = ["tspace", "--lambda", "(0 1 2 3 4 5 6 7)", "--model", model]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: tree space has 1587600 top cells, exceeds cap 56700\n"
+
+
+def test_tspace_many_small_blocks_accepted(capsys):
+    code, env, _ = run_json(capsys, ["tspace", "--lambda", "(0 1)(2 3)(4 5)(6 7)"])
+    assert code == 0
+    assert env["payload"]["cells"]["4"] == 24
+    assert env["payload"]["homology"]["groups"] == {"4": {"rank": 1, "torsion": []}}
+
+
 # --- layer ----------------------------------------------------------------------
 
 
@@ -188,6 +206,12 @@ def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
     assert code == code_debug == 0
     assert debug == plain
     assert len(validated) > unchecked
+
+
+def test_layer_coend_cap_message(capsys):
+    code, out, err = run_cli(capsys, ["layer", "--m", "points:2", "--n", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: coend for n=3 exceeds cap 2\n"
 
 
 def test_layer_unknown_model(capsys):

@@ -1,8 +1,11 @@
 """Tests for chain complexes, Smith forms, homology, and cofiber cubes."""
 
+import functools
+import importlib
 import itertools
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from forestcalc.errors import ValidationError
 from forestcalc.homology import (
+    ChainComplex,
     HomologyGroup,
     betti_numbers,
     chain_complex,
@@ -24,21 +28,27 @@ from forestcalc.homology import (
     mapping_cone,
     parse_coefficients,
     rank_mod_p,
+    reduce_complex,
     smith_normal_form,
     total_cofiber,
 )
 from forestcalc.kernel import IMPLEMENTATION, normalize_divisor_chain
-from forestcalc.partitions import indiscrete
+from forestcalc.layers import coend, stratum
+from forestcalc.partitions import all_partitions, indiscrete, make_partition
 from forestcalc.simplicial import (
     SimplicialObject,
     identity_simplicial,
     model_circle,
     model_interval,
     model_points,
+    model_wedge_of_circles,
     power,
     surj_identity,
     t_space,
 )
+
+# the package exports a function named homology, which hides the module
+homology_module = importlib.import_module("forestcalc.homology")
 
 
 # --- oracles -----------------------------------------------------------------
@@ -389,3 +399,158 @@ def test_total_cofiber_of_identity_square():
     cx = total_cofiber(objs, maps, [0, 1])
     groups, _ = homology_of_complex(cx)
     assert all(g.is_zero() for g in groups.values())
+
+
+# --- reduction along unit pairs against the unreduced route ----------------------------
+
+
+COEFFICIENTS = ("Z", "Q", "F2", "F3")
+
+
+def unreduced_groups(cx, coefficients):
+    """Homology straight from the raw boundary matrices, no reduction."""
+    kind, p = parse_coefficients(coefficients)
+    top = max(cx.degrees(), default=-1)
+    boundary_rank, torsion = {}, {}
+    for k in range(top + 2):
+        args = (cx.boundary(k), cx.ranks.get(k - 1, 0), cx.ranks.get(k, 0))
+        if kind == "F":
+            boundary_rank[k], torsion[k] = rank_mod_p(*args, p), ()
+        else:
+            d = integer_divisors(*args)
+            boundary_rank[k] = len(d)
+            torsion[k] = tuple(x for x in d if x > 1) if kind == "Z" else ()
+    return {
+        k: HomologyGroup(
+            cx.ranks.get(k, 0) - boundary_rank[k] - boundary_rank[k + 1], torsion[k + 1]
+        )
+        for k in range(top + 1)
+    }
+
+
+def assert_reduction_exact(cx):
+    for coefficients in COEFFICIENTS:
+        groups, _ = homology_of_complex(cx, coefficients)
+        assert groups == unreduced_groups(cx, coefficients), coefficients
+
+
+def complex_from_facets(facets):
+    """Ordered simplicial complex generated by vertex sets, cells named
+    by their sorted vertex tuples."""
+    simplices = {
+        face
+        for facet in facets
+        for r in range(1, len(facet) + 1)
+        for face in itertools.combinations(sorted(facet), r)
+    }
+    cells, faces = {}, {}
+    for t in sorted(simplices):
+        k = len(t) - 1
+        cells.setdefault(k, []).append(t)
+        if k:
+            ident = surj_identity(k - 1)
+            faces[t] = tuple((t[:i] + t[i + 1:], ident) for i in range(k + 1))
+    return SimplicialObject(cells, faces)
+
+
+@functools.lru_cache(maxsize=None)
+def circle_n2_complexes():
+    """The coend of the circle at n = 2 and its two strata."""
+    M = model_circle()
+    return {
+        "coend": chain_complex(coend(M, 2).total),
+        "(0 1 2)": chain_complex(stratum(M, 2, 1, indiscrete(3)).space),
+        "(0 1)(2 3)": chain_complex(
+            stratum(M, 2, 2, make_partition(4, [[0, 1], [2, 3]])).space
+        ),
+    }
+
+
+def tree_space_shapes():
+    shapes = {}
+    for m in range(1, 7):
+        for lam in all_partitions(m):
+            shapes.setdefault(tuple(sorted(len(b) for b in lam.blocks)), lam)
+    return list(shapes.values())
+
+
+@pytest.mark.parametrize("lam", tree_space_shapes(), ids=str)
+def test_reduction_exact_on_tree_spaces(lam):
+    assert_reduction_exact(chain_complex(t_space(lam)))
+
+
+@pytest.mark.parametrize("name", ["coend", "(0 1 2)", "(0 1)(2 3)"])
+def test_reduction_exact_on_circle_coend_and_strata(name):
+    cx = circle_n2_complexes()[name]
+    assert_reduction_exact(cx)
+    groups, _ = homology_of_complex(cx)
+    if name == "coend":
+        assert groups[5].torsion == (2,)
+    if name == "(0 1 2)":
+        assert groups[4].torsion == (3,)
+
+
+def test_reduction_exact_on_wedge_coend():
+    cx = chain_complex(coend(model_wedge_of_circles(2), 1).total)
+    assert_reduction_exact(cx)
+    assert homology_of_complex(cx)[0][2] == HomologyGroup(0, (2, 2))
+
+
+def test_reduction_keeps_a_lone_entry_of_two():
+    cx = ChainComplex(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]})
+    assert_reduction_exact(cx)
+    assert reduce_complex(cx).ranks == {0: 1, 1: 1}
+    assert homology_of_complex(cx)[0][0] == HomologyGroup(0, (2,))
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_reduction_exact_on_random_complexes(facets, reduced):
+    assert_reduction_exact(chain_complex(complex_from_facets(facets), reduced=reduced))
+
+
+def test_tree_space_homology_never_eliminates(monkeypatch):
+    # T6 pairs off all but its 5! top-degree homology generators
+    cx = chain_complex(t_space(indiscrete(6)))
+    assert {k: r for k, r in reduce_complex(cx).ranks.items() if r} == {5: 120}
+    calls = Counter()
+    for name in ("sparse_elementary_divisors", "rank_mod_p"):
+        original = getattr(homology_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(homology_module, name, counting)
+    for coefficients in ("Z", "F2"):
+        groups, _ = homology_of_complex(cx, coefficients)
+        assert groups[5] == HomologyGroup(120, ())
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        # an extra cycle: the Euler characteristic moves
+        lambda cx: ChainComplex(ranks={**cx.ranks, 1: cx.ranks[1] + 1}, entries=cx.entries),
+        # boundary squared nonzero
+        lambda cx: ChainComplex(
+            ranks={0: 1, 1: 1, 2: 1}, entries={1: [(0, 0, 1)], 2: [(0, 0, 1)]}
+        ),
+    ],
+    ids=["euler", "boundary-squared"],
+)
+def test_debug_checks_the_reduction(monkeypatch, broken):
+    cx = chain_complex(complex_from_triangles(PROJECTIVE_PLANE))
+    monkeypatch.setattr(homology_module, "reduce_complex", broken)
+    monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
+    homology_of_complex(cx)
+    monkeypatch.setenv("FORESTCALC_DEBUG", "1")
+    with pytest.raises(ValidationError):
+        homology_of_complex(cx)

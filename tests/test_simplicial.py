@@ -48,8 +48,10 @@ from forestcalc.simplicial import (
     surj_identity,
     surj_zero,
     surjections,
+    T_SPACE_TOP_CELL_CAP,
     t_space,
     t_space_suspension_model,
+    t_space_top_cells,
 )
 
 
@@ -376,6 +378,30 @@ def test_suspension_model_needs_excess():
 def test_t_space_cap():
     with pytest.raises(CapExceededError):
         t_space(indiscrete(10))
+
+
+def test_t_space_top_cells_match_cell_count():
+    shapes = [s for m in range(1, 7) for s in shapes_of_support(m)] + [(5, 2), (4, 3)]
+    for shape in shapes:
+        lam = make_partition(sum(shape), blocks_from_shape(shape))
+        t = t_space(lam)
+        top = [c for c in t.cells[t.dimension] if c != t.basepoint]
+        assert t_space_top_cells(lam) == len(top), shape
+    assert t_space_top_cells(indiscrete(6)) == 2_700
+    assert t_space_top_cells(indiscrete(7)) == T_SPACE_TOP_CELL_CAP == 56_700
+    assert t_space_top_cells(indiscrete(8)) == 1_587_600
+
+
+def test_t_space_size_cap_before_any_work(monkeypatch):
+    import forestcalc.simplicial as simplicial_module
+
+    def no_poset(lam):
+        raise AssertionError("poset built for a rejected tree space")
+
+    monkeypatch.setattr(simplicial_module, "refinement_poset", no_poset)
+    for build in (t_space, t_space_suspension_model):
+        with pytest.raises(CapExceededError, match="1587600 top cells"):
+            build(indiscrete(8))
 
 
 # --- JSON models -----------------------------------------------------------------------
