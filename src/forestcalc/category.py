@@ -276,13 +276,6 @@ class CategoryTable:
     groups: tuple  # per object: GroupPresentation
     homs: dict | None  # (i, j) -> tuple of SetMap
 
-    def object_index(self, p):
-        target = p.shape()
-        for i, q in enumerate(self.objects):
-            if q.shape() == target:
-                return i
-        raise ValidationError(f"no object of shape {target} in the table")
-
     def hom(self, i, j):
         if self.homs is None:
             raise ValidationError("hom sets were not materialized for this table")

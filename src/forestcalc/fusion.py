@@ -17,7 +17,6 @@ from .partitions import (
     SetMap,
     UnionFind,
     all_partitions,
-    compose,
     identity_map,
     image_partition,
     meet,
@@ -54,22 +53,8 @@ class PartitionMorphism:
     def is_fusion(self):
         return self.image == self.target
 
-    def is_refinement(self):
-        return self.map.is_identity()
-
     def is_isomorphism(self):
         return self.map.is_bijective() and self.is_fusion()
-
-
-def compose_morphisms(g, f):
-    """g after f, checked on the shared middle object."""
-    if f.target != g.source:
-        raise ValidationError("morphisms do not share a middle object")
-    return PartitionMorphism(f.source, g.target, compose(g.map, f.map))
-
-
-def identity_morphism(p):
-    return PartitionMorphism(p, p, identity_map(p.support_size))
 
 
 def factor(m):

@@ -13,6 +13,11 @@ mixing piece, and a degenerate image stands for its Eilenberg-Zilber
 normal form, fixed in a lower dimension.  Because both actions are
 simplicial, the identifications of degenerate simplices follow from
 these.
+
+The pieces and relations are built once per coend.  Filtration stage i
+glues the pieces of the objects with at most i components, a prefix of
+the table, along the relations among them; the stratum of an object is
+a quotient of its own piece.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .category import automorphism_group, enumerate_en, filtration
+from .category import enumerate_en
 from .errors import CapExceededError, ValidationError
-from .homology import chain_complex, homology
+from .homology import homology
 from .partitions import SetMap, UnionFind, image_partition, refinement_poset
 from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
@@ -31,7 +36,6 @@ from .simplicial import (
     SimplicialObject,
     descend_to_quotients,
     point_object,
-    power,
     product_map,
     quotient,
     quotient_by_group,
@@ -42,7 +46,7 @@ from .simplicial import (
     t_space,
 )
 
-COEND_N_CAP = 2  # n = 3 must be asked for explicitly
+COEND_N_CAP = 2  # raise only once n = 3 is measured to fit in memory
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +109,27 @@ def power_quotient_map(f, pair_source, pair_target):
 @dataclass
 class CoendAssembly:
     n: int
-    total: SimplicialObject
+    stages: dict  # i -> filtration stage i, glued; stage 0 is the point
     pieces: dict  # object index -> pointed piece
-    gluing_log: dict  # dimension -> number of identifications
+    pairs: dict  # object index -> power pair
+    trees: dict  # partition -> (refinement poset, tree space)
+    gluing_log: dict  # dimension -> number of identifications (stage n)
     table: object
 
+    @property
+    def total(self):
+        return self.stages[self.n]
 
-def _coend_pieces(M, table):
+
+def _coend_pieces(M, table, pairs=None, trees=None):
     """The pieces of the coend and the relations that glue them.
 
     Piece i is the power quotient of object i smashed with its tree
     space.  An arrow f: lam_i -> lam_j gives the relation (i, j, w, a, b)
     on the mixing piece w = (power quotient of lam_j) smashed with (tree
-    space of lam_i), with a: w -> piece i and b: w -> piece j.
+    space of lam_i), with a: w -> piece i and b: w -> piece j.  A caller
+    that keeps the power pairs (by object index) and the tree spaces (see
+    `_tree`) passes the dicts to fill.
 
     Only the generating arrows get a relation.  For f = g' f0 g with g,
     g' automorphisms, functoriality of both actions chains
@@ -125,8 +137,8 @@ def _coend_pieces(M, table):
     ~ (pw_g' q, tw_f0 tw_g t) ~ (q, tw_g' tw_f0 tw_g t), which is the
     relation of f; a product of generators of a group chains the same way.
     """
-    pairs = {}
-    trees = {}
+    pairs = {} if pairs is None else pairs
+    trees = {} if trees is None else trees
     pieces = {}
     for i, lam in enumerate(table.objects):
         pairs[i] = power_pair(M, lam)
@@ -221,36 +233,44 @@ def _glue(pieces, relations):
     return SimplicialObject(cells, faces, basepoint=bp_name), gluing
 
 
-def _coend_over(M, table):
-    """Colimit of the pieces of a category table; the workhorse."""
-    if not table.objects:
-        return point_object(), {}, {}
-    pieces, relations = _coend_pieces(M, table)
-    total, gluing = _glue(pieces, relations)
-    return total, pieces, gluing
-
-
-def coend(M, n, allow_large=False):
-    """The glued space of all power quotients smashed with tree spaces.
+def coend(M, n):
+    """The glued space of all power quotients smashed with tree spaces,
+    with its filtration stages.
 
     Identifications run along both actions of every strict fusion,
-    automorphisms included; basepoints are shared.
+    automorphisms included; basepoints are shared.  Stage i glues the
+    pieces of the objects with at most i components along the relations
+    between them.  The objects come in increasing order of components,
+    so these pieces are a prefix and keep their indices.
     """
-    if n > COEND_N_CAP and not allow_large:
+    if n > COEND_N_CAP:
         raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
     table = enumerate_en(n, include_homs=True)
-    total, pieces, glue = _coend_over(M, table)
-    return CoendAssembly(n=n, total=total, pieces=pieces, gluing_log=glue, table=table)
+    pairs, trees = {}, {}
+    pieces, relations = _coend_pieces(M, table, pairs, trees)
+    stages = {0: point_object()}
+    for i in range(1, n + 1):
+        kept = {k: piece for k, piece in pieces.items() if table.strata[k] <= i}
+        stages[i], gluing = _glue(
+            kept, [r for r in relations if r[0] in kept and r[1] in kept]
+        )
+    return CoendAssembly(
+        n=n,
+        stages=stages,
+        pieces=pieces,
+        pairs=pairs,
+        trees=trees,
+        gluing_log=gluing,
+        table=table,
+    )
 
 
 def coend_over_filtration(M, n, i):
     """Coend restricted to objects with at most i components; i = 0
     degenerates to the basepoint."""
-    if i == 0:
-        return point_object()
-    table = filtration(enumerate_en(n, include_homs=True), i)
-    total, _, _ = _coend_over(M, table)
-    return total
+    if not 0 <= i <= n:
+        raise ValidationError(f"filtration index {i} out of range 0..{n}")
+    return coend(M, n).stages[i]
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +287,36 @@ class StratumResult:
     orbit_defects: list
 
 
-def stratum(M, n, i, lam):
+def stratum(assembly, lam):
     """(power / fat diagonal, smashed with the tree space) modulo the
     partition's automorphisms, with a freeness certificate.
 
-    Both factors carry the left relabeling action: coordinates read
-    through the inverse permutation, refinements pushed forward.
+    lam is an object of the assembly's table.  Its piece is (power / bad
+    diagonal) smashed with the tree space, and the bad diagonal lies in
+    the fat one, so collapsing the cells whose power coordinate is fat
+    gives the smash.  Both factors carry the left relabeling action:
+    coordinates read through the inverse permutation, refinements pushed
+    forward.
     """
-    if lam.components != i or lam.excess != n:
-        raise ValidationError("partition does not sit in the requested stratum")
+    table = assembly.table
+    if lam not in table.objects:
+        raise ValidationError(f"{lam} is not an object of the table for n={table.n}")
+    idx = table.objects.index(lam)
+    pair = assembly.pairs[idx]
+    fat = fat_diagonal_cells(pair.power)
+    if not pair.bad_cells <= fat:
+        raise ValidationError("bad diagonal is not contained in the fat diagonal")
+    piece = assembly.pieces[idx]
+    smashed = quotient(
+        piece, [c for c in piece.all_cells() if c != BASEPOINT and c[0][0] in fat]
+    )
     m = lam.support_size
-    big = power(M, m)
-    fat = fat_diagonal_cells(big)
-    collapsed = quotient(big, fat)
-    trees = {}
-    tree = _tree(trees, lam)[1]
-    smashed = smash(collapsed, tree)
-    group = automorphism_group(lam)
+    group = table.groups[idx]
     generators = []
     for g in group.generators:
         gmap = SetMap(m, m, g)
-        pmap = descend_to_quotients(
-            induced_power_map(gmap.inverse(), big, big).mapping, collapsed, collapsed
-        )
-        tmap = t_space_map(gmap, lam, lam, trees)
+        pmap = induced_power_map(gmap.inverse(), pair.power, pair.power)
+        tmap = t_space_map(gmap, lam, lam, assembly.trees)
         gen = product_map([pmap, tmap], smashed, smashed).mapping
         generators.append({c: ref[0] for c, ref in gen.items()})
     action = PermutationAction(smashed, tuple(generators))
@@ -315,20 +341,14 @@ def stratum(M, n, i, lam):
 # the report
 
 
-def _reduced_euler(obj):
-    cx = chain_complex(obj, reduced=True)
-    return sum((-1) ** k * r for k, r in cx.ranks.items() if k >= 0) - (
-        1 if -1 in cx.ranks else 0
-    )
-
-
-def derivative_report(M, n, coefficients="Z", allow_large=False, emit_cells=False):
+def derivative_report(M, n, coefficients="Z", emit_cells=False):
     """Everything the layer computation determines, as plain JSON data.
 
     No raw cell names appear, so relabeling the model leaves the report
-    unchanged.  The full coend is filtration stage n, so it is built once.
+    unchanged.  One coend assembly gives every filtration stage and the
+    piece each stratum is a quotient of.
     """
-    assembly = coend(M, n, allow_large=allow_large)
+    assembly = coend(M, n)
     table = assembly.table
     coend_homology = homology(assembly.total, coefficients=coefficients, reduced=True)
     report = {
@@ -347,19 +367,18 @@ def derivative_report(M, n, coefficients="Z", allow_large=False, emit_cells=Fals
             str(k): v for k, v in assembly.total.cell_count().items()
         }
     strata = {}
-    stage_eulers = {0: 0}
+    # reduced Euler characteristic, read off the cell counts
+    stage_eulers = {
+        i: sum((-1) ** k * n_k for k, n_k in stage.cell_count().items()) - 1
+        for i, stage in assembly.stages.items()
+    }
     additivity = []
     for i in range(1, n + 1):
-        if i == n:
-            stage = assembly.total
-        else:
-            stage = coend_over_filtration(M, n, i)
-        stage_eulers[i] = _reduced_euler(stage)
         stratum_sum = 0
         for idx, lam in enumerate(table.objects):
             if table.strata[idx] != i:
                 continue
-            res = stratum(M, n, i, lam)
+            res = stratum(assembly, lam)
             label = "-".join(str(s) for s in lam.shape())
             entry = {
                 "support": lam.support_size,

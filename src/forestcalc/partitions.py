@@ -138,15 +138,6 @@ class Partition:
     def to_json(self):
         return {"support": self.support_size, "blocks": [list(b) for b in self.blocks]}
 
-    @classmethod
-    def from_json(cls, data):
-        try:
-            support = data["support"]
-            blocks = data["blocks"]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"partition JSON needs 'support' and 'blocks': {data!r}") from exc
-        return make_partition(support, blocks)
-
 
 def make_partition(support_size, blocks):
     """Build a Partition from any iterable of iterables, canonicalizing order."""
@@ -316,11 +307,6 @@ def canonicalize(p):
         blocks.append(tuple(range(start, start + s)))
         start += s
     return Partition(p.support_size, tuple(blocks))
-
-
-def are_isomorphic(p, q):
-    """True when some relabeling of supports carries p to q."""
-    return p.support_size == q.support_size and p.shape() == q.shape()
 
 
 class PosetTable:

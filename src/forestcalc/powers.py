@@ -19,7 +19,6 @@ from .simplicial import (
     SimplicialObject,
     power,
     quotient,
-    subobject,
     surj_identity,
 )
 
@@ -71,25 +70,18 @@ def bad_diagonal_cells(power_obj, lam):
 
 @dataclass
 class PowerPair:
-    """A power with its bad diagonal and the quotient by it."""
+    """A power with the cells of its bad diagonal and the quotient by them."""
 
     lam: Partition
     power: SimplicialObject
     bad_cells: frozenset
-    bad_diagonal: SimplicialObject
     quotient: SimplicialObject
 
 
 def power_pair(model, lam):
     p = power(model, lam.support_size)
     bad = frozenset(bad_diagonal_cells(p, lam))
-    return PowerPair(
-        lam=lam,
-        power=p,
-        bad_cells=bad,
-        bad_diagonal=subobject(p, bad),
-        quotient=quotient(p, bad),
-    )
+    return PowerPair(lam=lam, power=p, bad_cells=bad, quotient=quotient(p, bad))
 
 
 def induced_power_map(f, source_power, target_power):

@@ -325,9 +325,15 @@ def power(m, k):
 def quotient(obj, collapse):
     """Collapse a face-closed set of cells to a fresh basepoint.
 
-    Collapsing the empty set adds a disjoint basepoint.
+    Collapsing the empty set adds a disjoint basepoint.  An object
+    pointed at the reserved name already has its basepoint merged into
+    the new one.
     """
     collapse = set(collapse)
+    if obj.basepoint == BASEPOINT:
+        collapse.add(BASEPOINT)
+    elif BASEPOINT in obj.dim_of:
+        raise ValidationError("object already uses the reserved basepoint name")
     for c in collapse:
         if c not in obj.dim_of:
             raise ValidationError(f"unknown cell {c!r} in collapse set")
@@ -339,8 +345,6 @@ def quotient(obj, collapse):
                 raise ValidationError(
                     f"collapse set not face-closed at {c!r} (face {tcell!r})"
                 )
-    if BASEPOINT in obj.dim_of:
-        raise ValidationError("object already uses the reserved basepoint name")
     cells = {0: [BASEPOINT]}
     for k, names in obj.cells.items():
         for c in names:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .category import (
     aut_order_formula,
     automorphism_group,
-    canonical_object,
     enumerate_en,
     shapes_of_excess,
     verify_essentially_cofibrant,
@@ -29,7 +28,6 @@ from .fusion import (
 )
 from .homology import (
     cover_acyclicity,
-    cover_cube,
     diagonal_of,
     homology,
     smith_normal_form,
@@ -44,7 +42,6 @@ from .partitions import (
     join,
     make_partition,
     meet,
-    refinement_poset,
 )
 from .simplicial import (
     compose_simplicial,

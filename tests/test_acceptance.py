@@ -197,13 +197,13 @@ def test_c09_layer_pipeline():
     # two points, first layer: one circle, via both routes
     asm = coend(model_points(2), 1)
     assert live_groups(homology(asm.total)) == {1: (1, ())}
-    st = stratum(model_points(2), 1, 1, indiscrete(2))
+    st = stratum(asm, indiscrete(2))
     assert st.free
     assert live_groups(homology(st.space)) == {1: (1, ())}
     # three points: six ordered off-diagonal pairs over the swap, three circles
     asm3 = coend(model_points(3), 1)
     assert live_groups(homology(asm3.total)) == {1: (3, ())}
-    st3 = stratum(model_points(3), 1, 1, indiscrete(2))
+    st3 = stratum(asm3, indiscrete(2))
     assert live_groups(homology(st3.space)) == {1: (3, ())}
     # layer-by-layer euler bookkeeping for every computed model
     for model in (model_points(2), model_points(3), model_circle()):

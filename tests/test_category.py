@@ -204,14 +204,6 @@ def test_identity_present():
         assert ident in table.hom(i, i)
 
 
-def test_object_index_lookup():
-    table = enumerate_en(3, include_homs=False)
-    for i, p in enumerate(table.objects):
-        assert table.object_index(p) == i
-    with pytest.raises(ValidationError):
-        table.object_index(canonical_object((2,)))
-
-
 def test_glue_patterns_by_independent_orbit_count():
     # recount the E2 (2,2) -> (3) orbits with the raw symmetric group
     table = enumerate_en(2)

@@ -166,20 +166,29 @@ def test_layer_emit_cells(capsys):
 
 @pytest.mark.parametrize("emit", [False, True], ids=["plain", "emit-cells"])
 def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
-    # the full coend serves as the last filtration stage and as the
-    # source of coend_cells, so n = 2 glues two coends: stages 2 and 1
-    calls = []
-    original = layers._coend_over
+    # one assembly gives every filtration stage and every stratum: its
+    # pieces and relations are built once, with three smashes (two
+    # pieces, one mixing piece), and the three chain complexes are those
+    # of the coend and of its two strata
+    calls = {}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(layers, "_coend_over", counting)
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(layers, "_coend_pieces")
+    count(layers, "smash")
+    # the package exports a function named homology, so fetch the module
+    count(sys.modules["forestcalc.homology"], "chain_complex")
     argv = ["layer", "--m", "points:2", "--n", "2"] + (["--emit-cells"] if emit else [])
     code, env, _ = run_json(capsys, argv)
     assert code == 0
-    assert len(calls) == 2
+    assert calls == {"_coend_pieces": 1, "smash": 3, "chain_complex": 3}
     assert ("coend_cells" in env["payload"]) == emit
 
 

@@ -456,12 +456,12 @@ def complex_from_facets(facets):
 @functools.lru_cache(maxsize=None)
 def circle_n2_complexes():
     """The coend of the circle at n = 2 and its two strata."""
-    M = model_circle()
+    assembly = coend(model_circle(), 2)
     return {
-        "coend": chain_complex(coend(M, 2).total),
-        "(0 1 2)": chain_complex(stratum(M, 2, 1, indiscrete(3)).space),
+        "coend": chain_complex(assembly.total),
+        "(0 1 2)": chain_complex(stratum(assembly, indiscrete(3)).space),
         "(0 1)(2 3)": chain_complex(
-            stratum(M, 2, 2, make_partition(4, [[0, 1], [2, 3]])).space
+            stratum(assembly, make_partition(4, [[0, 1], [2, 3]])).space
         ),
     }
 

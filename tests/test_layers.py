@@ -1,10 +1,11 @@
 """Tests for the glued layer spaces: induced maps, coends, strata, reports."""
 
+import functools
 import json
 
 import pytest
 
-from forestcalc.category import enumerate_en
+from forestcalc.category import automorphism_group, enumerate_en, filtration
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.homology import HomologyGroup, betti_numbers, homology
 from forestcalc.layers import (
@@ -19,17 +20,27 @@ from forestcalc.layers import (
     t_space_map,
 )
 from forestcalc.partitions import SetMap, compose, indiscrete, make_partition
-from forestcalc.powers import power_pair
+from forestcalc.powers import (
+    PowerPair,
+    fat_diagonal_cells,
+    induced_power_map,
+    power_pair,
+)
 from forestcalc.simplicial import (
+    PermutationAction,
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
+    descend_to_quotients,
     identity_simplicial,
     model_circle,
     model_interval,
     model_points,
     model_wedge_of_circles,
+    power,
     product_map,
+    quotient,
+    quotient_by_group,
     same_object,
     smash,
     sort_key,
@@ -42,6 +53,21 @@ from forestcalc.simplicial import (
 
 def en2():
     return enumerate_en(2, include_homs=True)
+
+
+MODELS = {
+    "points2": lambda: model_points(2),
+    "points3": lambda: model_points(3),
+    "circle": model_circle,
+    "interval": model_interval,
+    "wedge2": lambda: model_wedge_of_circles(2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def assembled(name, n):
+    """The coend assembly of a named model, shared between tests."""
+    return coend(MODELS[name](), n)
 
 
 # --- induced tree space maps -------------------------------------------------
@@ -424,20 +450,45 @@ def test_filtration_stage_one_euler():
     assert homology(stage).euler() == 2
 
 
+def test_filtration_stage_out_of_range():
+    with pytest.raises(ValidationError):
+        coend_over_filtration(model_points(2), 1, 2)
+    with pytest.raises(ValidationError):
+        coend_over_filtration(model_points(2), 1, -1)
+
+
+STAGE_CASES = [
+    (name, n) for name in ("points2", "points3", "circle", "interval") for n in (1, 2)
+] + [("wedge2", 1)]
+
+
+@pytest.mark.parametrize(
+    "name, n", STAGE_CASES, ids=[f"{c}-n{n}" for c, n in STAGE_CASES]
+)
+def test_stages_match_filtration_rebuild(name, n):
+    # oracle: each stage built from scratch over the filtered table
+    assembly = assembled(name, n)
+    assert homology(assembly.stages[0]).is_acyclic()
+    for i in range(1, n + 1):
+        pieces, relations = _coend_pieces(MODELS[name](), filtration(assembly.table, i))
+        rebuilt, _ = _glue(pieces, relations)
+        assert same_object(assembly.stages[i], rebuilt), i
+
+
 # --- strata -------------------------------------------------------------------------
 
 
 def test_stratum_matches_coend_in_first_layer():
-    for k in (2, 3):
-        M = model_points(k)
-        res = stratum(M, 1, 1, indiscrete(2))
+    for name in ("points2", "points3"):
+        assembly = assembled(name, 1)
+        res = stratum(assembly, indiscrete(2))
         assert res.free
         assert res.group_order == 2
-        assert betti_numbers(res.space) == betti_numbers(coend(M, 1).total)
+        assert betti_numbers(res.space) == betti_numbers(assembly.total)
 
 
 def test_stratum_triple_block_is_free():
-    res = stratum(model_points(3), 2, 1, indiscrete(3))
+    res = stratum(assembled("points3", 2), indiscrete(3))
     assert res.free
     assert res.group_order == 6
     assert res.orbit_defects == []
@@ -445,16 +496,71 @@ def test_stratum_triple_block_is_free():
 
 
 def test_stratum_two_pairs():
-    res = stratum(model_points(3), 2, 2, make_partition(4, [[0, 1], [2, 3]]))
+    res = stratum(assembled("points3", 2), make_partition(4, [[0, 1], [2, 3]]))
     assert res.free
     assert res.group_order == 8
 
 
 def test_stratum_validates_position():
+    # only the objects of the assembly's table have a piece
+    assembly = assembled("points2", 1)
     with pytest.raises(ValidationError):
-        stratum(model_points(2), 1, 1, indiscrete(3))  # excess 2, not 1
+        stratum(assembly, indiscrete(3))  # excess 2, not 1
     with pytest.raises(ValidationError):
-        stratum(model_points(2), 2, 2, indiscrete(3))  # one component, not two
+        # isomorphic to the object (0 1)(2 3) but not canonical
+        stratum(assembled("points2", 2), make_partition(4, [[0, 2], [1, 3]]))
+
+
+def test_stratum_checks_bad_inside_fat():
+    # a bad cell off the fat diagonal would make the piece's quotient
+    # differ from power / fat smashed with the tree space
+    assembly = coend(model_points(2), 1)
+    pair = assembly.pairs[0]
+    off_fat = next(c for c in pair.power.all_cells() if c[0] != c[1])
+    assembly.pairs[0] = PowerPair(
+        lam=pair.lam,
+        power=pair.power,
+        bad_cells=pair.bad_cells | {off_fat},
+        quotient=pair.quotient,
+    )
+    with pytest.raises(ValidationError, match="fat"):
+        stratum(assembly, indiscrete(2))
+
+
+def stratum_from_scratch(M, lam):
+    """The smash (power / fat diagonal) ^ tree space and its orbit
+    quotient, built without the coend."""
+    m = lam.support_size
+    big = power(M, m)
+    collapsed = quotient(big, fat_diagonal_cells(big))
+    smashed = smash(collapsed, t_space(lam))
+    generators = []
+    for g in automorphism_group(lam).generators:
+        gmap = SetMap(m, m, g)
+        pmap = descend_to_quotients(
+            induced_power_map(gmap.inverse(), big, big).mapping, collapsed, collapsed
+        )
+        tmap = t_space_map(gmap, lam, lam)
+        gen = product_map([pmap, tmap], smashed, smashed).mapping
+        generators.append({c: ref[0] for c, ref in gen.items()})
+    return smashed, quotient_by_group(PermutationAction(smashed, tuple(generators)))
+
+
+STRATUM_CASES = [
+    (name, n) for name in ("points3", "circle", "interval") for n in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "name, n", STRATUM_CASES, ids=[f"{c}-n{n}" for c, n in STRATUM_CASES]
+)
+def test_stratum_matches_scratch_build(name, n):
+    assembly = assembled(name, n)
+    for lam in assembly.table.objects:
+        res = stratum(assembly, lam)
+        pre_quotient, space = stratum_from_scratch(MODELS[name](), lam)
+        assert same_object(res.pre_quotient, pre_quotient), lam
+        assert same_object(res.space, space), lam
 
 
 # --- reports -------------------------------------------------------------------------

@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from forestcalc.errors import SupportMismatchError, ValidationError
 from forestcalc.partitions import (
-    Partition,
     SetMap,
     UnionFind,
     all_partitions,
-    are_isomorphic,
     canonicalize,
     compose,
     discrete,
@@ -124,11 +122,6 @@ def test_all_partitions_match_rgs_oracle():
         assert ours == partitions_by_rgs(m)
 
 
-def test_json_roundtrip():
-    p = make_partition(4, [[0, 2], [1, 3]])
-    assert Partition.from_json(p.to_json()) == p
-
-
 # --- refinement order -------------------------------------------------------
 
 
@@ -236,8 +229,6 @@ def test_canonicalize_is_shape_stable():
     p = make_partition(5, [[0, 4], [1, 2, 3]])
     q = make_partition(5, [[0, 1, 2], [3, 4]])
     assert canonicalize(p) == canonicalize(q)
-    assert are_isomorphic(p, q)
-    assert not are_isomorphic(p, make_partition(5, [[0, 1, 2, 3], [4]]))
 
 
 # --- refinement posets ------------------------------------------------------

@@ -224,6 +224,23 @@ def test_quotient_of_empty_set_adds_basepoint():
     assert betti_numbers(q) == {0: 2}
 
 
+def test_quotient_merges_reserved_basepoint():
+    # the interval pointed at its end "*": collapsing the other end
+    # merges both into one fresh basepoint, leaving a circle
+    vert = (0,)
+    pointed = SimplicialObject(
+        {0: ["*", "v"], 1: ["e"]}, {"e": (("v", vert), ("*", vert))}, basepoint="*"
+    )
+    circ = quotient(pointed, ["v"])
+    assert circ.cell_count() == {0: 1, 1: 1}
+    assert circ.faces["e"] == (("*", vert), ("*", vert))
+    assert betti_numbers(circ) == {1: 1}
+    # unpointed, "*" is an ordinary cell and the name clash is refused
+    unpointed = SimplicialObject({0: ["*", "v"]}, {})
+    with pytest.raises(ValidationError, match="reserved"):
+        quotient(unpointed, ["v"])
+
+
 def test_subobject_requires_face_closure():
     with pytest.raises(ValidationError):
         subobject(model_interval(), ["e", "v0"])

@@ -1,7 +1,10 @@
 """Tooling around the package.  The benchmark's traced run
 (perfbench/tracing.py) wraps package functions by module and name, so
-each of them must keep existing; the README's examples must run."""
+each of them must keep existing; the README's examples must run; no
+module keeps an import it does not use."""
 
+import ast
+import glob
 import importlib
 import os
 import re
@@ -13,6 +16,7 @@ from forestcalc.simplicial import model_points
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.join(ROOT, "src", "forestcalc")
 
 
 def _tracing(monkeypatch):
@@ -45,3 +49,23 @@ def test_readme_python_blocks_run(capsys):
         # a print line's trailing comment is one line of its output
         for expected in re.findall(r"^print\(.*\)\s+# (.+)$", block, re.MULTILINE):
             assert expected in printed, (expected, printed)
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is left out
+    unused = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append((os.path.basename(path), name))
+    assert not unused, unused
