@@ -1,9 +1,9 @@
 """The category of irreducible partitions of a fixed excess.
 
 Objects are canonical representatives, one per isomorphism class
-(block-size multisets), morphisms are strict fusions stored as raw set
-maps.  Morphism enumeration walks block-to-class assignments that
-respect the excess budget and then fills in injective block images
+(block-size multisets), morphisms are strict fusions stored as value
+tuples, like the automorphism generators.  Morphism enumeration walks
+block-to-class assignments that respect the excess budget and then fills in injective block images
 whose union never closes a cycle; that is exactly strictness.
 """
 
@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
 from .fusion import PartitionMorphism
-from .partitions import (
-    SetMap,
-    UnionFind,
-    compose,
-    image_partition,
-    make_partition,
-)
+from .partitions import SetMap, UnionFind, image_partition, make_partition
 
 EN_CAP = 5
 HOM_MATERIALIZE_CAP = 4  # full hom sets above this get impractically large
@@ -58,7 +53,7 @@ def canonical_object(shape):
 
 
 def strict_fusions(source, target):
-    """All strict fusions from source to target, as SetMaps.
+    """All strict fusions from source to target, as sorted value tuples.
 
     A fusion is strict exactly when each block maps injectively and the
     block images form a spanning hypertree in every target class; the
@@ -105,8 +100,8 @@ def strict_fusions(source, target):
                 for pairs in choice:
                     for x, y in pairs:
                         values[x] = y
-            out.append(SetMap(source.support_size, target.support_size, tuple(values)))
-    out.sort(key=lambda f: f.values)
+            out.append(tuple(values))
+    out.sort()
     return tuple(out)
 
 
@@ -151,15 +146,14 @@ def _spanning_fills(blocks, cls):
 
 
 def brute_force_fusions(source, target):
-    """Every map filtered by image partition; oracle for small supports."""
+    """Every map filtered by image partition, in sorted order; oracle for
+    small supports."""
     m, mp = source.support_size, target.support_size
     out = []
     for values in itertools.product(range(mp), repeat=m):
-        f = SetMap(m, mp, values)
-        if image_partition(f, source) == target:
+        if image_partition(SetMap(m, mp, values), source) == target:
             if source.excess == target.excess:
-                out.append(f)
-    out.sort(key=lambda f: f.values)
+                out.append(values)
     return tuple(out)
 
 
@@ -274,16 +268,12 @@ class CategoryTable:
     objects: tuple
     strata: tuple  # per object: its block count i
     groups: tuple  # per object: GroupPresentation
-    homs: dict | None  # (i, j) -> tuple of SetMap
+    homs: dict | None  # (i, j) -> sorted tuple of value tuples
 
     def hom(self, i, j):
         if self.homs is None:
             raise ValidationError("hom sets were not materialized for this table")
         return self.homs[(i, j)]
-
-    def identity_of(self, i):
-        m = self.objects[i].support_size
-        return SetMap(m, m, tuple(range(m)))
 
     def _orbits(self, i, j, precompose):
         """Orbits of hom(i, j) under post-composition with the generators
@@ -291,10 +281,9 @@ class CategoryTable:
         Aut(i).  Each orbit lists value tuples in hom order, so it starts
         with its smallest arrow; orbits come in order of that arrow."""
         maps = self.hom(i, j)
-        uf = UnionFind(f.values for f in maps)
+        uf = UnionFind(maps)
         pre = self.groups[i].generators if precompose else ()
-        for f in maps:
-            v = f.values
+        for v in maps:
             composites = [tuple(g[x] for x in v) for g in self.groups[j].generators]
             composites += [tuple(v[x] for x in g) for g in pre]
             for gf in composites:
@@ -323,10 +312,9 @@ class CategoryTable:
         composite is not listed; either would under-glue silently.
         """
         if i != j:
-            maps = {f.values: f for f in self.hom(i, j)}
-            return tuple(maps[orbit[0]] for orbit in self._orbits(i, j, precompose=True))
+            return tuple(orbit[0] for orbit in self._orbits(i, j, precompose=True))
         group = self.groups[i]
-        listed = {f.values for f in self.hom(i, i)}
+        listed = set(self.hom(i, i))
         for g in group.generators:
             if g not in listed:
                 raise ValidationError(
@@ -338,9 +326,10 @@ class CategoryTable:
                 f"the generators of Aut({i}) generate {generated} of the "
                 f"{len(listed)} arrows of hom({i}, {i})"
             )
-        return tuple(SetMap(group.degree, group.degree, g) for g in group.generators)
+        return group.generators
 
     def validate(self):
+        """Checks the objects, and every listed arrow as a fusion."""
         for i, p in enumerate(self.objects):
             if not p.is_irreducible():
                 raise ValidationError(f"object {p} has a singleton block")
@@ -353,42 +342,40 @@ class CategoryTable:
         for (i, j), maps in self.homs.items():
             src, tgt = self.objects[i], self.objects[j]
             for f in maps:
-                if image_partition(f, src) != tgt:
-                    raise ValidationError(f"listed map {f.values} is not a fusion")
-                PartitionMorphism(src, tgt, f)  # validates
-        for i in range(len(self.objects)):
-            ident = self.identity_of(i)
-            if ident not in self.homs[(i, i)]:
+                arrow = SetMap(src.support_size, tgt.support_size, f)
+                if not PartitionMorphism(src, tgt, arrow).is_fusion():
+                    raise ValidationError(f"listed map {f} is not a fusion")
+        for i, p in enumerate(self.objects):
+            if tuple(range(p.support_size)) not in self.homs[(i, i)]:
                 raise ValidationError(f"identity missing at object {i}")
         return True
 
     def check_composition_closure(self):
         """Compose every composable pair and look it up; returns the
-        number of compositions checked."""
+        number of compositions checked.  g after f is itemgetter(*f)(g), a
+        tuple because every object has support at least 2."""
         checked = 0
-        nobj = len(self.objects)
-        lookup = {
-            key: frozenset(f.values for f in maps) for key, maps in self.homs.items()
-        }
-        for i in range(nobj):
-            for j in range(nobj):
-                first = self.homs[(i, j)]
+        nobj = range(len(self.objects))
+        lookup = {(i, k): frozenset(self.hom(i, k)) for i in nobj for k in nobj}
+        for i in nobj:
+            for j in nobj:
+                first = self.hom(i, j)
                 if not first:
                     continue
-                for k in range(nobj):
-                    second = self.homs[(j, k)]
+                for k in nobj:
+                    second = self.hom(j, k)
                     if not second:
                         continue
                     allowed = lookup[(i, k)]
                     for f in first:
-                        for g in second:
-                            gf = compose(g, f)
-                            checked += 1
-                            if gf.values not in allowed:
-                                raise ValidationError(
-                                    f"composite {gf.values} of {f.values} then "
-                                    f"{g.values} is not listed"
-                                )
+                        if not allowed.issuperset(map(itemgetter(*f), second)):
+                            for g in second:
+                                gf = tuple(g[x] for x in f)
+                                if gf not in allowed:
+                                    raise ValidationError(
+                                        f"composite {gf} of {f} then {g} is not listed"
+                                    )
+                    checked += len(first) * len(second)
         return checked
 
     def hom_size_matrix(self):
@@ -406,7 +393,7 @@ class CategoryTable:
         }
         if self.homs is not None:
             data["homs"] = {
-                f"{i}->{j}": [list(f.values) for f in maps]
+                f"{i}->{j}": [list(f) for f in maps]
                 for (i, j), maps in sorted(self.homs.items())
             }
             data["hom_counts"] = self.hom_size_matrix()
@@ -417,24 +404,22 @@ class CategoryTable:
         return data
 
 
-def enumerate_en(n, include_homs=None):
+def enumerate_en(n, include_homs=True):
     """The table for excess n: canonical objects and all strict fusions.
 
-    Hom sets are materialized by default only for n small enough that
-    their total size stays sane; objects, strata and automorphism
-    groups are always present.
+    Hom sets are materialized when include_homs is true and n is at most
+    HOM_MATERIALIZE_CAP, above which their total size gets impractical;
+    objects, strata and automorphism groups are always present.
     """
     if n < 1:
         raise ValidationError("excess must be at least 1")
     if n > EN_CAP:
         raise CapExceededError(f"n={n} exceeds cap {EN_CAP}")
-    if include_homs is None:
-        include_homs = n <= HOM_MATERIALIZE_CAP
     objects = tuple(canonical_object(s) for s in shapes_of_excess(n))
     strata = tuple(p.components for p in objects)
     groups = tuple(automorphism_group(p) for p in objects)
     homs = None
-    if include_homs:
+    if include_homs and n <= HOM_MATERIALIZE_CAP:
         homs = {}
         for i, src in enumerate(objects):
             for j, tgt in enumerate(objects):
@@ -479,17 +464,18 @@ def verify_nice_filtration(table):
                     "reason": "morphism into a deeper stratum",
                     "source": str(table.objects[i]),
                     "target": str(table.objects[j]),
-                    "map": list(maps[0].values),
+                    "map": list(maps[0]),
                 }
             if table.strata[j] == table.strata[i]:
+                m = table.objects[j].support_size
                 for f in maps:
-                    if not f.is_bijective():
+                    if not len(f) == len(set(f)) == m:
                         return {
                             "passed": False,
                             "reason": "non-isomorphism within a stratum",
                             "source": str(table.objects[i]),
                             "target": str(table.objects[j]),
-                            "map": list(f.values),
+                            "map": list(f),
                         }
     return {"passed": True, "strata": sorted(set(table.strata))}
 
@@ -525,6 +511,7 @@ def verify_essentially_cofibrant(n, model):
             powers[m] = power(model, m)
         return powers[m]
 
+    sizes = [p.support_size for p in table.objects]
     strata_reports = []
     for idx, lam in enumerate(table.objects):
         m = lam.support_size
@@ -536,21 +523,20 @@ def verify_essentially_cofibrant(n, model):
         for j in lower:
             for f in table.hom(idx, j):
                 arrows.append((j, f))
-        arrow_id = {(j, f.values): a for a, (j, f) in enumerate(arrows)}
+        arrow_id = {(j, f): a for a, (j, f) in enumerate(arrows)}
         # disjoint simplices of the lower powers, glued over commuting triangles
         uf = UnionFind(
             (a, cell)
             for a, (j, _) in enumerate(arrows)
-            for cell in power_of(table.objects[j].support_size).all_cells()
+            for cell in power_of(sizes[j]).all_cells()
         )
         for a, (j, f) in enumerate(arrows):
-            pj = power_of(table.objects[j].support_size)
+            pj = power_of(sizes[j])
             for k in lower:
-                pk = power_of(table.objects[k].support_size)
+                pk = power_of(sizes[k])
                 for g in table.hom(j, k):
-                    gf = compose(g, f)
-                    b = arrow_id[(k, gf.values)]
-                    gmap = induced_power_map(g, pk, pj)
+                    b = arrow_id[(k, tuple(g[x] for x in f))]
+                    gmap = induced_power_map(SetMap(sizes[j], sizes[k], g), pk, pj)
                     for cell in pk.all_cells():
                         image_ref = gmap.cell_image(cell)
                         uf.union((a, image_ref[0]), (b, cell))
@@ -558,8 +544,8 @@ def verify_essentially_cofibrant(n, model):
         image_of_class = {}
         conflict = None
         for a, (j, f) in enumerate(arrows):
-            pj = power_of(table.objects[j].support_size)
-            fmap = induced_power_map(f, pj, big)
+            pj = power_of(sizes[j])
+            fmap = induced_power_map(SetMap(m, sizes[j], f), pj, big)
             for cell in pj.all_cells():
                 root = uf.find((a, cell))
                 img = fmap.cell_image(cell)[0]

@@ -43,24 +43,46 @@ EXIT_COMPUTATION = 1
 EXIT_INPUT = 2
 
 
+def _element(token):
+    """A partition element: a digit string or a JSON integer, at least 0."""
+    if isinstance(token, str) and re.fullmatch(r"[0-9]+", token):
+        return int(token)
+    if type(token) is int and token >= 0:
+        return token
+    raise ValidationError(f"partition element {token!r} is not a non-negative integer")
+
+
 def parse_partition(text):
-    """Accepts "(0 1)(2 3)" or a JSON list of blocks like [[0,1],[2,3]]."""
+    """Accepts "(0 1)(2 3)" or a JSON list of blocks like [[0,1],[2,3]].
+
+    The elements must be exactly 0..k-1, so a largest element that the
+    element count cannot reach is rejected before the support is built.
+    """
     text = text.strip()
     if text.startswith("["):
         try:
             blocks = json.loads(text)
         except ValueError as exc:
             raise ValidationError(f"bad partition JSON: {exc}") from exc
+        if not all(isinstance(b, list) for b in blocks):
+            raise ValidationError(
+                f"partition JSON must be a list of blocks like [[0,1],[2,3]], got {text!r}"
+            )
     else:
         groups = re.findall(r"\(([^()]*)\)", text)
         if not groups or "".join(groups).strip() == "":
             raise ValidationError(f"cannot parse partition {text!r}")
-        blocks = [[int(tok) for tok in g.replace(",", " ").split()] for g in groups]
+        blocks = [g.replace(",", " ").split() for g in groups]
+    blocks = [[_element(x) for x in b] for b in blocks]
     flat = [x for b in blocks for x in b]
     if not flat:
         raise ValidationError("empty partition")
-    support = max(flat) + 1
-    return make_partition(support, blocks)
+    top = max(flat)
+    if top >= len(flat):
+        raise ValidationError(
+            f"largest element {top} needs all of 0..{top}, only {len(flat)} given"
+        )
+    return make_partition(top + 1, blocks)
 
 
 def _model_count(spec):
@@ -102,12 +124,9 @@ def load_model(spec):
 
 def run_enumerate(args):
     table = enumerate_en(
-        args.n,
-        include_homs=None if not args.objects_only else False,
+        args.n, include_homs=not args.objects_only and args.stratum is None
     )
     data = table.to_json()
-    if args.objects_only:
-        data.pop("homs", None)
     if args.stratum is not None:
         if not 1 <= args.stratum <= args.n:
             raise ValidationError(f"stratum must lie in 1..{args.n}")
@@ -116,9 +135,6 @@ def run_enumerate(args):
         ]
         data["objects"] = [data["objects"][i] for i in keep]
         data["strata"] = [args.stratum] * len(keep)
-        data.pop("homs", None)
-        data.pop("hom_counts", None)
-        data.pop("glue_pattern_counts", None)
     return data, EXIT_OK
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAFusionError, SupportMismatchError, ValidationError
+from .errors import CapExceededError, NotAFusionError, SupportMismatchError, ValidationError
 from .partitions import (
     POSET_SUPPORT_CAP,
     Partition,
     SetMap,
     UnionFind,
     all_partitions,
-    identity_map,
     image_partition,
     meet,
 )
@@ -55,14 +54,6 @@ class PartitionMorphism:
 
     def is_isomorphism(self):
         return self.map.is_bijective() and self.is_fusion()
-
-
-def factor(m):
-    """Canonical factorization: a fusion followed by a refinement."""
-    mid = m.image
-    fus = PartitionMorphism(m.source, mid, m.map)
-    ref = PartitionMorphism(mid, m.target, identity_map(m.target.support_size))
-    return fus, ref
 
 
 def is_strict_fusion(m):
@@ -259,7 +250,7 @@ def goodness_via_graph_forest_only(delta, lam):
 def bad_diagonals(lam):
     """All partitions of the support of lam that are bad relative to it."""
     if lam.support_size > POSET_SUPPORT_CAP:
-        raise ValidationError(
+        raise CapExceededError(
             f"support {lam.support_size} exceeds cap {POSET_SUPPORT_CAP}"
         )
     out = [d for d in all_partitions(lam.support_size) if not is_good(d, lam)]

@@ -154,7 +154,8 @@ def _coend_pieces(M, table, pairs=None, trees=None):
                 w = pieces[i]
             else:
                 w = smash(pairs[j].quotient, tree)
-            for f in arrows:
+            for values in arrows:
+                f = SetMap(lam.support_size, lam_j.support_size, values)
                 pw = power_quotient_map(f, pairs[i], pairs[j])
                 tw = t_space_map(f, lam, lam_j, trees)
                 a = product_map([pw, None], w, pieces[i])
@@ -245,7 +246,7 @@ def coend(M, n):
     """
     if n > COEND_N_CAP:
         raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
-    table = enumerate_en(n, include_homs=True)
+    table = enumerate_en(n)
     pairs, trees = {}, {}
     pieces, relations = _coend_pieces(M, table, pairs, trees)
     stages = {0: point_object()}

@@ -240,13 +240,6 @@ class SetMap:
             inv[v] = x
         return SetMap(self.target_size, self.source_size, tuple(inv))
 
-    def to_json(self):
-        return list(self.values)
-
-
-def identity_map(m):
-    return SetMap(m, m, tuple(range(m)))
-
 
 def compose(g, f):
     """g after f."""

@@ -18,6 +18,7 @@ from .category import (
     verify_essentially_cofibrant,
     verify_nice_filtration,
 )
+from .errors import ValidationError
 from .fusion import (
     PartitionMorphism,
     decompose_elementary,
@@ -351,7 +352,7 @@ def check_tree_map_functoriality(budget, ctx):
 def check_nice_filtration(budget, ctx):
     reports = {}
     for n in range(1, budget["table_n"] + 1):
-        table = enumerate_en(n, include_homs=True)
+        table = enumerate_en(n)
         cert = verify_nice_filtration(table)
         reports[n] = cert["passed"]
         if not cert["passed"]:
@@ -361,10 +362,10 @@ def check_nice_filtration(budget, ctx):
 
 def check_composition_closure(budget, ctx):
     for n in range(1, budget["table_n"] + 1):
-        table = enumerate_en(n, include_homs=True)
+        table = enumerate_en(n)
         try:
             table.check_composition_closure()
-        except Exception as exc:  # noqa: BLE001 - the witness is the message
+        except ValidationError as exc:
             return False, {"n": n}, {"witness": str(exc)}
     return True, {"n": budget["table_n"]}, None
 

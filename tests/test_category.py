@@ -103,9 +103,9 @@ def test_fusions_between_different_excess_empty():
 def test_hom_sets_sorted_and_distinct():
     table = enumerate_en(2)
     for maps in table.homs.values():
-        values = [f.values for f in maps]
-        assert values == sorted(values)
-        assert len(set(values)) == len(values)
+        assert list(maps) == sorted(maps)
+        assert len(set(maps)) == len(maps)
+        assert all(type(x) is int for f in maps for x in f)
 
 
 # --- frozen tables ----------------------------------------------------------
@@ -141,8 +141,9 @@ def test_diagonal_hom_sets_are_automorphisms():
         for i, p in enumerate(table.objects):
             endos = table.hom(i, i)
             assert len(endos) == table.groups[i].order
+            m = p.support_size
             for f in endos:
-                assert f.is_bijective()
+                assert SetMap(m, m, f).is_bijective()
 
 
 # --- automorphism groups ----------------------------------------------------
@@ -191,16 +192,37 @@ def test_table_validation_rejects_a_reducible_object():
 
 
 def test_composition_closure():
-    for n in (1, 2):
+    # every composable pair is checked
+    for n in (1, 2, 3):
         table = enumerate_en(n)
-        assert table.check_composition_closure() > 0
+        nobj = range(len(table.objects))
+        pairs = sum(
+            len(table.hom(i, j)) * len(table.hom(j, k))
+            for i in nobj
+            for j in nobj
+            for k in nobj
+        )
+        assert table.check_composition_closure() == pairs > 0
+
+
+def test_composition_closure_rejects_a_hom_set_not_closed():
+    # drop the smallest map f of E2 (2,2) -> (3): the composite of f
+    # then the identity of (3) is f again, and no longer listed
+    table = enumerate_en(2)
+    homs = dict(table.homs)
+    dropped = homs[(1, 0)][0]
+    homs[(1, 0)] = homs[(1, 0)][1:]
+    broken = dataclasses.replace(table, homs=homs)
+    with pytest.raises(ValidationError, match="not listed") as err:
+        broken.check_composition_closure()
+    assert f"composite {dropped} of " in str(err.value)
 
 
 def test_identity_present():
     table = enumerate_en(2)
-    for i in range(len(table.objects)):
-        ident = table.identity_of(i)
-        assert ident.is_identity()
+    for i, p in enumerate(table.objects):
+        ident = tuple(range(p.support_size))
+        assert SetMap(p.support_size, p.support_size, ident).is_identity()
         assert ident in table.hom(i, i)
 
 
@@ -212,11 +234,11 @@ def test_glue_patterns_by_independent_orbit_count():
     seen = set()
     orbits = 0
     for f in maps:
-        if f.values in seen:
+        if f in seen:
             continue
         orbits += 1
         for perm in itertools.permutations(range(3)):
-            g = compose(SetMap(3, 3, perm), f)
+            g = compose(SetMap(3, 3, perm), SetMap(4, 3, f))
             seen.add(g.values)
     assert orbits == 4
 
@@ -247,17 +269,17 @@ def test_generating_arrows_generate_each_hom_set(n):
         pre = table.generating_arrows(i, i)
         for j in range(nobj):
             post = table.generating_arrows(j, j)
-            reached = {f.values for f in table.generating_arrows(i, j)}
+            reached = set(table.generating_arrows(i, j))
             frontier = list(reached)
             while frontier:
                 v = frontier.pop()
-                for gf in [tuple(g.values[x] for x in v) for g in post] + [
-                    tuple(v[x] for x in g.values) for g in pre
+                for gf in [tuple(g[x] for x in v) for g in post] + [
+                    tuple(v[x] for x in g) for g in pre
                 ]:
                     if gf not in reached:
                         reached.add(gf)
                         frontier.append(gf)
-            assert reached == {f.values for f in table.hom(i, j)}, (i, j)
+            assert reached == set(table.hom(i, j)), (i, j)
 
 
 @pytest.mark.parametrize("n, arrows, generating", [(1, 2, 1), (2, 38, 6), (3, 1140, 14)])
@@ -271,7 +293,7 @@ def test_generating_arrow_counts(n, arrows, generating):
 def test_generating_arrows_are_smallest_of_their_orbits():
     # (2,2) -> (3) in E2: the 24 fusions form one orbit under both groups
     table = enumerate_en(2)
-    assert [f.values for f in table.generating_arrows(1, 0)] == [table.hom(1, 0)[0].values]
+    assert table.generating_arrows(1, 0) == (table.hom(1, 0)[0],)
     assert table.generating_arrows(0, 1) == ()
 
 
@@ -322,7 +344,7 @@ def test_nice_filtration_reports_bad_map():
         groups=table.groups,
         homs={
             (0, 0): table.hom(0, 0),
-            (0, 1): (SetMap(3, 4, (0, 1, 2)),),
+            (0, 1): ((0, 1, 2),),
             (1, 0): table.hom(1, 0),
             (1, 1): table.hom(1, 1),
         },
@@ -348,6 +370,8 @@ def test_large_n_skips_homs_by_default():
     assert len(table.objects) == 7
     with pytest.raises(ValidationError):
         table.hom(0, 0)
+    with pytest.raises(ValidationError, match="not materialized"):
+        table.check_composition_closure()
 
 
 def test_to_json_shape():

@@ -127,6 +127,27 @@ def test_tspace_bad_partition(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["tspace", "goodness"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a b)", "partition element 'a' is not a non-negative integer"),
+        ("(0 1.5)", "partition element '1.5' is not a non-negative integer"),
+        ('[[0,"x"]]', "partition element 'x' is not a non-negative integer"),
+        ("[1,2]", "partition JSON must be a list of blocks"),
+        ("(0 100000000)", "largest element 100000000 needs all of 0..100000000"),
+        ("[[-1,0]]", "partition element -1 is not a non-negative integer"),
+    ],
+    ids=["letters", "fraction", "json-string", "json-flat", "huge-element", "negative"],
+)
+def test_bad_partition_is_one_error_line(capsys, command, text, message):
+    argv = [command, "--lambda", text] + (["--all"] if command == "goodness" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("model", ["quotient", "suspension"])
 def test_tspace_too_big_is_rejected_at_once(capsys, model):
     argv = ["tspace", "--lambda", "(0 1 2 3 4 5 6 7)", "--model", model]

@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from forestcalc.errors import NotAFusionError, ValidationError
+from forestcalc.errors import CapExceededError, NotAFusionError, ValidationError
 from forestcalc.fusion import (
     PartitionMorphism,
     bad_diagonals,
     decompose_elementary,
-    factor,
     glue_map,
     goodness_via_graph,
     goodness_via_graph_forest_only,
@@ -16,6 +15,7 @@ from forestcalc.fusion import (
     strictness_via_h1,
 )
 from forestcalc.partitions import (
+    POSET_SUPPORT_CAP,
     SetMap,
     all_partitions,
     compose,
@@ -54,15 +54,6 @@ def test_morphism_validates_image():
     with pytest.raises(ValidationError):
         # image is discrete, the indiscrete target does not refine it
         PartitionMorphism(src, indiscrete(2), f)
-
-
-def test_factor_splits_fusion_then_refinement():
-    f = SetMap(3, 2, (0, 0, 1))
-    m = PartitionMorphism(indiscrete(3), discrete(2), f)
-    fus, ref = factor(m)
-    assert fus.is_fusion()
-    assert ref.map.is_identity()
-    assert compose_morphisms(ref, fus).map == m.map
 
 
 def test_identity_is_strict():
@@ -160,6 +151,11 @@ def test_goodness_frozen_counts():
     assert len(bad_diagonals(lam3)) == 4
     lam22 = make_partition(4, [[0, 1], [2, 3]])
     assert len(bad_diagonals(lam22)) == 10
+
+
+def test_bad_diagonals_cap_is_a_cap_error():
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        bad_diagonals(indiscrete(POSET_SUPPORT_CAP + 1))
 
 
 def test_goodness_routes_agree_exhaustive():

@@ -55,6 +55,11 @@ def en2():
     return enumerate_en(2, include_homs=True)
 
 
+def arrow(table, i, j, values):
+    """An arrow of hom(i, j), stored as a value tuple, as a SetMap."""
+    return SetMap(table.objects[i].support_size, table.objects[j].support_size, values)
+
+
 MODELS = {
     "points2": lambda: model_points(2),
     "points3": lambda: model_points(3),
@@ -84,7 +89,7 @@ def test_t_space_maps_validate_across_e2():
     table = en2()
     for (i, j), maps in table.homs.items():
         for f in maps:
-            tm = t_space_map(f, table.objects[i], table.objects[j])
+            tm = t_space_map(arrow(table, i, j, f), table.objects[i], table.objects[j])
             tm.validate()
 
 
@@ -94,8 +99,10 @@ def test_t_space_map_functorial():
     for i in range(2):
         for j in range(2):
             for f in table.hom(i, j)[:6]:
+                f = arrow(table, i, j, f)
                 for k in range(2):
                     for g in table.hom(j, k)[:6]:
+                        g = arrow(table, j, k, g)
                         src, mid, tgt = (
                             table.objects[i],
                             table.objects[j],
@@ -113,7 +120,7 @@ def test_t_space_map_functorial():
 def test_power_quotient_map_is_contravariant():
     table = en2()
     src, tgt = table.objects[1], table.objects[0]  # (2,2) -> (3,)
-    f = table.hom(1, 0)[0]
+    f = arrow(table, 1, 0, table.hom(1, 0)[0])
     pairs = {
         0: power_pair(model_points(2), tgt),
         1: power_pair(model_points(2), src),
@@ -287,6 +294,7 @@ def all_arrow_relations(M, table):
         for j, lam_j in enumerate(table.objects):
             w = pieces[i] if i == j else smash(pairs[j].quotient, t_space(lam))
             for f in table.hom(i, j):
+                f = arrow(table, i, j, f)
                 pw = power_quotient_map(f, pairs[i], pairs[j])
                 tw = t_space_map(f, lam, lam_j, trees)
                 a = product_map([pw, None], w, pieces[i])
@@ -348,7 +356,7 @@ def test_product_map_identity_factor_as_none():
     # the relation of f: (2,2) -> (3,) for the circle at n = 2, with the
     # identity factor given as None and as an explicit identity map
     table = en2()
-    f = table.hom(1, 0)[0]
+    f = arrow(table, 1, 0, table.hom(1, 0)[0])
     src, tgt = table.objects[1], table.objects[0]
     pairs = {k: power_pair(model_circle(), table.objects[k]) for k in (0, 1)}
     w = smash(pairs[0].quotient, t_space(src))

@@ -1,15 +1,19 @@
 """Tests for the invariant check catalog and its fault injection."""
 
+import dataclasses
 import json
 
 import pytest
 
+import forestcalc.verify
+from forestcalc.category import enumerate_en
 from forestcalc.envelope import canonical_json
 from forestcalc.verify import (
     BUDGETS,
     CHECKS,
     CheckResult,
     broken_square_demo,
+    check_composition_closure,
     results_payload,
     run_checks,
 )
@@ -64,6 +68,33 @@ def test_fault_injection_trips_exactly_one_check():
     assert [r.name for r in failing] == ["strictness-triple"]
     assert failing[0].counterexample is not None
     assert "morphism" in failing[0].counterexample
+
+
+def test_composition_closure_check_fails_on_a_hom_set_not_closed(monkeypatch):
+    # E2 with one arrow of (2,2) -> (3) dropped
+    def broken_table(n):
+        table = enumerate_en(n)
+        if n != 2:
+            return table
+        homs = dict(table.homs)
+        homs[(1, 0)] = homs[(1, 0)][1:]
+        return dataclasses.replace(table, homs=homs)
+
+    monkeypatch.setattr(forestcalc.verify, "enumerate_en", broken_table)
+    passed, details, counterexample = check_composition_closure(BUDGETS["quick"], {})
+    assert passed is False
+    assert details == {"n": 2}
+    assert "not listed" in counterexample["witness"]
+
+
+def test_composition_closure_check_lets_programming_errors_raise(monkeypatch):
+    def no_table(n):
+        table = enumerate_en(n)
+        return dataclasses.replace(table, homs={})
+
+    monkeypatch.setattr(forestcalc.verify, "enumerate_en", no_table)
+    with pytest.raises(KeyError):
+        check_composition_closure(BUDGETS["quick"], {})
 
 
 def test_unknown_level_rejected():
