@@ -55,6 +55,9 @@ def _element(token):
 def parse_partition(text):
     """Accepts "(0 1)(2 3)" or a JSON list of blocks like [[0,1],[2,3]].
 
+    The text form is nothing but parenthesised groups and whitespace;
+    commas may separate the elements of a group.
+
     The elements must be exactly 0..k-1, so a largest element that the
     element count cannot reach is rejected before the support is built.
     """
@@ -70,7 +73,8 @@ def parse_partition(text):
             )
     else:
         groups = re.findall(r"\(([^()]*)\)", text)
-        if not groups or "".join(groups).strip() == "":
+        whole = re.fullmatch(r"(\s*\([^()]*\))+\s*", text)
+        if not whole or "".join(groups).strip() == "":
             raise ValidationError(f"cannot parse partition {text!r}")
         blocks = [g.replace(",", " ").split() for g in groups]
     blocks = [[_element(x) for x in b] for b in blocks]

@@ -133,6 +133,58 @@ def chain_complex(obj, reduced=True):
     return ChainComplex(ranks=ranks, entries=entries, labels=basis)
 
 
+def _kept_face_sums(obj, drop):
+    """The face sum of every cell outside drop, with dropped faces left out."""
+    out = {}
+    for k in sorted(obj.cells):
+        for c in obj.cells[k]:
+            if c not in drop:
+                faces = _face_sum(obj, c, k) if k else {}
+                out[c] = {t: v for t, v in faces.items() if t not in drop}
+    return out
+
+
+def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
+    """Normalized chains of a tensored with those of b, divided by the
+    identifications class_of makes.
+
+    A generator x (x) y pairs a cell x of a outside drop_a with a cell y
+    of b outside drop_b; class_of sends each generator to its class.
+    The classes are the generators of the result, per degree in order of
+    first appearance.  The boundary of
+    a class is d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy for its first
+    member, read through class_of; dropped and degenerate faces are zero.
+    The caller's classes must be compatible with this boundary.
+    """
+    da, db = _kept_face_sums(a, drop_a), _kept_face_sums(b, drop_b)
+    index = {}  # class -> position within its degree
+    members = {}  # degree -> first member of each class
+    for x in da:
+        for y in db:
+            c = class_of[(x, y)]
+            if c not in index:
+                firsts = members.setdefault(a.dim_of[x] + b.dim_of[y], [])
+                index[c] = len(firsts)
+                firsts.append((x, y))
+    entries = {}
+    for k, firsts in members.items():
+        if k == 0:
+            continue
+        es = []
+        for j, (x, y) in enumerate(firsts):
+            sign = -1 if a.dim_of[x] % 2 else 1
+            terms = [((f, y), v) for f, v in da[x].items()]
+            terms += [((x, f), sign * v) for f, v in db[y].items()]
+            acc = {}
+            for gen, v in terms:
+                i = index[class_of[gen]]
+                acc[i] = acc.get(i, 0) + v
+            es.extend((i, j, v) for i, v in acc.items() if v)
+        entries[k] = es
+    ranks = {k: len(firsts) for k, firsts in members.items()}
+    return ChainComplex(ranks=ranks, entries=entries, labels=members)
+
+
 def reduce_complex(cx):
     """The subcomplex left after removing unit pairs, homotopy equivalent
     to cx over Z and hence over every field.
@@ -349,11 +401,6 @@ def homology(obj, coefficients="Z", reduced=True):
     cx = chain_complex(obj, reduced=reduced)
     groups, _ = homology_of_complex(cx, coefficients)
     return HomologyResult(coefficients=coefficients, reduced=reduced, groups=groups)
-
-
-def betti_numbers(obj, coefficients="Z", reduced=True):
-    res = homology(obj, coefficients=coefficients, reduced=reduced)
-    return {k: g.rank for k, g in res.groups.items() if not g.is_zero()}
 
 
 # ---------------------------------------------------------------------------

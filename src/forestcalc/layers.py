@@ -16,8 +16,11 @@ these.
 
 The pieces and relations are built once per coend.  Filtration stage i
 glues the pieces of the objects with at most i components, a prefix of
-the table, along the relations among them; the stratum of an object is
-a quotient of its own piece.
+the table, along the relations among them.  The stratum of an object is
+computed at chain level, as the automorphism coinvariants of the chains
+of (power / fat diagonal) tensored with those of the tree space.  This is
+exact: the shuffle and Alexander-Whitney maps and the Eilenberg-Zilber
+homotopy are natural and keep the wedge, so they pass to coinvariants.
 """
 
 from __future__ import annotations
@@ -27,18 +30,21 @@ from math import comb
 
 from .category import enumerate_en
 from .errors import CapExceededError, ValidationError
-from .homology import homology
+from .homology import (
+    ChainComplex,
+    HomologyResult,
+    homology,
+    homology_of_complex,
+    tensor_chain_complex,
+)
 from .partitions import SetMap, UnionFind, image_partition, refinement_poset
 from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
-    PermutationAction,
     SimplicialObject,
     descend_to_quotients,
     point_object,
     product_map,
-    quotient,
-    quotient_by_group,
     smash,
     sort_key,
     surj_compose,
@@ -281,23 +287,26 @@ def coend_over_filtration(M, n, i):
 @dataclass
 class StratumResult:
     lam: object
-    space: SimplicialObject  # the orbit quotient
-    pre_quotient: SimplicialObject
+    complex: ChainComplex  # reduced chains of the stratum
     free: bool
     group_order: int
-    orbit_defects: list
 
 
 def stratum(assembly, lam):
-    """(power / fat diagonal, smashed with the tree space) modulo the
-    partition's automorphisms, with a freeness certificate.
+    """Reduced chains of (power / fat diagonal) smashed with the tree
+    space, modulo the partition's automorphisms, with a freeness flag.
 
     lam is an object of the assembly's table.  Its piece is (power / bad
     diagonal) smashed with the tree space, and the bad diagonal lies in
-    the fat one, so collapsing the cells whose power coordinate is fat
-    gives the smash.  Both factors carry the left relabeling action:
+    the fat one, so the stratum is a quotient of the piece.  Its chains
+    are the coinvariants of the generators q (x) t, with q a cell of the
+    power off the fat diagonal and t a cell of the tree space other than
+    the basepoint.  Both factors carry the left relabeling action:
     coordinates read through the inverse permutation, refinements pushed
-    forward.
+    forward.  Each sends cells to cells without signs, so the
+    coinvariant classes are the orbits of the generators.  The
+    stabilizer of q (x) t is stab(q) & stab(t), so the action is free
+    exactly when every orbit has as many members as the group.
     """
     table = assembly.table
     if lam not in table.objects:
@@ -307,34 +316,29 @@ def stratum(assembly, lam):
     fat = fat_diagonal_cells(pair.power)
     if not pair.bad_cells <= fat:
         raise ValidationError("bad diagonal is not contained in the fat diagonal")
-    piece = assembly.pieces[idx]
-    smashed = quotient(
-        piece, [c for c in piece.all_cells() if c != BASEPOINT and c[0][0] in fat]
-    )
+    tree = _tree(assembly.trees, lam)[1]
+    generators = [
+        (q, t)
+        for q in pair.power.all_cells()
+        if q not in fat
+        for t in tree.all_cells()
+        if t != BASEPOINT
+    ]
+    orbits = UnionFind(generators)
     m = lam.support_size
     group = table.groups[idx]
-    generators = []
     for g in group.generators:
         gmap = SetMap(m, m, g)
-        pmap = induced_power_map(gmap.inverse(), pair.power, pair.power)
-        tmap = t_space_map(gmap, lam, lam, assembly.trees)
-        gen = product_map([pmap, tmap], smashed, smashed).mapping
-        generators.append({c: ref[0] for c, ref in gen.items()})
-    action = PermutationAction(smashed, tuple(generators))
-    sizes = action.orbit_sizes()
-    base = action.orbit_of[smashed.basepoint]
-    defects = [
-        {"orbit": repr(rep), "size": sizes[rep]}
-        for rep in sorted(sizes, key=sort_key)
-        if rep != base and sizes[rep] != group.order
-    ]
+        pmap = induced_power_map(gmap.inverse(), pair.power, pair.power).mapping
+        tmap = t_space_map(gmap, lam, lam, assembly.trees).mapping
+        for q, t in generators:
+            orbits.union((q, t), (pmap[q][0], tmap[t][0]))
+    class_of = {x: orbits.find(x) for x in generators}
     return StratumResult(
         lam=lam,
-        space=quotient_by_group(action),
-        pre_quotient=smashed,
-        free=not defects,
+        complex=tensor_chain_complex(pair.power, tree, fat, {BASEPOINT}, class_of),
+        free=all(len(orbit) == group.order for orbit in orbits.classes()),
         group_order=group.order,
-        orbit_defects=defects,
     )
 
 
@@ -347,7 +351,7 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
 
     No raw cell names appear, so relabeling the model leaves the report
     unchanged.  One coend assembly gives every filtration stage and the
-    piece each stratum is a quotient of.
+    power pairs and tree spaces the strata are built from.
     """
     assembly = coend(M, n)
     table = assembly.table
@@ -386,16 +390,10 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
                 "free_action": res.free,
                 "group_order": res.group_order,
             }
-            if res.free:
-                entry["homology"] = homology(
-                    res.space, coefficients=coefficients, reduced=True
-                ).groups_json()
-                entry["model"] = coefficients
-            else:
-                entry["homology"] = homology(
-                    res.space, coefficients="Q", reduced=True
-                ).groups_json()
-                entry["model"] = "rational, invariants model"
+            over = coefficients if res.free else "Q"
+            groups, _ = homology_of_complex(res.complex, over)
+            entry["homology"] = HomologyResult(over, True, groups).groups_json()
+            entry["model"] = coefficients if res.free else "rational, invariants model"
             strata[label] = entry
             stratum_sum += entry["homology"]["euler"]
         additivity.append(

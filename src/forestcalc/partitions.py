@@ -241,15 +241,6 @@ class SetMap:
         return SetMap(self.target_size, self.source_size, tuple(inv))
 
 
-def compose(g, f):
-    """g after f."""
-    if f.target_size != g.source_size:
-        raise SupportMismatchError(
-            f"cannot compose: middle sizes {f.target_size} != {g.source_size}"
-        )
-    return SetMap(f.source_size, g.target_size, tuple(g.values[v] for v in f.values))
-
-
 def image_partition(f, p):
     """The equivalence relation on the target generated by the image of p.
 

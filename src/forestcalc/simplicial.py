@@ -4,8 +4,8 @@ A simplicial set is presented by its nondegenerate cells.  Faces are
 recorded as refs: a ref (cell, alpha) stands for the simplex obtained
 from a nondegenerate cell by the degeneracy operator encoded as the
 monotone surjection alpha, stored by its values.  Every simplex has a
-unique such normal form, so products, quotients and group actions can
-all be computed concretely.
+unique such normal form, so products, quotients and maps can all be
+computed concretely.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CapExceededError, ValidationError
-from .partitions import UnionFind, refinement_poset
+from .partitions import refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
@@ -64,11 +62,6 @@ def surj_face(alpha, i):
     if not unique:
         return None, dropped
     return v, tuple(x if x < v else x - 1 for x in dropped)
-
-
-def surj_degeneracy(alpha, i):
-    """alpha composed with the i-th codegeneracy (duplicate entry i)."""
-    return alpha[: i + 1] + (alpha[i],) + alpha[i + 1:]
 
 
 def surjections(k, p):
@@ -325,14 +318,10 @@ def power(m, k):
 def quotient(obj, collapse):
     """Collapse a face-closed set of cells to a fresh basepoint.
 
-    Collapsing the empty set adds a disjoint basepoint.  An object
-    pointed at the reserved name already has its basepoint merged into
-    the new one.
+    Collapsing the empty set adds a disjoint basepoint.
     """
     collapse = set(collapse)
-    if obj.basepoint == BASEPOINT:
-        collapse.add(BASEPOINT)
-    elif BASEPOINT in obj.dim_of:
+    if BASEPOINT in obj.dim_of:
         raise ValidationError("object already uses the reserved basepoint name")
     for c in collapse:
         if c not in obj.dim_of:
@@ -378,85 +367,6 @@ def smash(a, b):
         if cell[0][0] == a.basepoint or cell[1][0] == b.basepoint
     ]
     return quotient(prod, wedge)
-
-
-# ---------------------------------------------------------------------------
-# group actions on cells
-
-
-@dataclass(frozen=True)
-class PermutationAction:
-    """Generators of a finite group acting on the cells of an object.
-
-    Each generator is a dict sending every cell to a cell of the same
-    dimension; the action must commute with faces and fix the
-    basepoint when there is one.
-    """
-
-    space: SimplicialObject
-    generators: tuple
-
-    def __post_init__(self):
-        for g in self.generators:
-            if set(g.keys()) != set(self.space.dim_of.keys()):
-                raise ValidationError("generator must be defined on every cell")
-            image = set(g.values())
-            if image != set(g.keys()):
-                raise ValidationError("generator is not a bijection on cells")
-            for c, d in g.items():
-                if self.space.dim_of[c] != self.space.dim_of[d]:
-                    raise ValidationError("generator does not preserve dimension")
-            for c in g:
-                k = self.space.dim_of[c]
-                if k == 0:
-                    continue
-                for i in range(k + 1):
-                    tcell, alpha = self.space.faces[c][i]
-                    im_tcell, im_alpha = self.space.faces[g[c]][i]
-                    if (g[tcell], alpha) != (im_tcell, im_alpha):
-                        raise ValidationError(
-                            f"generator does not commute with face {i} of {c!r}"
-                        )
-            if self.space.basepoint is not None and g[self.space.basepoint] != self.space.basepoint:
-                raise ValidationError("generator moves the basepoint")
-
-    @cached_property
-    def orbit_of(self):
-        """Orbit classes of cells, as a dict cell -> canonical (smallest)
-        representative; computed once per action."""
-        uf = UnionFind(self.space.dim_of)
-        for g in self.generators:
-            for c, d in g.items():
-                uf.union(c, d)
-        out = {}
-        for members in uf.classes():
-            canon = min(members, key=sort_key)
-            for c in members:
-                out[c] = canon
-        return out
-
-    def orbit_sizes(self):
-        return Counter(self.orbit_of.values())
-
-
-def quotient_by_group(action):
-    """Cellwise orbit object of a simplicial group action."""
-    obj = action.space
-    orbit_of = action.orbit_of
-    reps = sorted(set(orbit_of.values()), key=sort_key)
-    cells = {}
-    for r in reps:
-        cells.setdefault(obj.dim_of[r], []).append(r)
-    faces = {}
-    for r in reps:
-        k = obj.dim_of[r]
-        if k == 0:
-            continue
-        faces[r] = tuple(
-            (orbit_of[tcell], alpha) for tcell, alpha in obj.faces[r]
-        )
-    bp = orbit_of[obj.basepoint] if obj.basepoint is not None else None
-    return SimplicialObject(cells, faces, basepoint=bp)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +434,6 @@ def compose_simplicial(g, f):
         raise ValidationError("simplicial maps do not compose")
     mapping = {c: g.ref_image(r) for c, r in f.mapping.items()}
     return SimplicialMap(f.source, g.target, mapping)
-
-
-def identity_simplicial(obj):
-    mapping = {
-        c: (c, surj_identity(obj.dim_of[c])) for c in obj.dim_of
-    }
-    return SimplicialMap(obj, obj, mapping)
 
 
 def product_map(maps, source, target):
@@ -730,19 +633,3 @@ def model_from_json(data):
     obj.validate()
     return obj
 
-
-def model_to_json(obj):
-    """Serialize any object, naming cells by repr and keeping face words."""
-    out = []
-    for k in sorted(obj.cells):
-        for c in obj.cells[k]:
-            entry = {"id": repr(c), "dim": k}
-            if k > 0:
-                entry["faces"] = [
-                    {"cell": repr(t), "word": list(a)} for t, a in obj.faces[c]
-                ]
-            out.append(entry)
-    data = {"cells": out}
-    if obj.basepoint is not None:
-        data["basepoint"] = repr(obj.basepoint)
-    return data

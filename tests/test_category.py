@@ -18,7 +18,9 @@ from forestcalc.category import (
     verify_nice_filtration,
 )
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.partitions import SetMap, compose, image_partition, make_partition
+from forestcalc.partitions import SetMap, image_partition, make_partition
+
+from helpers import compose
 
 
 # --- oracles ---------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 import forestcalc
 from forestcalc import layers
-from forestcalc.cli import main
+from forestcalc.cli import main, parse_partition
+from forestcalc.partitions import make_partition
 from forestcalc.simplicial import SimplicialObject
 
 
@@ -137,8 +138,21 @@ def test_tspace_bad_partition(capsys):
         ("[1,2]", "partition JSON must be a list of blocks"),
         ("(0 100000000)", "largest element 100000000 needs all of 0..100000000"),
         ("[[-1,0]]", "partition element -1 is not a non-negative integer"),
+        ("junk(0 1)more", "cannot parse partition 'junk(0 1)more'"),
+        ("(0 1)x(2 3)", "cannot parse partition '(0 1)x(2 3)'"),
+        ("(0 1)(2 3", "cannot parse partition '(0 1)(2 3'"),
     ],
-    ids=["letters", "fraction", "json-string", "json-flat", "huge-element", "negative"],
+    ids=[
+        "letters",
+        "fraction",
+        "json-string",
+        "json-flat",
+        "huge-element",
+        "negative",
+        "junk-around",
+        "junk-between",
+        "unclosed",
+    ],
 )
 def test_bad_partition_is_one_error_line(capsys, command, text, message):
     argv = [command, "--lambda", text] + (["--all"] if command == "goodness" else [])
@@ -146,6 +160,15 @@ def test_bad_partition_is_one_error_line(capsys, command, text, message):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(0 1)(2 3)", " (0 1) (2 3) ", "(0,1)(2,3)"],
+    ids=["adjacent", "spaced", "commas"],
+)
+def test_partition_text_forms(text):
+    assert parse_partition(text) == make_partition(4, [[0, 1], [2, 3]])
 
 
 @pytest.mark.parametrize("model", ["quotient", "suspension"])
@@ -189,8 +212,8 @@ def test_layer_emit_cells(capsys):
 def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     # one assembly gives every filtration stage and every stratum: its
     # pieces and relations are built once, with three smashes (two
-    # pieces, one mixing piece), and the three chain complexes are those
-    # of the coend and of its two strata
+    # pieces, one mixing piece); the coend's chains come from its cells
+    # and each of the two strata is a tensor complex, built with no smash
     calls = {}
 
     def count(module, name):
@@ -205,11 +228,17 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     count(layers, "_coend_pieces")
     count(layers, "smash")
     # the package exports a function named homology, so fetch the module
+    count(layers, "tensor_chain_complex")
     count(sys.modules["forestcalc.homology"], "chain_complex")
     argv = ["layer", "--m", "points:2", "--n", "2"] + (["--emit-cells"] if emit else [])
     code, env, _ = run_json(capsys, argv)
     assert code == 0
-    assert calls == {"_coend_pieces": 1, "smash": 3, "chain_complex": 3}
+    assert calls == {
+        "_coend_pieces": 1,
+        "smash": 3,
+        "chain_complex": 1,
+        "tensor_chain_complex": 2,
+    }
     assert ("coend_cells" in env["payload"]) == emit
 
 

@@ -18,13 +18,14 @@ from forestcalc.partitions import (
     POSET_SUPPORT_CAP,
     SetMap,
     all_partitions,
-    compose,
     discrete,
     image_partition,
     indiscrete,
     make_partition,
     meet,
 )
+
+from helpers import compose
 
 
 def surjections(m, mp):

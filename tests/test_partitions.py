@@ -9,7 +9,6 @@ from forestcalc.partitions import (
     UnionFind,
     all_partitions,
     canonicalize,
-    compose,
     discrete,
     image_partition,
     indiscrete,
@@ -190,8 +189,6 @@ def test_setmap_basics():
     assert f(2) == 1
     assert f.is_surjective()
     assert not f.is_bijective()
-    g = SetMap(2, 2, (1, 0))
-    assert compose(g, f).values == (1, 0, 0)
 
 
 def test_image_partition_example():

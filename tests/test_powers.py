@@ -4,7 +4,7 @@ import pytest
 
 from forestcalc.errors import SupportMismatchError, ValidationError
 from forestcalc.fusion import bad_diagonals, is_good
-from forestcalc.homology import betti_numbers, homology
+from forestcalc.homology import homology
 from forestcalc.partitions import (
     SetMap,
     all_partitions,
@@ -26,6 +26,8 @@ from forestcalc.simplicial import (
     subobject,
     surj_identity,
 )
+
+from helpers import betti_numbers
 
 
 # --- oracle: diagonals by sweeping every partition ---------------------------

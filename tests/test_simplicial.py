@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.homology import betti_numbers, homology
+from forestcalc.homology import homology
 from forestcalc.partitions import (
-    SetMap,
     all_partitions,
     canonicalize,
     discrete,
@@ -21,11 +20,9 @@ from forestcalc.partitions import (
 from forestcalc.simplicial import (
     BASEPOINT,
     PRODUCT_DIM_CAP,
-    PermutationAction,
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
-    identity_simplicial,
     joint_normalize,
     model_circle,
     model_from_json,
@@ -38,12 +35,10 @@ from forestcalc.simplicial import (
     product,
     product_map,
     quotient,
-    quotient_by_group,
     same_object,
     smash,
     subobject,
     surj_compose,
-    surj_degeneracy,
     surj_face,
     surj_identity,
     surj_zero,
@@ -52,6 +47,14 @@ from forestcalc.simplicial import (
     t_space,
     t_space_suspension_model,
     t_space_top_cells,
+)
+
+from helpers import (
+    PermutationAction,
+    betti_numbers,
+    identity_simplicial,
+    quotient_by_group,
+    surj_degeneracy,
 )
 
 
@@ -224,21 +227,17 @@ def test_quotient_of_empty_set_adds_basepoint():
     assert betti_numbers(q) == {0: 2}
 
 
-def test_quotient_merges_reserved_basepoint():
-    # the interval pointed at its end "*": collapsing the other end
-    # merges both into one fresh basepoint, leaving a circle
-    vert = (0,)
-    pointed = SimplicialObject(
-        {0: ["*", "v"], 1: ["e"]}, {"e": (("v", vert), ("*", vert))}, basepoint="*"
-    )
-    circ = quotient(pointed, ["v"])
-    assert circ.cell_count() == {0: 1, 1: 1}
-    assert circ.faces["e"] == (("*", vert), ("*", vert))
-    assert betti_numbers(circ) == {1: 1}
-    # unpointed, "*" is an ordinary cell and the name clash is refused
-    unpointed = SimplicialObject({0: ["*", "v"]}, {})
-    with pytest.raises(ValidationError, match="reserved"):
-        quotient(unpointed, ["v"])
+def test_quotient_refuses_reserved_basepoint_name():
+    # the fresh basepoint is named "*", so an object with a cell of that
+    # name is refused, whether or not "*" is its basepoint
+    for basepoint in (None, "*"):
+        interval = SimplicialObject(
+            {0: ["*", "v"], 1: ["e"]},
+            {"e": (("v", (0,)), ("*", (0,)))},
+            basepoint=basepoint,
+        )
+        with pytest.raises(ValidationError, match="reserved"):
+            quotient(interval, ["v"])
 
 
 def test_subobject_requires_face_closure():

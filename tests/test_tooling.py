@@ -1,7 +1,7 @@
 """Tooling around the package.  The benchmark's traced run
 (perfbench/tracing.py) wraps package functions by module and name, so
 each of them must keep existing; the README's examples must run; no
-module keeps an import it does not use."""
+module, test module included, keeps an import it does not use."""
 
 import ast
 import glob
@@ -17,6 +17,7 @@ from forestcalc.simplicial import model_points
 ROOT = os.path.dirname(os.path.dirname(__file__))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 PACKAGE = os.path.join(ROOT, "src", "forestcalc")
+TESTS = os.path.join(ROOT, "tests")
 
 
 def _tracing(monkeypatch):
@@ -54,7 +55,8 @@ def test_readme_python_blocks_run(capsys):
 def test_no_unused_imports():
     # __init__.py imports in order to re-export, so it is left out
     unused = []
-    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+    paths = glob.glob(os.path.join(PACKAGE, "*.py")) + glob.glob(os.path.join(TESTS, "*.py"))
+    for path in sorted(paths):
         if os.path.basename(path) == "__init__.py":
             continue
         with open(path, encoding="utf-8") as fh:
