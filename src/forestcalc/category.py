@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
 from .fusion import PartitionMorphism
-from .partitions import SetMap, UnionFind, image_partition, make_partition
+from .partitions import SetMap, UnionFind, make_partition
 
 EN_CAP = 5
 HOM_MATERIALIZE_CAP = 4  # full hom sets above this get impractically large
@@ -143,18 +143,6 @@ def _spanning_fills(blocks, cls):
         return [()] if len(cls) == 1 else []
     rec(0, parent)
     return results
-
-
-def brute_force_fusions(source, target):
-    """Every map filtered by image partition, in sorted order; oracle for
-    small supports."""
-    m, mp = source.support_size, target.support_size
-    out = []
-    for values in itertools.product(range(mp), repeat=m):
-        if image_partition(SetMap(m, mp, values), source) == target:
-            if source.excess == target.excess:
-                out.append(values)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

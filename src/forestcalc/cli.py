@@ -28,6 +28,7 @@ from .homology import cover_acyclicity, homology
 from .layers import derivative_report
 from .partitions import all_partitions, make_partition
 from .simplicial import (
+    check_cell_id,
     model_circle,
     model_from_json,
     model_interval,
@@ -36,7 +37,7 @@ from .simplicial import (
     t_space,
     t_space_suspension_model,
 )
-from .verify import broken_square_demo, results_payload, run_checks
+from .verify import CUBE_DEMOS, results_payload, run_checks
 
 EXIT_OK = 0
 EXIT_COMPUTATION = 1
@@ -201,17 +202,8 @@ def run_layer(args):
 
 def run_cube_check(args):
     if args.demo is not None:
-        if args.demo == "interval":
-            ok, result = cover_acyclicity(
-                model_interval(), [["v0", "v1", "e"], ["v0"]]
-            )
-            expected = True
-        elif args.demo == "circle":
-            ok, result = cover_acyclicity(model_circle(), [["v", "e"], ["v"]])
-            expected = True
-        else:
-            ok, result = broken_square_demo()
-            expected = False
+        run, expected, _ = CUBE_DEMOS[args.demo]
+        ok, result = run()
         payload = {
             "case": args.demo,
             "acyclic": ok,
@@ -226,11 +218,14 @@ def run_cube_check(args):
             data = json.load(fh)
         except ValueError as exc:
             raise ValidationError(f"bad cube JSON: {exc}") from exc
-    if "model" not in data or "covers" not in data:
-        raise ValidationError('cube files need "model" and "covers" keys')
+    if not isinstance(data, dict) or "model" not in data or "covers" not in data:
+        raise ValidationError('cube files need an object with "model" and "covers" keys')
     covers = data["covers"]
     if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
         raise ValidationError('"covers" must be a list of cell-name lists')
+    for cover in covers:
+        for cid in cover:
+            check_cell_id(cid, "cover entry")
     obj = model_from_json(data["model"])
     ok, result = cover_acyclicity(obj, covers)
     payload = {
@@ -296,7 +291,7 @@ def build_parser():
     p.set_defaults(func=run_layer)
 
     p = sub.add_parser("cube-check", help="acyclicity of a cover cube")
-    p.add_argument("--demo", choices=["interval", "circle", "negative"], default=None)
+    p.add_argument("--demo", choices=list(CUBE_DEMOS), default=None)
     p.add_argument("--file", default=None)
     p.set_defaults(func=run_cube_check)
 

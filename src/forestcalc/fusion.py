@@ -236,17 +236,6 @@ def goodness_via_graph(delta, lam):
     return g.first_betti() == 0 and g.component_count() == meet(lam, delta).components
 
 
-def goodness_via_graph_forest_only(delta, lam):
-    """The weaker reading: every component of the pushout graph is a tree.
-
-    Kept separate so the two readings can be compared; the component
-    count condition turns out to be automatic.
-    """
-    if delta.support_size != lam.support_size:
-        raise SupportMismatchError("goodness needs a common support")
-    return pushout_graph(delta, lam).first_betti() == 0
-
-
 def bad_diagonals(lam):
     """All partitions of the support of lam that are bad relative to it."""
     if lam.support_size > POSET_SUPPORT_CAP:

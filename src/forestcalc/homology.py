@@ -1,7 +1,10 @@
 """Homology of finite simplicial objects over Z, Q and prime fields.
 
 Normalized chains: one generator per nondegenerate cell, faces with a
-degenerate normal form contribute nothing.  Every complex is first
+degenerate normal form contribute nothing.  One face-sum routine feeds
+every boundary matrix: the chains of an object, the tensor chains of a
+stratum, and through the chains of its corners the total cofiber of a
+cube of subobjects.  Every complex is first
 reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
 chain-homotopy-equivalent subcomplex; a tree space keeps only its
 top-degree homology generators and needs no elimination at all.
@@ -18,9 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .kernel import sparse_elementary_divisors
-from .simplicial import _debug, surj_identity
-
-COEFFICIENT_CHOICES = ("Z", "Q")  # plus "F<p>" for prime p
+from .simplicial import _debug, subobject, surj_identity
 
 
 def parse_coefficients(spec):
@@ -89,16 +90,20 @@ class ChainComplex:
         return True
 
 
-def _face_sum(obj, c, k):
-    """Boundary of the k-cell c in normalized chains: the alternating sum
-    of its nondegenerate faces, as face -> nonzero coefficient."""
-    ident = surj_identity(k - 1)
-    acc = {}
-    for i in range(k + 1):
-        tcell, alpha = obj.faces[c][i]
-        if alpha == ident:
-            acc[tcell] = acc.get(tcell, 0) + (1 if i % 2 == 0 else -1)
-    return {t: v for t, v in acc.items() if v}
+def _kept_face_sums(obj, drop):
+    """Each cell outside drop with its boundary in normalized chains: the
+    alternating sum of its faces that are nondegenerate and outside
+    drop, as face -> nonzero coefficient."""
+    for k in sorted(obj.cells):
+        ident = surj_identity(k - 1)
+        for c in obj.cells[k]:
+            if c in drop:
+                continue
+            acc = {}
+            for i, (t, alpha) in enumerate(obj.faces[c] if k else ()):
+                if alpha == ident and t not in drop:
+                    acc[t] = acc.get(t, 0) + (-1 if i % 2 else 1)
+            yield c, {t: v for t, v in acc.items() if v}
 
 
 def chain_complex(obj, reduced=True):
@@ -108,40 +113,18 @@ def chain_complex(obj, reduced=True):
     get an augmentation in degree -1.
     """
     pointed = obj.basepoint is not None
-    dropped = {obj.basepoint} if reduced and pointed else set()
-    basis = {}
-    index = {}
-    for k in sorted(obj.cells):
-        names = [c for c in obj.cells_of_dim(k) if c not in dropped]
-        basis[k] = names
-        index.update({c: i for i, c in enumerate(names)})
+    drop = {obj.basepoint} if reduced and pointed else ()
+    basis = {k: [c for c in obj.cells[k] if c not in drop] for k in sorted(obj.cells)}
+    index = {c: i for names in basis.values() for i, c in enumerate(names)}
     ranks = {k: len(v) for k, v in basis.items()}
-    entries = {}
-    for k in sorted(obj.cells):
-        if k == 0:
-            continue
-        es = []
-        for j, c in enumerate(basis.get(k, ())):
-            for tcell, v in _face_sum(obj, c, k).items():
-                if tcell not in dropped:
-                    es.append((index[tcell], j, v))
-        if es or ranks.get(k):
-            entries[k] = es
+    entries = {k: [] for k in basis if k}
+    for c, faces in _kept_face_sums(obj, drop):
+        if faces:
+            entries[obj.dim_of[c]] += [(index[t], index[c], v) for t, v in faces.items()]
     if reduced and not pointed:
         ranks[-1] = 1
         entries[0] = [(0, j, 1) for j in range(ranks.get(0, 0))]
     return ChainComplex(ranks=ranks, entries=entries, labels=basis)
-
-
-def _kept_face_sums(obj, drop):
-    """The face sum of every cell outside drop, with dropped faces left out."""
-    out = {}
-    for k in sorted(obj.cells):
-        for c in obj.cells[k]:
-            if c not in drop:
-                faces = _face_sum(obj, c, k) if k else {}
-                out[c] = {t: v for t, v in faces.items() if t not in drop}
-    return out
 
 
 def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
@@ -156,7 +139,7 @@ def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
     member, read through class_of; dropped and degenerate faces are zero.
     The caller's classes must be compatible with this boundary.
     """
-    da, db = _kept_face_sums(a, drop_a), _kept_face_sums(b, drop_b)
+    da, db = dict(_kept_face_sums(a, drop_a)), dict(_kept_face_sums(b, drop_b))
     index = {}  # class -> position within its degree
     members = {}  # degree -> first member of each class
     for x in da:
@@ -257,12 +240,6 @@ def _euler(cx):
 
 # ---------------------------------------------------------------------------
 # rank computations
-
-
-def integer_divisors(entries, nrows, ncols):
-    """Nonzero elementary divisors; the kernel returns them as a
-    divisibility chain."""
-    return sparse_elementary_divisors(list(entries), nrows, ncols)
 
 
 def rank_mod_p(entries, nrows, ncols, p):
@@ -381,7 +358,7 @@ def homology_of_complex(cx, coefficients="Z"):
             ranks_of_boundary[k] = rank_mod_p(es, n_to, n_from, p)
             divisors[k] = []
         else:
-            d = integer_divisors(es, n_to, n_from)
+            d = sparse_elementary_divisors(es, n_to, n_from)
             divisors[k] = d
             ranks_of_boundary[k] = len(d)
     groups = {}
@@ -499,176 +476,80 @@ def diagonal_of(d):
 
 
 # ---------------------------------------------------------------------------
-# labeled complexes, cones and cubes of inclusions
+# total cofibers of cubes of subobjects
 
 
-@dataclass
-class LabeledComplex:
-    """A chain complex with named generators, handy for mapping cones."""
+def cube_cofiber(corners):
+    """Chain complex of the total cofiber of a cube of subobjects.
 
-    degrees: dict  # k -> list of labels
-    diff: dict  # k -> {col_label: {row_label: coeff}}
-
-    def to_chain_complex(self):
-        degs = {k: sorted(v, key=repr) for k, v in self.degrees.items()}
-        index = {}
-        for k, labels in degs.items():
-            for i, lab in enumerate(labels):
-                index[(k, lab)] = i
-        ranks = {k: len(v) for k, v in degs.items()}
-        entries = {}
-        for k, cols in self.diff.items():
-            es = []
-            for col, row_map in cols.items():
-                j = index[(k, col)]
-                for row, val in row_map.items():
-                    if val:
-                        es.append((index[(k - 1, row)], j, val))
-            entries[k] = es
-        return ChainComplex(ranks=ranks, entries=entries, labels=degs)
-
-
-def labeled_chains(obj):
-    """Absolute normalized chains of an object, with cell labels."""
-    degrees = {k: list(obj.cells_of_dim(k)) for k in sorted(obj.cells)}
-    diff = {
-        k: {c: _face_sum(obj, c, k) for c in obj.cells_of_dim(k)}
-        for k in sorted(obj.cells)
-        if k != 0
-    }
-    return LabeledComplex(degrees=degrees, diff=diff)
-
-
-def chain_map_of(simplicial_map):
-    """Cell -> {target cell: coeff} of the induced map on normalized chains."""
-    out = {}
-    for c, (tcell, gamma) in simplicial_map.mapping.items():
-        k = simplicial_map.source.dim_of[c]
-        if gamma == surj_identity(k):
-            out[c] = {tcell: 1}
-        else:
-            out[c] = {}
-    return out
-
-
-def mapping_cone(a, b, fmap):
-    """Cone of a chain map f: A -> B given by label dicts.
-
-    Generators are ("a", x) shifted up one degree and ("b", y); the
-    boundary is (-da, db - f).  Returns the cone plus the label
-    embeddings needed to build induced maps between cones.
+    corners maps each subset U of the directions 0..d-1 to an object,
+    and the corner at U must be a subobject of the corner at U + {i}.
+    A generator (U, x), x a cell of the corner at U, sits in degree
+    |x| + d - |U|; its boundary is (-1)^|U| (U, dx) plus, for each i
+    outside U, (-1)^#{j outside U : j < i} (U + {i}, x).
     """
-    degrees = {}
-    for k, labels in b.degrees.items():
-        degrees.setdefault(k, []).extend(("b", lab) for lab in labels)
-    for k, labels in a.degrees.items():
-        degrees.setdefault(k + 1, []).extend(("a", lab) for lab in labels)
-    diff = {}
-    for k in degrees:
-        cols = {}
-        for tag, lab in degrees[k]:
-            if tag == "b":
-                row_map = b.diff.get(k, {}).get(lab, {})
-                cols[("b", lab)] = {("b", r): v for r, v in row_map.items()}
-            else:
-                out = {}
-                for r, v in a.diff.get(k - 1, {}).get(lab, {}).items():
-                    out[("a", r)] = -v
-                for r, v in fmap.get(lab, {}).items():
-                    out[("b", r)] = out.get(("b", r), 0) - v
-                cols[("a", lab)] = {key: v for key, v in out.items() if v}
-        diff[k] = cols
-    return LabeledComplex(degrees=degrees, diff=diff)
+    d = len(frozenset().union(*corners))
+    chains = {U: chain_complex(obj, reduced=False) for U, obj in corners.items()}
+    ranks, offset, index = {}, {}, {}  # offset[U, k]: first row of U's k-cells
+    for U, cx in chains.items():
+        index[U] = {c: i for names in cx.labels.values() for i, c in enumerate(names)}
+        for k, n in cx.ranks.items():
+            offset[U, k] = ranks.get(k + d - len(U), 0)
+            ranks[k + d - len(U)] = offset[U, k] + n
+    entries = {k: [] for k in ranks if k > 0}
+    for U, cx in chains.items():
+        shift, sign = d - len(U), (-1) ** len(U)
+        for k, es in cx.entries.items():
+            entries[k + shift] += [
+                (offset[U, k - 1] + i, offset[U, k] + j, sign * v) for i, j, v in es
+            ]
+        outside = [i for i in range(d) if i not in U]
+        for pos, i in enumerate(outside):
+            V = U | {i}
+            _check_subobject(corners[U], corners[V])
+            for k, names in cx.labels.items():
+                entries[k + shift] += [
+                    (offset[V, k] + index[V][c], offset[U, k] + j, (-1) ** pos)
+                    for j, c in enumerate(names)
+                ]
+    return ChainComplex(ranks=ranks, entries=entries)
 
 
-def cone_map(fmap_a, fmap_b):
-    """Map of cones induced by a strictly commuting square of chain maps."""
-    out = {}
-    for lab, row in fmap_a.items():
-        out[("a", lab)] = {("a", r): v for r, v in row.items()}
-    for lab, row in fmap_b.items():
-        out[("b", lab)] = {("b", r): v for r, v in row.items()}
-    return out
+def _check_subobject(small, big):
+    for c, k in small.dim_of.items():
+        if big.dim_of.get(c) != k or (k and small.faces[c] != big.faces[c]):
+            raise ValidationError(f"cube corner is not a subobject: cell {c!r} differs")
 
 
-def total_cofiber(cube_objs, cube_maps, directions):
-    """Iterated mapping cone of a cube of simplicial objects.
-
-    cube_objs maps frozensets of directions to objects; cube_maps maps
-    (U, V) with V = U + one direction to simplicial maps.  The result
-    is the chain complex of the total cofiber.
-    """
-    complexes = {U: labeled_chains(obj) for U, obj in cube_objs.items()}
-    maps = {
-        pair: chain_map_of(f) for pair, f in cube_maps.items()
-    }
-    dirs = sorted(directions, reverse=True)
-    for d in dirs:
-        new_cx = {}
-        new_maps = {}
-        rest = [U for U in complexes if d not in U]
-        for U in rest:
-            V = U | {d}
-            new_cx[U] = mapping_cone(complexes[U], complexes[frozenset(V)], maps[(U, frozenset(V))])
-        for (U, V) in maps:
-            if d in U or d in V - U:
-                continue
-            Ud, Vd = frozenset(U | {d}), frozenset(V | {d})
-            new_maps[(U, V)] = cone_map(maps[(U, V)], maps[(Ud, Vd)])
-        complexes = new_cx
-        maps = new_maps
-    (_, total), = complexes.items()
-    return total.to_chain_complex()
+def cube_acyclicity(corners, coefficients="Z"):
+    """Whether the total cofiber of a cube of subobjects vanishes in homology."""
+    groups, _ = homology_of_complex(cube_cofiber(corners), coefficients)
+    result = HomologyResult(coefficients=coefficients, reduced=False, groups=groups)
+    return result.is_acyclic(), result
 
 
 def cover_cube(obj, covers):
-    """Cube of intersections of a family of subcomplexes covering obj.
-
-    The vertex at subset U is the intersection of the covers outside U,
-    the full subset is the whole object; all maps are inclusions.
-    """
-    from .simplicial import SimplicialMap, subobject
-
-    d = len(covers)
+    """Corners of the cube of intersections of a family of subcomplexes
+    covering obj: the corner at U is the intersection of the covers
+    outside U, and the full subset is the whole object."""
+    cells = set(obj.dim_of)
     cover_sets = [set(c) for c in covers]
-    union = set()
-    for s in cover_sets:
-        union |= s
-    if union != set(obj.dim_of.keys()):
-        missing = sorted(set(obj.dim_of) - union, key=repr)[:3]
+    union = set().union(*cover_sets)
+    if union != cells:
+        missing = sorted(cells - union, key=repr)[:3]
         if missing:
             raise ValidationError(f"covers miss cells, e.g. {missing}")
-        unknown = sorted(union - set(obj.dim_of), key=repr)[:3]
+        unknown = sorted(union - cells, key=repr)[:3]
         raise ValidationError(f"covers name unknown cells, e.g. {unknown}")
-    full = frozenset(range(d))
-    objs = {}
+    d = len(covers)
+    corners = {}
     for r in range(d + 1):
-        for U in map(frozenset, itertools.combinations(range(d), r)):
-            if U == full:
-                objs[U] = obj
-            else:
-                cells = set(obj.dim_of)
-                for i in range(d):
-                    if i not in U:
-                        cells &= cover_sets[i]
-                objs[U] = subobject(obj, cells)
-    maps = {}
-    for U in objs:
-        for i in range(d):
-            if i in U:
-                continue
-            V = frozenset(U | {i})
-            mapping = {
-                c: (c, surj_identity(objs[U].dim_of[c])) for c in objs[U].dim_of
-            }
-            maps[(U, V)] = SimplicialMap(objs[U], objs[V], mapping)
-    return objs, maps
+        for U in itertools.combinations(range(d), r):
+            outside = [s for i, s in enumerate(cover_sets) if i not in U]
+            corners[frozenset(U)] = subobject(obj, cells.intersection(*outside)) if r < d else obj
+    return corners
 
 
 def cover_acyclicity(obj, covers, coefficients="Z"):
     """Whether the total cofiber of the cover cube vanishes in homology."""
-    objs, maps = cover_cube(obj, covers)
-    cx = total_cofiber(objs, maps, range(len(covers)))
-    groups, _ = homology_of_complex(cx, coefficients)
-    result = HomologyResult(coefficients=coefficients, reduced=False, groups=groups)
-    return result.is_acyclic(), result
+    return cube_acyclicity(cover_cube(obj, covers), coefficients)

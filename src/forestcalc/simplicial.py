@@ -582,6 +582,13 @@ def model_wedge_of_circles(k, pointed=False):
     )
 
 
+def check_cell_id(value, what):
+    """value, when it can name a cell: a string or an integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValidationError(f"{what} {value!r} is not a string or an integer")
+    return value
+
+
 def model_from_json(data):
     """Build a model from {"cells": [{"id", "dim", "faces"}], "basepoint"?}.
 
@@ -601,6 +608,7 @@ def model_from_json(data):
             raise ValidationError(
                 "each entry of 'cells' needs 'id' and 'dim' fields"
             ) from exc
+        check_cell_id(cid, "cell id")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValidationError(f"cell {cid!r} has bad dimension {dim!r}")
         if cid in dims:
@@ -611,6 +619,8 @@ def model_from_json(data):
     for item in items:
         cid, dim = item["id"], item["dim"]
         listed = item.get("faces", [])
+        if not isinstance(listed, list):
+            raise ValidationError(f"faces of {cid!r} must be a list of cell ids")
         if dim == 0:
             if listed:
                 raise ValidationError(f"vertex {cid!r} cannot have faces")
@@ -621,7 +631,7 @@ def model_from_json(data):
             )
         refs = []
         for fid in listed:
-            if fid not in dims:
+            if check_cell_id(fid, f"face of {cid!r}") not in dims:
                 raise ValidationError(f"cell {cid!r} lists unknown face {fid!r}")
             if dims[fid] != dim - 1:
                 raise ValidationError(
@@ -629,7 +639,10 @@ def model_from_json(data):
                 )
             refs.append((fid, surj_identity(dim - 1)))
         faces[cid] = tuple(refs)
-    obj = SimplicialObject(cells, faces, basepoint=data.get("basepoint"))
+    basepoint = data.get("basepoint")
+    if basepoint is not None:
+        check_cell_id(basepoint, "basepoint")
+    obj = SimplicialObject(cells, faces, basepoint=basepoint)
     obj.validate()
     return obj
 

@@ -29,6 +29,7 @@ from .fusion import (
 )
 from .homology import (
     cover_acyclicity,
+    cube_acyclicity,
     diagonal_of,
     homology,
     smith_normal_form,
@@ -49,6 +50,7 @@ from .simplicial import (
     model_circle,
     model_interval,
     model_points,
+    subobject,
     t_space,
     t_space_suspension_model,
 )
@@ -430,47 +432,44 @@ def check_coend_euler_additivity(budget, ctx):
     return True, {"cases": len(cases)}, None
 
 
-def check_cube_pushout_controls(budget, ctx):
-    seg = model_interval()
-    ok, _ = cover_acyclicity(seg, [["v0", "v1", "e"], ["v0"]])
-    if not ok:
-        return False, {}, {"case": "interval cover expected acyclic"}
-    circ = model_circle()
-    ok, _ = cover_acyclicity(circ, [["v", "e"], ["v"]])
-    if not ok:
-        return False, {}, {"case": "circle cover expected acyclic"}
-    broken, res = broken_square_demo()
-    if broken:
-        return False, {}, {"case": "square with an understated corner must fail"}
-    return True, {"cases": 3}, None
-
-
 def broken_square_demo():
     """A square whose corner forgets the actual intersection; its total
     cofiber must detect the failure."""
-    from .homology import HomologyResult, homology_of_complex, total_cofiber
-    from .simplicial import SimplicialMap, subobject, surj_identity
-
     seg = model_interval()
-    whole = frozenset((0, 1))
-    objs = {
+    return cube_acyclicity({
         frozenset(): subobject(seg, []),
         frozenset((0,)): subobject(seg, ["v0", "v1", "e"]),
         frozenset((1,)): subobject(seg, ["v0"]),
-        whole: seg,
-    }
-    maps = {}
-    for u, src in objs.items():
-        for d in (0, 1):
-            if d in u:
-                continue
-            v = frozenset(u | {d})
-            mapping = {c: (c, surj_identity(src.dim_of[c])) for c in src.dim_of}
-            maps[(u, v)] = SimplicialMap(src, objs[v], mapping)
-    cx = total_cofiber(objs, maps, (0, 1))
-    groups, _ = homology_of_complex(cx, "Z")
-    result = HomologyResult(coefficients="Z", reduced=False, groups=groups)
-    return result.is_acyclic(), result
+        frozenset((0, 1)): seg,
+    })
+
+
+# the cube-check demos: case -> (run, expected verdict, failure note)
+CUBE_DEMOS = {
+    "interval": (
+        lambda: cover_acyclicity(model_interval(), [["v0", "v1", "e"], ["v0"]]),
+        True,
+        "interval cover expected acyclic",
+    ),
+    "circle": (
+        lambda: cover_acyclicity(model_circle(), [["v", "e"], ["v"]]),
+        True,
+        "circle cover expected acyclic",
+    ),
+    "negative": (
+        broken_square_demo,
+        False,
+        "square with an understated corner must fail",
+    ),
+}
+
+
+def check_cube_pushout_controls(budget, ctx):
+    for run, expected, note in CUBE_DEMOS.values():
+        ok, _ = run()
+        if ok != expected:
+            return False, {}, {"case": note}
+    return True, {"cases": len(CUBE_DEMOS)}, None
 
 
 def check_kernel_vs_dense_snf(budget, ctx):

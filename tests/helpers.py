@@ -7,6 +7,7 @@ the cellwise orbit quotient taken.  It is the reference that the
 chain-level `layers.stratum` is checked against.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,7 +16,8 @@ from forestcalc.category import automorphism_group
 from forestcalc.errors import ValidationError
 from forestcalc.homology import HomologyResult, homology, homology_of_complex
 from forestcalc.layers import t_space_map
-from forestcalc.partitions import SetMap, UnionFind
+from forestcalc.fusion import pushout_graph
+from forestcalc.partitions import SetMap, UnionFind, image_partition
 from forestcalc.powers import fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
     SimplicialMap,
@@ -59,6 +61,28 @@ def surj_degeneracy(alpha, i):
 def compose(g, f):
     """The set map g after f."""
     return SetMap(f.source_size, g.target_size, tuple(g.values[v] for v in f.values))
+
+
+# --- oracles for fusions and goodness ---------------------------------------------
+
+
+def brute_force_fusions(source, target):
+    """Every map filtered by image partition, in sorted order; oracle for
+    small supports."""
+    m, mp = source.support_size, target.support_size
+    out = []
+    for values in itertools.product(range(mp), repeat=m):
+        if image_partition(SetMap(m, mp, values), source) == target:
+            if source.excess == target.excess:
+                out.append(values)
+    return tuple(out)
+
+
+def goodness_via_graph_forest_only(delta, lam):
+    """The weaker reading of the graph criterion: every component of the
+    pushout graph is a tree.  The tests compare it with the full reading,
+    whose component count condition turns out to be automatic."""
+    return pushout_graph(delta, lam).first_betti() == 0
 
 
 # --- group actions on cells ------------------------------------------------------

@@ -9,7 +9,6 @@ from forestcalc.category import (
     CategoryTable,
     aut_order_formula,
     automorphism_group,
-    brute_force_fusions,
     canonical_object,
     enumerate_en,
     filtration,
@@ -20,7 +19,7 @@ from forestcalc.category import (
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.partitions import SetMap, image_partition, make_partition
 
-from helpers import compose
+from helpers import brute_force_fusions, compose
 
 
 # --- oracles ---------------------------------------------------------------

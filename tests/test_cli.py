@@ -384,6 +384,39 @@ def test_cube_nonexistent_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        (
+            "cube-check",
+            {"model": {"cells": [{"id": "a", "dim": 0}]}, "covers": [[["a"]]]},
+            "cover entry ['a'] is not a string or an integer",
+        ),
+        ("cube-check", ["model", "covers"], 'cube files need an object'),
+        ("layer", {"cells": [{"id": ["a"], "dim": 0}]}, "cell id ['a'] is not a string"),
+        (
+            "layer",
+            {"cells": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1, "faces": 3}]},
+            "faces of 'e' must be a list",
+        ),
+        (
+            "layer",
+            {"cells": [{"id": "a", "dim": 0}], "basepoint": ["a"]},
+            "basepoint ['a'] is not a string",
+        ),
+    ],
+    ids=["nested-cover-entry", "top-level-list", "list-cell-id", "faces-number", "list-basepoint"],
+)
+def test_bad_json_is_one_error_line(capsys, tmp_path, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    flag = ["--file", str(path)] if command == "cube-check" else ["--m", str(path), "--n", "1"]
+    code, out, err = run_cli(capsys, [command] + flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # --- verify ------------------------------------------------------------------------
 
 

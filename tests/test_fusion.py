@@ -9,7 +9,6 @@ from forestcalc.fusion import (
     decompose_elementary,
     glue_map,
     goodness_via_graph,
-    goodness_via_graph_forest_only,
     is_good,
     is_strict_fusion,
     strictness_via_h1,
@@ -25,7 +24,7 @@ from forestcalc.partitions import (
     meet,
 )
 
-from helpers import compose
+from helpers import compose, goodness_via_graph_forest_only
 
 
 def surjections(m, mp):

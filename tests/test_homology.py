@@ -15,23 +15,24 @@ from forestcalc.errors import ValidationError
 from forestcalc.homology import (
     ChainComplex,
     HomologyGroup,
+    HomologyResult,
     chain_complex,
-    chain_map_of,
     cover_acyclicity,
     cover_cube,
+    cube_cofiber,
     diagonal_of,
     homology,
     homology_of_complex,
-    integer_divisors,
-    labeled_chains,
-    mapping_cone,
     parse_coefficients,
     rank_mod_p,
     reduce_complex,
     smith_normal_form,
-    total_cofiber,
 )
-from forestcalc.kernel import IMPLEMENTATION, normalize_divisor_chain
+from forestcalc.kernel import (
+    IMPLEMENTATION,
+    normalize_divisor_chain,
+    sparse_elementary_divisors,
+)
 from forestcalc.layers import coend, stratum
 from forestcalc.partitions import all_partitions, indiscrete, make_partition
 from forestcalc.simplicial import (
@@ -41,11 +42,12 @@ from forestcalc.simplicial import (
     model_points,
     model_wedge_of_circles,
     power,
+    subobject,
     surj_identity,
     t_space,
 )
 
-from helpers import betti_numbers, identity_simplicial
+from helpers import betti_numbers
 
 # the package exports a function named homology, which hides the module
 homology_module = importlib.import_module("forestcalc.homology")
@@ -185,7 +187,7 @@ def test_snf_random_matches_reference(m):
 def test_sparse_divisors_agree_with_dense():
     for m in SNF_BATTERY:
         es = matrix_entries(m)
-        divs = integer_divisors(es, len(m), len(m[0]))
+        divs = sparse_elementary_divisors(es, len(m), len(m[0]))
         assert divs == sympy_divisors(m)
 
 
@@ -199,7 +201,7 @@ def test_sparse_divisors_on_tree_boundary():
     for i, j, v in es:
         dense[i][j] += v
     d, _, _ = smith_normal_form(dense)
-    assert integer_divisors(es, nrows, ncols) == [x for x in diagonal_of(d) if x]
+    assert sparse_elementary_divisors(es, nrows, ncols) == [x for x in diagonal_of(d) if x]
 
 
 def test_kernel_implementation_label():
@@ -245,13 +247,13 @@ def test_rank_mod_p_drops_on_torsion():
     es = [(0, 0, 2)]
     assert rank_mod_p(es, 1, 1, 2) == 0
     assert rank_mod_p(es, 1, 1, 3) == 1
-    assert len(integer_divisors(es, 1, 1)) == 1
+    assert len(sparse_elementary_divisors(es, 1, 1)) == 1
 
 
 def test_rank_mod_p_matches_rational_generically():
     for m in SNF_BATTERY:
         es = matrix_entries(m)
-        rational = len(integer_divisors(es, len(m), len(m[0])))
+        rational = len(sparse_elementary_divisors(es, len(m), len(m[0])))
         # any prime not dividing the torsion gives the rational rank
         assert rank_mod_p(es, len(m), len(m[0]), 101) == rational
 
@@ -310,10 +312,6 @@ def test_chain_complex_boundary_squares_to_zero():
         complex_from_triangles(PROJECTIVE_PLANE),
     ):
         assert chain_complex(obj).validate() is True
-        # labeled chains share the boundary routine; same absolute homology
-        assert homology_of_complex(
-            labeled_chains(obj).to_chain_complex()
-        ) == homology_of_complex(chain_complex(obj, reduced=False))
 
 
 def test_homology_result_json():
@@ -326,28 +324,33 @@ def test_homology_result_json():
     assert result.groups_json() == {"groups": data["groups"], "euler": -1}
 
 
-# --- mapping cones and cubes -----------------------------------------------------------
+# --- total cofibers of cubes ----------------------------------------------------------
+
+
+def constant_cube(obj, d):
+    """Every corner of the d-cube is obj itself."""
+    return {
+        frozenset(U): obj for r in range(d + 1) for U in itertools.combinations(range(d), r)
+    }
+
+
+def broken_square():
+    """The corners of verify.broken_square_demo: the corner at the empty
+    set is empty, not the intersection {v0} of the two covers."""
+    seg = model_interval()
+    return {
+        frozenset(): subobject(seg, []),
+        frozenset({0}): subobject(seg, ["v0", "v1", "e"]),
+        frozenset({1}): subobject(seg, ["v0"]),
+        frozenset({0, 1}): seg,
+    }
 
 
 def test_cone_of_identity_acyclic():
+    # the one-direction cube is the mapping cone of the identity
     for obj in (model_circle(), complex_from_triangles(PROJECTIVE_PLANE)):
-        cx = labeled_chains(obj)
-        ident = chain_map_of(identity_simplicial(obj))
-        cone = mapping_cone(cx, cx, ident)
-        groups, _ = homology_of_complex(cone.to_chain_complex())
+        groups, _ = homology_of_complex(cube_cofiber(constant_cube(obj, 1)))
         assert all(g.is_zero() for g in groups.values())
-
-
-def test_chain_map_kills_degenerate_images():
-    from forestcalc.simplicial import SimplicialMap
-
-    circ = model_circle()
-    pt = model_points(1)
-    crush = SimplicialMap(circ, pt, {"v": ("p0", (0,)), "e": ("p0", (0, 0))})
-    crush.validate()
-    fmap = chain_map_of(crush)
-    assert fmap["v"] == {"p0": 1}
-    assert fmap["e"] == {}
 
 
 def test_cover_acyclicity_interval():
@@ -366,9 +369,8 @@ def test_cover_acyclicity_circle_two_covers():
 
 def test_cover_cube_shape():
     obj = model_interval()
-    objs, maps = cover_cube(obj, [["v0", "e", "v1"], ["v0", "v1"]])
+    objs = cover_cube(obj, [["v0", "e", "v1"], ["v0", "v1"]])
     assert len(objs) == 4
-    assert len(maps) == 4
     full = frozenset({0, 1})
     assert objs[full] is obj
     corner = objs[frozenset()]
@@ -382,23 +384,42 @@ def test_cover_must_reach_every_cell():
 
 def test_total_cofiber_of_identity_square():
     # constant square: every corner the same object, identity maps
-    obj = model_circle()
-    ident = identity_simplicial(obj)
-    objs = {
-        frozenset(): obj,
-        frozenset({0}): obj,
-        frozenset({1}): obj,
-        frozenset({0, 1}): obj,
-    }
-    maps = {
-        (frozenset(), frozenset({0})): ident,
-        (frozenset(), frozenset({1})): ident,
-        (frozenset({0}), frozenset({0, 1})): ident,
-        (frozenset({1}), frozenset({0, 1})): ident,
-    }
-    cx = total_cofiber(objs, maps, [0, 1])
-    groups, _ = homology_of_complex(cx)
+    groups, _ = homology_of_complex(cube_cofiber(constant_cube(model_circle(), 2)))
     assert all(g.is_zero() for g in groups.values())
+
+
+CUBES = {
+    "interval": lambda: cover_cube(model_interval(), [["v0", "v1", "e"], ["v0"]]),
+    "circle": lambda: cover_cube(model_circle(), [["v", "e"], ["v"]]),
+    "negative": broken_square,
+    "wedge3-3cover": lambda: cover_cube(
+        model_wedge_of_circles(3), [["v", "e0"], ["v", "e1"], ["v", "e2"]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUBES))
+@pytest.mark.parametrize("coefficients", ("Z", "F2", "F3"))
+def test_cube_cofiber_groups(case, coefficients):
+    cx = cube_cofiber(CUBES[case]())
+    assert cx.validate() is True
+    groups, _ = homology_of_complex(cx, coefficients)
+    result = HomologyResult(coefficients, False, groups)
+    if case == "negative":
+        assert result.groups_json() == {"groups": {"1": {"rank": 1, "torsion": []}}, "euler": -1}
+    else:
+        assert result.is_acyclic()
+
+
+def test_cube_corner_must_be_a_subobject():
+    seg = model_interval()
+    flipped = SimplicialObject(
+        {0: ["v0", "v1"], 1: ["e"]}, {"e": (("v0", (0,)), ("v1", (0,)))}
+    )
+    with pytest.raises(ValidationError, match="not a subobject"):
+        cube_cofiber({frozenset(): flipped, frozenset({0}): seg})
+    with pytest.raises(ValidationError, match="not a subobject"):
+        cube_cofiber({frozenset(): seg, frozenset({0}): model_points(2)})
 
 
 # --- reduction along unit pairs against the unreduced route ----------------------------
@@ -417,7 +438,7 @@ def unreduced_groups(cx, coefficients):
         if kind == "F":
             boundary_rank[k], torsion[k] = rank_mod_p(*args, p), ()
         else:
-            d = integer_divisors(*args)
+            d = sparse_elementary_divisors(*args)
             boundary_rank[k] = len(d)
             torsion[k] = tuple(x for x in d if x > 1) if kind == "Z" else ()
     return {

@@ -1,7 +1,8 @@
 """Tooling around the package.  The benchmark's traced run
 (perfbench/tracing.py) wraps package functions by module and name, so
 each of them must keep existing; the README's examples must run; no
-module, test module included, keeps an import it does not use."""
+module, test module included, keeps an import it does not use, at the
+top or inside a function."""
 
 import ast
 import glob
@@ -52,8 +53,25 @@ def test_readme_python_blocks_run(capsys):
             assert expected in printed, (expected, printed)
 
 
+def _imports_with_scope(tree):
+    """Each import statement with the innermost function around it, or
+    with the module when there is none."""
+    found = []
+
+    def visit(scope, node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((scope, child))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child if inner else scope, child)
+
+    visit(tree, tree)
+    return found
+
+
 def test_no_unused_imports():
-    # __init__.py imports in order to re-export, so it is left out
+    # __init__.py imports in order to re-export, so it is left out; an
+    # import inside a function must be used inside that function
     unused = []
     paths = glob.glob(os.path.join(PACKAGE, "*.py")) + glob.glob(os.path.join(TESTS, "*.py"))
     for path in sorted(paths):
@@ -61,13 +79,12 @@ def test_no_unused_imports():
             continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for stmt in tree.body:
+        for scope, stmt in _imports_with_scope(tree):
             if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
                 continue
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    if name not in used:
-                        unused.append((os.path.basename(path), name))
+            used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append((os.path.basename(path), stmt.lineno, name))
     assert not unused, unused
