@@ -201,6 +201,8 @@ def run_layer(args):
 
 
 def run_cube_check(args):
+    if args.demo is not None and args.file is not None:
+        raise ValidationError("give --demo or --file, not both")
     if args.demo is not None:
         run, expected, _ = CUBE_DEMOS[args.demo]
         ok, result = run()

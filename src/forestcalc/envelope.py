@@ -22,24 +22,56 @@ def canonical_json(data):
 
 
 def payload_digest(payload):
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _digest_of(canonical_json(payload))
+
+
+def _digest_of(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class Envelope(dict):
+    """An envelope's fields, plus the canonical text of its payload.
+
+    The text is taken once, when the envelope is built, and serves both
+    the digest and the rendered JSON; an envelope is not edited after.
+    """
+
+    def __init__(self, payload_text, **fields):
+        super().__init__(**fields)
+        self.payload_text = payload_text
 
 
 def envelope(command, config, payload):
     """Wrap a payload with enough context to reproduce it."""
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "payload": payload,
-        "digest": payload_digest(payload),
-    }
+    payload_text = canonical_json(payload)
+    return Envelope(
+        payload_text,
+        tool=TOOL_NAME,
+        version=__version__,
+        command=command,
+        config=config,
+        payload=payload,
+        digest=_digest_of(payload_text),
+    )
+
+
+def _envelope_json(env):
+    """canonical_json(env), with the payload text of an Envelope spliced
+    in rather than serialized again."""
+    if not isinstance(env, Envelope):
+        return canonical_json(env)
+    fields = (
+        json.dumps(key) + ":" + (
+            env.payload_text if key == "payload" else canonical_json(value)
+        )[:-1]
+        for key, value in sorted(env.items())
+    )
+    return "{" + ",".join(fields) + "}\n"
 
 
 def render(env, fmt="json"):
     if fmt == "json":
-        return canonical_json(env)
+        return _envelope_json(env)
     lines = [f"{env['tool']} {env['version']} :: {env['command']}"]
     for key, value in sorted(env["config"].items()):
         lines.append(f"  {key} = {value}")
@@ -111,9 +143,10 @@ def cache_get(directory, key, command, config):
         return None
     if not isinstance(env, dict) or "payload" not in env:
         return None
-    if env != envelope(command, config, env["payload"]):
+    fresh = envelope(command, config, env["payload"])
+    if env != fresh:
         return None
-    return env
+    return fresh
 
 
 def cache_put(directory, key, env):
@@ -121,5 +154,5 @@ def cache_put(directory, key, env):
     path = os.path.join(directory, key + ".json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(env))
+        fh.write(_envelope_json(env))
     os.replace(tmp, path)

@@ -19,9 +19,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
 from .simplicial import _debug, subobject, surj_identity
+
+# a cube has 2^d corners: 12 interval covers take 0.5 s and 50 MB, and
+# each further cover doubles both
+COVER_CAP = 12
 
 
 def parse_coefficients(spec):
@@ -531,7 +535,10 @@ def cube_acyclicity(corners, coefficients="Z"):
 def cover_cube(obj, covers):
     """Corners of the cube of intersections of a family of subcomplexes
     covering obj: the corner at U is the intersection of the covers
-    outside U, and the full subset is the whole object."""
+    outside U, and the full subset is the whole object.  More than
+    COVER_CAP covers is refused before any corner is built."""
+    if len(covers) > COVER_CAP:
+        raise CapExceededError(f"{len(covers)} covers exceed cap {COVER_CAP}")
     cells = set(obj.dim_of)
     cover_sets = [set(c) for c in covers]
     union = set().union(*cover_sets)

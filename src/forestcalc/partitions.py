@@ -17,23 +17,34 @@ POSET_SUPPORT_CAP = 9
 
 class UnionFind:
     """Disjoint sets of hashable elements with path compression.  An
-    element not seen before joins as a singleton class."""
+    element not seen before joins as a singleton class.
+
+    Every value of `parent` is a key object, and a root maps to its own
+    key object.  So a root is recognized by identity, `parent[r] is r`,
+    and each step of `find` hashes one element; tuples do not cache
+    their hash, and the elements can be deeply nested tuples.
+    """
 
     def __init__(self, elements=()):
         self.parent = {}
         for x in elements:
-            self.find(x)
+            self.parent.setdefault(x, x)
 
     def find(self, x):
+        """The root of x's class, as the key object stored for it."""
         parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
+        root = parent.setdefault(x, x)
+        if root is x:
+            return x  # a root passed as its own key object, or a new element
+        up = parent[root]
+        if up is root:
+            return root
+        path = [x]
+        while up is not root:
+            path.append(root)
+            root, up = up, parent[up]
+        for y in path:
+            parent[y] = root
         return root
 
     def __contains__(self, x):
@@ -42,16 +53,16 @@ class UnionFind:
     def union(self, x, y):
         """Merge the sets containing x and y. Returns False if already joined."""
         rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+        if rx is ry:
             return False
         self.parent[ry] = rx
         return True
 
     def classes(self):
         """Current classes as lists; members and classes in first-seen order."""
-        groups = {}
+        groups = {}  # id of the root -> members; roots are unique objects
         for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
+            groups.setdefault(id(self.find(x)), []).append(x)
         return list(groups.values())
 
     def blocks(self):
@@ -126,10 +137,7 @@ class Partition:
             raise SupportMismatchError(
                 f"supports {self.support_size} and {other.support_size} differ"
             )
-        where = other.block_of()
-        return all(
-            all(where[x] == where[block[0]] for x in block) for block in self.blocks
-        )
+        return _blocks_within(self.blocks, other.block_of())
 
     def leq(self, other):
         """self <= other iff other refines self (coarser is smaller)."""
@@ -137,6 +145,11 @@ class Partition:
 
     def to_json(self):
         return {"support": self.support_size, "blocks": [list(b) for b in self.blocks]}
+
+
+def _blocks_within(blocks, where):
+    """True when each block lies in one class of the block map where."""
+    return all(all(where[x] == where[block[0]] for x in block) for block in blocks)
 
 
 def make_partition(support_size, blocks):
@@ -297,17 +310,18 @@ class PosetTable:
     """A finite poset of partitions with a precomputed order relation.
 
     leq(i, j) means elements[j] refines elements[i].  Rows of the order
-    relation are stored as bitmasks.
+    relation are stored as bitmasks.  The elements share one support.
     """
 
     def __init__(self, elements):
         self.elements = tuple(elements)
         n = len(self.elements)
         rows = []
-        for i, p in enumerate(self.elements):
+        for p in self.elements:
+            where = p.block_of()  # once per row, not once per pair
             row = 0
             for j, q in enumerate(self.elements):
-                if q.refines(p):
+                if _blocks_within(q.blocks, where):
                     row |= 1 << j
             rows.append(row)
         self.rows = tuple(rows)

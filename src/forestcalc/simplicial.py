@@ -239,65 +239,120 @@ def _joint_surjection_tuples(dims):
     return out
 
 
+class JointNormalizer:
+    """Joint normal forms of tuples of refs, with the per-word work
+    memoized: each word's bitmask of degenerate positions (bit t when
+    a[t] == a[t + 1]), each word's stripped form under a shared mask,
+    and each mask's outer word.  One normalizer serves one `product` or
+    `product_map` call and is dropped with it, so no memo outlives the
+    call that filled it.
+    """
+
+    def __init__(self):
+        self.masks = {}  # word -> degenerate positions
+        self.stripped = {}  # (word, shared mask) -> stripped word
+        self.outer = {}  # (shared mask, word length) -> outer word
+
+    def __call__(self, refs):
+        """(product cell name, outer word) of a tuple of refs."""
+        masks = self.masks
+        shared = -1
+        for _, a in refs:
+            mask = masks.get(a)
+            if mask is None:
+                mask = masks[a] = sum(
+                    1 << t for t in range(len(a) - 1) if a[t] == a[t + 1]
+                )
+            shared &= mask
+            if not shared:
+                break
+        k1 = len(refs[0][1])
+        tau = self.outer.get((shared, k1))
+        if tau is None:
+            tau = [0]
+            for t in range(k1 - 1):
+                tau.append(tau[-1] + (0 if shared >> t & 1 else 1))
+            tau = self.outer[(shared, k1)] = tuple(tau)
+        if not shared:
+            return tuple(refs), tau
+        stripped = self.stripped
+        out = []
+        for c, a in refs:
+            b = stripped.get((a, shared))
+            if b is None:
+                # position t + 1 repeats position t for each shared bit t
+                b = stripped[(a, shared)] = (a[0],) + tuple(
+                    a[t + 1] for t in range(k1 - 1) if not shared >> t & 1
+                )
+            out.append((c, b))
+        return tuple(out), tau
+
+
 def joint_normalize(refs):
     """Normal form of a tuple of refs as a product simplex.
 
     Strips the degeneracy positions shared by every coordinate and
-    returns (product cell name, outer word).
+    returns (product cell name, outer word).  A caller that normalizes
+    many tuples keeps one `JointNormalizer` instead.
     """
-    k1 = len(refs[0][1])
-    for _, a in refs:
-        if a[-1] == k1 - 1:
-            # an identity word shares no degeneracy position
-            return tuple(refs), a
-    shared = [
-        t
-        for t in range(k1 - 1)
-        if all(a[t] == a[t + 1] for (_, a) in refs)
-    ]
-    if not shared:
-        return tuple(refs), surj_identity(k1 - 1)
-    remove = {t + 1 for t in shared}
-    stripped = tuple(
-        (c, tuple(a[t] for t in range(k1) if t not in remove)) for (c, a) in refs
-    )
-    shared_set = set(shared)
-    tau = [0]
-    for t in range(k1 - 1):
-        tau.append(tau[-1] + (0 if t in shared_set else 1))
-    return stripped, tuple(tau)
+    return JointNormalizer()(refs)
+
+
+def _product_cells(factors, coordinate_cells, basepoints=None):
+    """Cells and faces of the product simplices whose coordinate j is a
+    cell of coordinate_cells[j].
+
+    Faces are computed coordinatewise and renormalized.  Given the
+    factors' basepoints, a face with a basepoint coordinate becomes the
+    collapsed face (BASEPOINT, surj_zero(k - 1)).  Within the call each
+    coordinate face and each dims tuple's surjection tuples are computed
+    once.
+    """
+    top = sum(f.dimension for f in factors)
+    if top > PRODUCT_DIM_CAP:
+        raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
+    normalize = JointNormalizer()
+    surjection_tuples = {}
+    face_memos = [{} for _ in factors]  # per factor: ref -> its faces
+    cells, faces = {}, {}
+    for combo in itertools.product(*coordinate_cells):
+        dims = tuple(f.dim_of[c] for f, c in zip(factors, combo))
+        tuples = surjection_tuples.get(dims)
+        if tuples is None:
+            tuples = surjection_tuples[dims] = _joint_surjection_tuples(dims)
+        for alphas in tuples:
+            name = tuple(zip(combo, alphas))
+            k = len(alphas[0]) - 1
+            cells.setdefault(k, []).append(name)
+            if k == 0:
+                continue
+            coordinate_faces = []
+            for f, memo, ref in zip(factors, face_memos, name):
+                ref_faces = memo.get(ref)
+                if ref_faces is None:
+                    ref_faces = memo[ref] = [f.face_of_ref(ref, i) for i in range(k + 1)]
+                coordinate_faces.append(ref_faces)
+            fs = []
+            for i in range(k + 1):
+                sub = [fc[i] for fc in coordinate_faces]
+                if basepoints and any(c == bp for (c, _), bp in zip(sub, basepoints)):
+                    fs.append((BASEPOINT, surj_zero(k - 1)))
+                else:
+                    fs.append(normalize(sub))
+            faces[name] = tuple(fs)
+    return cells, faces
 
 
 def product(factors):
     """Product of finitely many simplicial objects.
 
     Cells are jointly nondegenerate tuples of refs; faces are computed
-    coordinatewise and renormalized.  Pointed when every factor is.
+    coordinatewise and renormalized (see `_product_cells`).  Pointed
+    when every factor is.
     """
     if not factors:
         raise ValidationError("product needs at least one factor")
-    top = sum(f.dimension for f in factors)
-    if top > PRODUCT_DIM_CAP:
-        raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
-    cells = {}
-    for combo in itertools.product(*[list(f.all_cells()) for f in factors]):
-        dims = [factors[i].dim_of[c] for i, c in enumerate(combo)]
-        for alphas in _joint_surjection_tuples(dims):
-            name = tuple((combo[i], alphas[i]) for i in range(len(factors)))
-            k = len(alphas[0]) - 1
-            cells.setdefault(k, []).append(name)
-    faces = {}
-    for k, names in cells.items():
-        if k == 0:
-            continue
-        for name in names:
-            fs = []
-            for i in range(k + 1):
-                sub = [
-                    factors[j].face_of_ref(name[j], i) for j in range(len(factors))
-                ]
-                fs.append(joint_normalize(sub))
-            faces[name] = tuple(fs)
+    cells, faces = _product_cells(factors, [list(f.all_cells()) for f in factors])
     basepoint = None
     if all(f.basepoint is not None for f in factors):
         basepoint = tuple((f.basepoint, (0,)) for f in factors)
@@ -357,16 +412,24 @@ def quotient(obj, collapse):
 
 
 def smash(a, b):
-    """Smash product of pointed objects: product over wedge."""
+    """Smash product of pointed objects: product over wedge.
+
+    Built directly: the cells are the product cells with no basepoint
+    coordinate, plus a fresh basepoint, and a face with a basepoint
+    coordinate is the collapsed face, so the cells and faces are those
+    of quotient(product([a, b]), wedge) without building the product.
+    """
     if a.basepoint is None or b.basepoint is None:
         raise ValidationError("smash needs basepoints on both factors")
-    prod = product([a, b])
-    wedge = [
-        cell
-        for cell in prod.all_cells()
-        if cell[0][0] == a.basepoint or cell[1][0] == b.basepoint
+    factors = (a, b)
+    coordinate_cells = [
+        [c for c in f.all_cells() if c != f.basepoint] for f in factors
     ]
-    return quotient(prod, wedge)
+    cells, faces = _product_cells(
+        factors, coordinate_cells, (a.basepoint, b.basepoint)
+    )
+    cells = {0: [BASEPOINT] + cells.pop(0, []), **cells}
+    return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +507,25 @@ def product_map(maps, source, target):
     coordinate ref is copied unchanged.  The image refs are renormalized
     jointly, since a factor's image can add degeneracies shared by all
     coordinates.  An image outside target (a simplex of the collapsed
-    wedge, when target is a smash) goes to the basepoint.
+    wedge, when target is a smash) goes to the basepoint.  Within the
+    call each coordinate's image of a ref is computed once.
     """
+    normalize = JointNormalizer()
+    image_memos = [{} for _ in maps]  # per coordinate: ref -> image ref
     mapping = {}
     for cell in source.all_cells():
         if cell == BASEPOINT:
             mapping[cell] = (BASEPOINT, (0,))
             continue
-        image = joint_normalize(
-            [ref if f is None else f.ref_image(ref) for f, ref in zip(maps, cell)]
-        )
+        refs = []
+        for f, memo, ref in zip(maps, image_memos, cell):
+            if f is not None:
+                image = memo.get(ref)
+                if image is None:
+                    image = memo[ref] = f.ref_image(ref)
+                ref = image
+            refs.append(ref)
+        image = normalize(refs)
         if image[0] not in target.dim_of:
             image = (BASEPOINT, surj_zero(source.dim_of[cell]))
         mapping[cell] = image

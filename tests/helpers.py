@@ -24,6 +24,7 @@ from forestcalc.simplicial import (
     SimplicialObject,
     descend_to_quotients,
     power,
+    product,
     product_map,
     quotient,
     smash,
@@ -46,6 +47,19 @@ def stratum_homology(res, coefficients="Z"):
     """The homology of a stratum's chain complex."""
     groups, _ = homology_of_complex(res.complex, coefficients)
     return HomologyResult(coefficients, True, groups)
+
+
+def smash_via_product(a, b):
+    """The smash product by its definition: the product with its wedge
+    collapsed.  The oracle for `smash`, which builds the cells off the
+    wedge directly."""
+    prod = product([a, b])
+    wedge = [
+        cell
+        for cell in prod.all_cells()
+        if cell[0][0] == a.basepoint or cell[1][0] == b.basepoint
+    ]
+    return quotient(prod, wedge)
 
 
 def identity_simplicial(obj):

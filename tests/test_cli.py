@@ -347,6 +347,30 @@ def test_cube_from_file(capsys, tmp_path):
     assert env["payload"]["file"] == "cube.json"
 
 
+def test_cube_demo_and_file_together_exit_2(capsys):
+    argv = ["cube-check", "--demo", "interval", "--file", "/no/such.json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: give --demo or --file, not both\n"
+
+
+def test_cube_with_too_many_covers_is_rejected_at_once(capsys, tmp_path):
+    # 2^40 corners: only a check made before any corner is built returns
+    interval = [
+        {"id": "v0", "dim": 0},
+        {"id": "v1", "dim": 0},
+        {"id": "e", "dim": 1, "faces": ["v1", "v0"]},
+    ]
+    data = {"model": {"cells": interval}, "covers": [["v0", "v1", "e"]] * 40}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["cube-check", "--file", str(path)])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 40 covers exceed cap 12\n"
+
+
 def test_cube_file_missing_keys(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}", encoding="utf-8")

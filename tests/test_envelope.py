@@ -50,6 +50,14 @@ def test_render_json_is_canonical():
     assert json.loads(out)["payload"] == {"v": 1}
 
 
+def test_render_json_splices_the_payload_text_verbatim():
+    payload = {"z": [1, {"b": None, "a": "\u00e9\\"}], "a": 1.5, "m": {}}
+    env = envelope("layer", {"n": 2, "m": "circle"}, payload)
+    out = render(env, "json")
+    assert out == canonical_json(dict(env))
+    assert json.loads(out) == env
+
+
 def test_render_text_mentions_command_and_digest():
     env = envelope("goodness", {"all": True}, {"verdict": "good"})
     out = render(env, "text")
@@ -96,6 +104,9 @@ def test_cache_roundtrip(tmp_path):
     cache_put(d, key, env)
     back = cache_get(d, key, "tspace", config)
     assert back == json.loads(canonical_json(env))
+    with open(f"{d}/{key}.json", encoding="utf-8") as fh:
+        assert fh.read() == canonical_json(dict(env))
+    assert render(back) == render(env)
     # unrelated keys stay empty
     other = {"lam": "(0 2)"}
     assert cache_get(d, cache_key("tspace", other), "tspace", other) is None

@@ -45,6 +45,7 @@ from helpers import (
     compose,
     identity_simplicial,
     orbit_stratum,
+    smash_via_product,
     stratum_homology,
     surj_degeneracy,
 )
@@ -277,6 +278,31 @@ def test_glue_matches_all_simplices_colimit(model, n):
     oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
     assert same_object(total, oracle_total)
     assert gluing == oracle_gluing
+
+
+SMASH_CASES = [(name, n) for name in ("points3", "circle", "interval", "wedge2") for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, n", SMASH_CASES, ids=[f"{c}-n{n}" for c, n in SMASH_CASES])
+def test_smash_matches_product_over_wedge(name, n):
+    # the factors of piece i (i == j) and of the mixing piece of each
+    # generating arrow i -> j: the power quotient of j and the tree space of i
+    M = MODELS[name]()
+    table = enumerate_en(n, include_homs=True)
+    quotients = [power_pair(M, lam).quotient for lam in table.objects]
+    trees = [t_space(lam) for lam in table.objects]
+    factors = [
+        (quotients[j], trees[i])
+        for i in range(len(trees))
+        for j in range(len(trees))
+        if i == j or table.generating_arrows(i, j)
+    ]
+    assert len(factors) == (1 if n == 1 else 3)
+    for a, b in factors:
+        built, oracle = smash(a, b), smash_via_product(a, b)
+        assert built.cells == oracle.cells
+        assert built.faces == oracle.faces
+        assert built.basepoint == oracle.basepoint
 
 
 def all_arrow_relations(M, table):

@@ -279,3 +279,42 @@ def test_union_find_blocks_sorted_by_minimum():
     uf.union(4, 0)
     uf.union(3, 5)
     assert uf.blocks() == ((0, 4), (1, 3, 5), (2,))
+
+
+def test_union_find_keys_equal_but_distinct():
+    # fresh tuples and ints above 256 are new objects on every build; find
+    # returns the key object stored first, and roots map to themselves
+    def key(i):
+        return tuple([int(str(1000 + i)), "x"])
+
+    assert key(0) == key(0) and key(0) is not key(0)
+    assert int(str(1000)) is not int(str(1000))
+    stored = [key(i) for i in range(6)]
+    uf = UnionFind(stored)
+    assert uf.union(key(0), key(1))
+    assert uf.union(key(2), key(3))
+    assert uf.union(key(1), key(3))
+    assert not uf.union(key(3), key(0))
+    root = uf.find(key(2))
+    assert any(root is k for k in stored)
+    for i in range(4):
+        assert uf.find(key(i)) is root
+    assert uf.find(key(5)) is stored[5]
+    assert uf.classes() == [stored[:4], [stored[4]], [stored[5]]]
+    # every value is a stored key object; exactly the roots map to themselves
+    keys = {id(k) for k in uf.parent}
+    assert all(id(v) in keys for v in uf.parent.values())
+    roots = [k for k, v in uf.parent.items() if v is k]
+    assert len(roots) == 3 and roots[0] is root
+
+
+def test_union_find_flattens_a_long_chain():
+    # each union puts the old root under the new element: 0 -> 1 -> ... -> n
+    n = 300
+    uf = UnionFind()
+    for i in range(1, n + 1):
+        assert uf.union(int(str(1000 + i)), int(str(1000 + i - 1)))
+    top = next(k for k in uf.parent if k == 1000 + n)
+    assert uf.find(int(str(1000))) is top
+    assert all(parent is top for parent in uf.parent.values())
+    assert len(uf.classes()) == 1

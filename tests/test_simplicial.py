@@ -17,9 +17,11 @@ from forestcalc.partitions import (
     make_partition,
     refinement_poset,
 )
+from forestcalc import simplicial
 from forestcalc.simplicial import (
     BASEPOINT,
     PRODUCT_DIM_CAP,
+    JointNormalizer,
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
@@ -54,6 +56,7 @@ from helpers import (
     betti_numbers,
     identity_simplicial,
     quotient_by_group,
+    smash_via_product,
     surj_degeneracy,
 )
 
@@ -185,17 +188,19 @@ def test_joint_normalize_strips_shared_degeneracies():
     assert tau == (0, 1, 2)
 
 
+def strip(refs):
+    """The joint normal form by a plain strip of the shared positions."""
+    k1 = len(refs[0][1])
+    keep = [0] + [t for t in range(1, k1) if any(a[t - 1] != a[t] for _, a in refs)]
+    tau = [0]
+    for t in range(1, k1):
+        tau.append(tau[-1] + (t in keep))
+    return tuple((c, tuple(a[t] for t in keep)) for c, a in refs), tuple(tau)
+
+
 def test_joint_normalize_matches_stripping_every_shared_position():
     # the shortcut for a coordinate with an identity word against a
     # plain strip of the shared positions, on all pairs of words up to [3]
-    def strip(refs):
-        k1 = len(refs[0][1])
-        keep = [0] + [t for t in range(1, k1) if any(a[t - 1] != a[t] for _, a in refs)]
-        tau = [0]
-        for t in range(1, k1):
-            tau.append(tau[-1] + (t in keep))
-        return tuple((c, tuple(a[t] for t in keep)) for c, a in refs), tuple(tau)
-
     checked = 0
     for k in range(4):
         words = [a for p in range(k + 1) for a in surjections(k, p)]
@@ -205,6 +210,25 @@ def test_joint_normalize_matches_stripping_every_shared_position():
                 assert joint_normalize(refs) == strip(refs), refs
                 checked += 1
     assert checked == 1 + 4 + 16 + 64
+
+
+def test_one_normalizer_reused_agrees_with_fresh_ones():
+    # one normalizer serves every pair and triple of words up to [3], as
+    # product and product_map reuse theirs; the second round reads memos
+    normalize = JointNormalizer()
+    checked = 0
+    for _ in range(2):
+        for k in range(4):
+            words = [a for p in range(k + 1) for a in surjections(k, p)]
+            for a in words:
+                for b in words:
+                    for refs in ([("c", a), ("d", b)], [("c", a), ("d", b), ("e", a)]):
+                        expected = strip(refs)
+                        assert joint_normalize(refs) == expected, refs
+                        assert normalize(refs) == expected, refs
+                        checked += 1
+    assert checked == 2 * 2 * (1 + 4 + 16 + 64)
+    assert normalize.masks  # the memo is filled, and lives on the instance
 
 
 # --- quotients and smash --------------------------------------------------------
@@ -255,6 +279,26 @@ def test_smash_with_point_collapses():
     s1 = model_circle(pointed=True)
     out = smash(s1, point_object())
     assert homology(out).is_acyclic()
+
+
+def test_smash_of_suspension_factors_matches_product_over_wedge(monkeypatch):
+    # the circle and the nerve quotient that the suspension model of
+    # (0 1 2 3) smashes, with smash_via_product as the oracle
+    factors = []
+
+    def recording_smash(a, b):
+        factors.append((a, b))
+        return smash(a, b)
+
+    monkeypatch.setattr(simplicial, "smash", recording_smash)
+    t_space_suspension_model(make_partition(4, [[0, 1, 2, 3]]))
+    assert len(factors) == 1
+    a, b = factors[0]
+    built, oracle = smash(a, b), smash_via_product(a, b)
+    assert sum(built.cell_count().values()) > 100
+    assert built.cells == oracle.cells
+    assert built.faces == oracle.faces
+    assert built.basepoint == oracle.basepoint
 
 
 def test_smash_needs_basepoints():
