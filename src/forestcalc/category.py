@@ -263,30 +263,22 @@ class CategoryTable:
             raise ValidationError("hom sets were not materialized for this table")
         return self.homs[(i, j)]
 
-    def _orbits(self, i, j, precompose):
-        """Orbits of hom(i, j) under post-composition with the generators
-        of Aut(j) and, if precompose, pre-composition with those of
-        Aut(i).  Each orbit lists value tuples in hom order, so it starts
-        with its smallest arrow; orbits come in order of that arrow."""
-        maps = self.hom(i, j)
-        uf = UnionFind(maps)
-        pre = self.groups[i].generators if precompose else ()
-        for v in maps:
-            composites = [tuple(g[x] for x in v) for g in self.groups[j].generators]
-            composites += [tuple(v[x] for x in g) for g in pre]
-            for gf in composites:
-                if gf not in uf:
-                    raise ValidationError(
-                        f"composite {gf} of {v} with an automorphism is not "
-                        f"listed in hom({i}, {j})"
-                    )
-                uf.union(v, gf)
-        return uf.classes()
-
     def glue_pattern_count(self, i, j):
         """Orbits of hom(i, j) under post-composition with target
-        automorphisms; the classical way these morphisms get counted."""
-        return len(self._orbits(i, j, precompose=False))
+        automorphisms; the classical way these morphisms get counted.
+
+        Every listed arrow is onto, since a fusion onto a partition with
+        no singleton block leaves no target point unhit, so Aut(j) acts
+        freely and each orbit has |Aut(j)| arrows.  A hom set whose size
+        is not a multiple of that order is not closed under the action.
+        """
+        size, order = len(self.hom(i, j)), self.groups[j].order
+        if size % order:
+            raise ValidationError(
+                f"hom({i}, {j}) has {size} arrows, not a multiple of "
+                f"|Aut({j})| = {order}"
+            )
+        return size // order
 
     def generating_arrows(self, i, j):
         """Arrows of hom(i, j) that generate it under composition with
@@ -300,7 +292,20 @@ class CategoryTable:
         composite is not listed; either would under-glue silently.
         """
         if i != j:
-            return tuple(orbit[0] for orbit in self._orbits(i, j, precompose=True))
+            maps = self.hom(i, j)
+            uf = UnionFind(maps)
+            for v in maps:
+                composites = [tuple(g[x] for x in v) for g in self.groups[j].generators]
+                composites += [tuple(v[x] for x in g) for g in self.groups[i].generators]
+                for gf in composites:
+                    if gf not in uf:
+                        raise ValidationError(
+                            f"composite {gf} of {v} with an automorphism is not "
+                            f"listed in hom({i}, {j})"
+                        )
+                    uf.union(v, gf)
+            # orbits list arrows in hom order, so each starts with its smallest
+            return tuple(orbit[0] for orbit in uf.classes())
         group = self.groups[i]
         listed = set(self.hom(i, i))
         for g in group.generators:
@@ -413,28 +418,6 @@ def enumerate_en(n, include_homs=True):
             for j, tgt in enumerate(objects):
                 homs[(i, j)] = strict_fusions(src, tgt)
     return CategoryTable(n=n, objects=objects, strata=strata, groups=groups, homs=homs)
-
-
-def filtration(table, i):
-    """Full subcategory of objects with at most i components."""
-    if not 1 <= i <= table.n:
-        raise ValidationError(f"filtration index {i} out of range 1..{table.n}")
-    keep = [k for k in range(len(table.objects)) if table.strata[k] <= i]
-    reindex = {old: new for new, old in enumerate(keep)}
-    homs = None
-    if table.homs is not None:
-        homs = {
-            (reindex[a], reindex[b]): maps
-            for (a, b), maps in table.homs.items()
-            if a in reindex and b in reindex
-        }
-    return CategoryTable(
-        n=table.n,
-        objects=tuple(table.objects[k] for k in keep),
-        strata=tuple(table.strata[k] for k in keep),
-        groups=tuple(table.groups[k] for k in keep),
-        homs=homs,
-    )
 
 
 def verify_nice_filtration(table):

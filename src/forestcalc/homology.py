@@ -338,8 +338,8 @@ class HomologyResult:
 
 
 def homology_of_complex(cx, coefficients="Z"):
+    """The homology groups of a chain complex, by degree."""
     kind, p = parse_coefficients(coefficients)
-    reduced = -1 in cx.ranks
     small = reduce_complex(cx)
     if _debug():
         small.validate()
@@ -374,13 +374,13 @@ def homology_of_complex(cx, coefficients="Z"):
         else:
             torsion = ()
         groups[k] = HomologyGroup(rank, torsion)
-    return groups, reduced
+    return groups
 
 
 def homology(obj, coefficients="Z", reduced=True):
     """Homology of a simplicial object; reduced by default."""
     cx = chain_complex(obj, reduced=reduced)
-    groups, _ = homology_of_complex(cx, coefficients)
+    groups = homology_of_complex(cx, coefficients)
     return HomologyResult(coefficients=coefficients, reduced=reduced, groups=groups)
 
 
@@ -527,7 +527,7 @@ def _check_subobject(small, big):
 
 def cube_acyclicity(corners, coefficients="Z"):
     """Whether the total cofiber of a cube of subobjects vanishes in homology."""
-    groups, _ = homology_of_complex(cube_cofiber(corners), coefficients)
+    groups = homology_of_complex(cube_cofiber(corners), coefficients)
     result = HomologyResult(coefficients=coefficients, reduced=False, groups=groups)
     return result.is_acyclic(), result
 

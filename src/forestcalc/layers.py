@@ -391,7 +391,7 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
                 "group_order": res.group_order,
             }
             over = coefficients if res.free else "Q"
-            groups, _ = homology_of_complex(res.complex, over)
+            groups = homology_of_complex(res.complex, over)
             entry["homology"] = HomologyResult(over, True, groups).groups_json()
             entry["model"] = coefficients if res.free else "rational, invariants model"
             strata[label] = entry

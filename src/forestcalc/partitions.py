@@ -137,7 +137,8 @@ class Partition:
             raise SupportMismatchError(
                 f"supports {self.support_size} and {other.support_size} differ"
             )
-        return _blocks_within(self.blocks, other.block_of())
+        where = other.block_of()
+        return all(all(where[x] == where[b[0]] for x in b) for b in self.blocks)
 
     def leq(self, other):
         """self <= other iff other refines self (coarser is smaller)."""
@@ -145,11 +146,6 @@ class Partition:
 
     def to_json(self):
         return {"support": self.support_size, "blocks": [list(b) for b in self.blocks]}
-
-
-def _blocks_within(blocks, where):
-    """True when each block lies in one class of the block map where."""
-    return all(all(where[x] == where[block[0]] for x in block) for block in blocks)
 
 
 def make_partition(support_size, blocks):
@@ -177,16 +173,6 @@ def from_block_of(block_of):
     return Partition(len(block_of), blocks)
 
 
-def indiscrete(m):
-    if m == 0:
-        return Partition(0, ())
-    return Partition(m, (tuple(range(m)),))
-
-
-def discrete(m):
-    return Partition(m, tuple((x,) for x in range(m)))
-
-
 def all_partitions(m):
     """All partitions of {0..m-1} in restricted-growth-string order."""
     if m == 0:
@@ -203,15 +189,6 @@ def all_partitions(m):
             yield from rec(i + 1, max(maxlabel, label))
 
     yield from rec(1, 0)
-
-
-def partitions_of_block(block):
-    """All partitions of a fixed sorted tuple of elements, as block tuples."""
-    m = len(block)
-    out = []
-    for p in all_partitions(m):
-        out.append(tuple(tuple(block[x] for x in b) for b in p.blocks))
-    return out
 
 
 @dataclass(frozen=True)
@@ -307,65 +284,38 @@ def canonicalize(p):
 
 
 class PosetTable:
-    """A finite poset of partitions with a precomputed order relation.
+    """A finite set of partitions of one support, closed under
+    refinement, ordered by refinement.
 
-    leq(i, j) means elements[j] refines elements[i].  Rows of the order
-    relation are stored as bitmasks.  The elements share one support.
+    Each element's strict successors, its proper refinements, are
+    generated blockwise: a refinement of q partitions each block of q,
+    so they are the products of the partitions of q's blocks.  Closure
+    under refinement puts every one of them among the elements.
     """
 
     def __init__(self, elements):
         self.elements = tuple(elements)
-        n = len(self.elements)
-        rows = []
-        for p in self.elements:
-            where = p.block_of()  # once per row, not once per pair
-            row = 0
-            for j, q in enumerate(self.elements):
-                if _blocks_within(q.blocks, where):
-                    row |= 1 << j
-            rows.append(row)
-        self.rows = tuple(rows)
         self.index = {p: i for i, p in enumerate(self.elements)}
-        if len(self.index) != n:
+        if len(self.index) != len(self.elements):
             raise ValidationError("duplicate poset elements")
+        at = {p.blocks: i for i, p in enumerate(self.elements)}
+        splits = {}
+        above = []
+        for i, q in enumerate(self.elements):
+            succ = sorted(at[blocks] for blocks in _refinements(q.blocks, splits))
+            succ.remove(i)  # keeping every block whole gives q itself
+            above.append(tuple(succ))
+        self.above = tuple(above)
+        counts = [p.components for p in self.elements]
+        self.min_index = counts.index(min(counts))
+        self.max_index = counts.index(max(counts))
 
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, i, j):
-        return (self.rows[i] >> j) & 1 == 1
-
     def strictly_above(self, i):
         """Indices j with elements[i] < elements[j], ascending."""
-        mask = self.rows[i] & ~(1 << i)
-        out = []
-        j = 0
-        while mask:
-            if mask & 1:
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
-
-    @property
-    def min_index(self):
-        full = (1 << len(self.elements)) - 1
-        for i, row in enumerate(self.rows):
-            if row == full:
-                return i
-        raise ValidationError("poset has no minimum")
-
-    @property
-    def max_index(self):
-        for i in range(len(self.elements)):
-            above = sum(1 for row in self.rows if (row >> i) & 1)
-            if above == len(self.elements):
-                return i
-        raise ValidationError("poset has no maximum")
-
-    def restrict(self, keep_indices):
-        """Subposet on the given element indices."""
-        return PosetTable([self.elements[i] for i in keep_indices])
+        return self.above[i]
 
 
 def refinement_poset(p):
@@ -378,14 +328,33 @@ def refinement_poset(p):
         raise CapExceededError(
             f"support {p.support_size} exceeds cap {POSET_SUPPORT_CAP}"
         )
-    per_block = [partitions_of_block(b) for b in p.blocks]
-    elements = []
+    refinements = sorted(_refinements(p.blocks, {}))
+    return PosetTable(Partition(p.support_size, blocks) for blocks in refinements)
+
+
+def _refinements(blocks, splits):
+    """The refinements of the partition with these blocks, as block
+    tuples.  splits is the caller's memo for `_partitions_of_block`."""
+    per_block = [_partitions_of_block(b, splits) for b in blocks]
     for combo in itertools.product(*per_block):
-        blocks = [blk for part in combo for blk in part]
-        blocks.sort(key=lambda b: b[0])
-        elements.append(Partition(p.support_size, tuple(blocks)))
-    elements.sort(key=lambda q: q.blocks)
-    table = PosetTable(elements)
-    # min/max sanity: the construction guarantees both exist
-    assert table.elements[table.min_index] == p
-    return table
+        # sorting disjoint blocks as tuples orders them by minimum
+        yield tuple(sorted(blk for part in combo for blk in part))
+
+
+def _partitions_of_block(block, memo):
+    """All partitions of a sorted tuple of elements, as block tuples with
+    blocks ordered by minimum; memo maps a block to its partitions."""
+    if block not in memo:
+        if not block:
+            memo[block] = [()]
+        else:
+            # the first element is the minimum: it starts a block of its
+            # own or joins one block of a partition of the rest
+            first = block[:1]
+            out = []
+            for part in _partitions_of_block(block[1:], memo):
+                out.append((first,) + part)
+                for j, b in enumerate(part):
+                    out.append((first + b,) + part[:j] + part[j + 1:])
+            memo[block] = out
+    return memo[block]

@@ -20,7 +20,9 @@ from .partitions import refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
-T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 12 s end to end; T8 has 1,587,600
+T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 6 s end to end; T8 has 1,587,600
+# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 4 s and 170 MB
+SUSPENSION_TOP_CELL_CAP = 13_500
 
 
 def _debug():
@@ -64,23 +66,13 @@ def surj_face(alpha, i):
     return v, tuple(x if x < v else x - 1 for x in dropped)
 
 
-def surjections(k, p):
-    """All monotone surjections [k] -> [p], in lexicographic order."""
-    for inc in itertools.combinations(range(k), p):
-        alpha = [0]
-        incs = set(inc)
-        for t in range(k):
-            alpha.append(alpha[-1] + (1 if t in incs else 0))
-        yield tuple(alpha)
-
-
 # ---------------------------------------------------------------------------
 
 
 class SimplicialObject:
     """Nondegenerate cells per dimension plus a face table of refs."""
 
-    def __init__(self, cells, faces, basepoint=None, validate=False):
+    def __init__(self, cells, faces, basepoint=None):
         self.cells = {
             k: tuple(sorted(v, key=sort_key)) for k, v in cells.items() if v
         }
@@ -94,7 +86,7 @@ class SimplicialObject:
                 self.dim_of[c] = k
         if basepoint is not None and self.dim_of.get(basepoint) != 0:
             raise ValidationError("basepoint must be a dimension-0 cell")
-        if validate or _debug():
+        if _debug():
             self.validate()
 
     @property
@@ -218,25 +210,28 @@ def nerve(poset):
 
 def _joint_surjection_tuples(dims):
     """Jointly nondegenerate tuples of monotone surjections onto [dims_i]."""
-    m = len(dims)
     out = []
-    cur = [[0] for _ in range(m)]
-
-    def rec():
-        if all(cur[i][-1] == dims[i] for i in range(m)):
-            out.append(tuple(tuple(a) for a in cur))
-        for mask in range(1, 1 << m):
-            bits = [i for i in range(m) if mask >> i & 1]
-            if any(cur[i][-1] >= dims[i] for i in bits):
-                continue
-            for i in range(m):
-                cur[i].append(cur[i][-1] + (1 if i in bits else 0))
-            rec()
-            for i in range(m):
-                cur[i].pop()
-
-    rec()
+    _extend_jointly(dims, [[0] for _ in dims], out)
     return out
+
+
+def _extend_jointly(dims, cur, out):
+    """Append to out every jointly nondegenerate completion of the words
+    cur.  A module-level recursion, not a closure over out: a closure
+    that calls itself is a reference cycle, which would keep out alive
+    until the garbage collector runs."""
+    m = len(dims)
+    if all(cur[i][-1] == dims[i] for i in range(m)):
+        out.append(tuple(tuple(a) for a in cur))
+    for mask in range(1, 1 << m):
+        bits = [i for i in range(m) if mask >> i & 1]
+        if any(cur[i][-1] >= dims[i] for i in bits):
+            continue
+        for i in range(m):
+            cur[i].append(cur[i][-1] + (1 if i in bits else 0))
+        _extend_jointly(dims, cur, out)
+        for i in range(m):
+            cur[i].pop()
 
 
 class JointNormalizer:
@@ -286,16 +281,6 @@ class JointNormalizer:
                 )
             out.append((c, b))
         return tuple(out), tau
-
-
-def joint_normalize(refs):
-    """Normal form of a tuple of refs as a product simplex.
-
-    Strips the degeneracy positions shared by every coordinate and
-    returns (product cell name, outer word).  A caller that normalizes
-    many tuples keeps one `JointNormalizer` instead.
-    """
-    return JointNormalizer()(refs)
 
 
 def _product_cells(factors, coordinate_cells, basepoints=None):
@@ -571,6 +556,19 @@ def _check_t_space_size(lam):
         )
 
 
+def _chains_from_min(poset):
+    """The chains of the poset that start at its minimum and miss its
+    maximum, as lists of index tuples: those of one element, then of
+    two, and so on."""
+    mx = poset.max_index
+    chains = [(poset.min_index,)]
+    while chains:
+        yield chains
+        chains = [
+            ch + (j,) for ch in chains for j in poset.strictly_above(ch[-1]) if j != mx
+        ]
+
+
 def t_space(lam):
     """Nerve of the refinement poset of lam modulo its boundary part.
 
@@ -588,40 +586,50 @@ def t_space(lam):
         return SimplicialObject({0: [BASEPOINT, (mn,)]}, {}, basepoint=BASEPOINT)
     cells = {0: [BASEPOINT]}
     faces = {}
-    chains, k = [(mn,)], 1  # chains from the minimum that miss the maximum
-    while chains:
+    for k, chains in enumerate(_chains_from_min(poset), 1):
         ident = surj_identity(k - 1)
         collapsed = (BASEPOINT, surj_zero(k - 1))
         cells[k] = [ch + (mx,) for ch in chains]
         for cell in cells[k]:
             inner = tuple((cell[:i] + cell[i + 1:], ident) for i in range(1, k))
             faces[cell] = (collapsed,) + inner + (collapsed,)
-        chains = [
-            ch + (j,) for ch in chains for j in poset.strictly_above(ch[-1]) if j != mx
-        ]
-        k += 1
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
 def t_space_suspension_model(lam):
-    """Suspension description: circle smashed with a quotient of nerves.
+    """Suspension description: the circle smashed with the nerve of the
+    refinement poset minus its maximum, modulo the chains that miss the
+    minimum.
 
-    Uses the subposet below the maximum; requires positive excess, the
-    degenerate case has no suspension description.
+    The cells left are the chains from the minimum: the first face of
+    each falls to the basepoint, and every other face drops one element
+    and stays such a chain.  Cell names index the poset without its
+    maximum, as they would in the nerve of that subposet.  Requires
+    positive excess; the degenerate case has no suspension description.
     """
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
     _check_t_space_size(lam)
+    top = lam.excess * t_space_top_cells(lam)
+    if top > SUSPENSION_TOP_CELL_CAP:
+        raise CapExceededError(
+            f"suspension model has {top} top cells, exceeds cap {SUSPENSION_TOP_CELL_CAP}"
+        )
     poset = refinement_poset(lam)
     mx = poset.max_index
-    mn = poset.min_index
-    keep = [i for i in range(len(poset.elements)) if i != mx]
-    sub = poset.restrict(keep)
-    # index of lam inside the restricted poset
-    lam_idx = sub.index[poset.elements[mn]]
-    n = nerve(sub)
-    away = [c for c in n.all_cells() if lam_idx not in c]
-    q = quotient(n, away)
+    cells = {0: [BASEPOINT]}
+    faces = {}
+    for k, chains in enumerate(_chains_from_min(poset)):
+        names = [tuple(i - (i > mx) for i in ch) for ch in chains]
+        cells.setdefault(k, []).extend(names)
+        if k == 0:
+            continue
+        ident = surj_identity(k - 1)
+        collapsed = (BASEPOINT, surj_zero(k - 1))
+        for ch in names:
+            inner = tuple((ch[:i] + ch[i + 1:], ident) for i in range(1, k + 1))
+            faces[ch] = (collapsed,) + inner
+    q = SimplicialObject(cells, faces, basepoint=BASEPOINT)
     return smash(model_circle(pointed=True), q)
 
 

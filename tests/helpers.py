@@ -12,29 +12,89 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from forestcalc.category import automorphism_group
+from forestcalc.category import CategoryTable, automorphism_group
 from forestcalc.errors import ValidationError
 from forestcalc.homology import HomologyResult, homology, homology_of_complex
 from forestcalc.layers import t_space_map
 from forestcalc.fusion import pushout_graph
-from forestcalc.partitions import SetMap, UnionFind, image_partition
+from forestcalc.partitions import (
+    Partition,
+    SetMap,
+    UnionFind,
+    image_partition,
+    refinement_poset,
+)
 from forestcalc.powers import fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
+    JointNormalizer,
     SimplicialMap,
     SimplicialObject,
     descend_to_quotients,
+    model_circle,
+    nerve,
     power,
     product,
     product_map,
     quotient,
     smash,
     sort_key,
+    subobject,
     surj_identity,
     t_space,
 )
 
 
 # --- small constructions --------------------------------------------------------
+
+
+def indiscrete(m):
+    """The one-block partition of {0..m-1}."""
+    if m == 0:
+        return Partition(0, ())
+    return Partition(m, (tuple(range(m)),))
+
+
+def discrete(m):
+    """The all-singletons partition of {0..m-1}."""
+    return Partition(m, tuple((x,) for x in range(m)))
+
+
+def surjections(k, p):
+    """All monotone surjections [k] -> [p], in lexicographic order."""
+    for inc in itertools.combinations(range(k), p):
+        alpha = [0]
+        incs = set(inc)
+        for t in range(k):
+            alpha.append(alpha[-1] + (1 if t in incs else 0))
+        yield tuple(alpha)
+
+
+def joint_normalize(refs):
+    """Normal form of one tuple of refs as a product simplex, by a fresh
+    `JointNormalizer`: (product cell name, outer word)."""
+    return JointNormalizer()(refs)
+
+
+def filtration(table, i):
+    """Full subcategory of objects with at most i components."""
+    if not 1 <= i <= table.n:
+        raise ValidationError(f"filtration index {i} out of range 1..{table.n}")
+    keep = [k for k in range(len(table.objects)) if table.strata[k] <= i]
+    reindex = {old: new for new, old in enumerate(keep)}
+    homs = None
+    if table.homs is not None:
+        homs = {
+            (reindex[a], reindex[b]): maps
+            for (a, b), maps in table.homs.items()
+            if a in reindex and b in reindex
+        }
+    return CategoryTable(
+        n=table.n,
+        objects=tuple(table.objects[k] for k in keep),
+        strata=tuple(table.strata[k] for k in keep),
+        groups=tuple(table.groups[k] for k in keep),
+        homs=homs,
+    )
 
 
 def betti_numbers(obj, coefficients="Z", reduced=True):
@@ -45,7 +105,7 @@ def betti_numbers(obj, coefficients="Z", reduced=True):
 
 def stratum_homology(res, coefficients="Z"):
     """The homology of a stratum's chain complex."""
-    groups, _ = homology_of_complex(res.complex, coefficients)
+    groups = homology_of_complex(res.complex, coefficients)
     return HomologyResult(coefficients, True, groups)
 
 
@@ -60,6 +120,29 @@ def smash_via_product(a, b):
         if cell[0][0] == a.basepoint or cell[1][0] == b.basepoint
     ]
     return quotient(prod, wedge)
+
+
+def suspension_via_nerve(lam):
+    """The suspension model by its definition: the nerve of the whole
+    refinement poset of lam, with the chains through the maximum dropped
+    and the chains missing the minimum collapsed, smashed with the
+    circle.  Chains are renamed to index the poset without its maximum.
+    The oracle for `t_space_suspension_model`, which builds the chains
+    from the minimum directly."""
+    poset = refinement_poset(lam)
+    mn, mx = poset.min_index, poset.max_index
+    full = nerve(poset)
+    below = subobject(full, [c for c in full.all_cells() if mx not in c])
+
+    def rename(chain):
+        return tuple(i - (i > mx) for i in chain)
+
+    renamed = SimplicialObject(
+        {k: [rename(c) for c in names] for k, names in below.cells.items()},
+        {rename(c): tuple((rename(t), a) for t, a in fs) for c, fs in below.faces.items()},
+    )
+    away = [c for c in renamed.all_cells() if mn - (mn > mx) not in c]
+    return smash(model_circle(pointed=True), quotient(renamed, away))
 
 
 def identity_simplicial(obj):

@@ -30,7 +30,6 @@ from forestcalc.partitions import (
     all_partitions,
     canonicalize,
     image_partition,
-    indiscrete,
 )
 from forestcalc.simplicial import (
     model_circle,
@@ -41,7 +40,7 @@ from forestcalc.simplicial import (
 )
 from forestcalc.verify import broken_square_demo
 
-from helpers import stratum_homology
+from helpers import indiscrete, stratum_homology
 
 
 def surjections(m, mp):

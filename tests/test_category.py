@@ -11,7 +11,6 @@ from forestcalc.category import (
     automorphism_group,
     canonical_object,
     enumerate_en,
-    filtration,
     shapes_of_excess,
     strict_fusions,
     verify_nice_filtration,
@@ -19,7 +18,7 @@ from forestcalc.category import (
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.partitions import SetMap, image_partition, make_partition
 
-from helpers import brute_force_fusions, compose
+from helpers import brute_force_fusions, compose, filtration
 
 
 # --- oracles ---------------------------------------------------------------
@@ -228,20 +227,31 @@ def test_identity_present():
 
 
 def test_glue_patterns_by_independent_orbit_count():
-    # recount the E2 (2,2) -> (3) orbits with the raw symmetric group
-    table = enumerate_en(2)
-    maps = table.hom(1, 0)
-    assert len(maps) == 24
-    seen = set()
-    orbits = 0
-    for f in maps:
-        if f in seen:
-            continue
-        orbits += 1
-        for perm in itertools.permutations(range(3)):
-            g = compose(SetMap(3, 3, perm), SetMap(4, 3, f))
-            seen.add(g.values)
-    assert orbits == 4
+    # recount the orbits of every hom set at n <= 3 under the target's
+    # automorphisms, found as the support permutations keeping its blocks
+    counts = {}
+    for n in (1, 2, 3):
+        table = enumerate_en(n)
+        for j, tgt in enumerate(table.objects):
+            m = tgt.support_size
+            auts = [
+                SetMap(m, m, perm)
+                for perm in itertools.permutations(range(m))
+                if image_partition(SetMap(m, m, perm), tgt) == tgt
+            ]
+            for i, src in enumerate(table.objects):
+                seen = set()
+                orbits = 0
+                for f in table.hom(i, j):
+                    if f in seen:
+                        continue
+                    orbits += 1
+                    for g in auts:
+                        seen.add(compose(g, SetMap(src.support_size, m, f)).values)
+                counts[(n, i, j)] = orbits
+                assert table.glue_pattern_count(i, j) == orbits, (n, i, j)
+    # E2 (2,2) -> (3): 24 fusions in 4 orbits
+    assert counts[(2, 1, 0)] == 4
 
 
 def test_glue_patterns_reject_a_hom_set_not_closed():

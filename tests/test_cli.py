@@ -181,6 +181,17 @@ def test_tspace_too_big_is_rejected_at_once(capsys, model):
     assert err == "error: tree space has 1587600 top cells, exceeds cap 56700\n"
 
 
+def test_tspace_suspension_too_big_is_rejected_at_once(capsys):
+    # T7 itself passes the tree-space cap; its suspension model has six
+    # times its top cells
+    argv = ["tspace", "--lambda", "(0 1 2 3 4 5 6)", "--model", "suspension"]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: suspension model has 340200 top cells, exceeds cap 13500\n"
+
+
 def test_tspace_many_small_blocks_accepted(capsys):
     code, env, _ = run_json(capsys, ["tspace", "--lambda", "(0 1)(2 3)(4 5)(6 7)"])
     assert code == 0

@@ -17,14 +17,12 @@ from forestcalc.partitions import (
     POSET_SUPPORT_CAP,
     SetMap,
     all_partitions,
-    discrete,
     image_partition,
-    indiscrete,
     make_partition,
     meet,
 )
 
-from helpers import compose, goodness_via_graph_forest_only
+from helpers import compose, discrete, goodness_via_graph_forest_only, indiscrete
 
 
 def surjections(m, mp):

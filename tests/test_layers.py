@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from forestcalc.category import enumerate_en, filtration
+from forestcalc.category import enumerate_en
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.homology import HomologyGroup, homology
 from forestcalc.layers import (
@@ -20,7 +20,7 @@ from forestcalc.layers import (
     stratum,
     t_space_map,
 )
-from forestcalc.partitions import SetMap, indiscrete, make_partition
+from forestcalc.partitions import SetMap, make_partition
 from forestcalc.powers import PowerPair, power_pair
 from forestcalc.simplicial import (
     SimplicialMap,
@@ -36,18 +36,20 @@ from forestcalc.simplicial import (
     smash,
     sort_key,
     surj_identity,
-    surjections,
     t_space,
 )
 
 from helpers import (
     betti_numbers,
     compose,
+    filtration,
     identity_simplicial,
+    indiscrete,
     orbit_stratum,
     smash_via_product,
     stratum_homology,
     surj_degeneracy,
+    surjections,
 )
 
 def en2():

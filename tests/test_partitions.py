@@ -9,14 +9,13 @@ from forestcalc.partitions import (
     UnionFind,
     all_partitions,
     canonicalize,
-    discrete,
     image_partition,
-    indiscrete,
     join,
     make_partition,
     meet,
     refinement_poset,
 )
+from helpers import discrete, indiscrete
 
 
 # --- independent oracles ----------------------------------------------------
@@ -243,6 +242,20 @@ def test_refinement_poset_factors_over_blocks():
     poset = refinement_poset(lam)
     # refinements factor blockwise: Bell(3) * Bell(2)
     assert len(poset) == 5 * 2
+
+
+def test_strictly_above_is_proper_refinement():
+    # brute force over all pairs: the blockwise successors are exactly
+    # the proper refinements, ascending, for every shape of support <= 6
+    shapes = {canonicalize(p) for m in range(7) for p in all_partitions(m)}
+    for lam in shapes:
+        poset = refinement_poset(lam)
+        elements = poset.elements
+        assert elements[poset.min_index] == lam
+        assert elements[poset.max_index] == discrete(lam.support_size)
+        for i, p in enumerate(elements):
+            expected = [j for j, q in enumerate(elements) if j != i and q.refines(p)]
+            assert list(poset.strictly_above(i)) == expected, (lam, p)
 
 
 def test_refinement_poset_cap():

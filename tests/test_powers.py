@@ -8,7 +8,6 @@ from forestcalc.homology import homology
 from forestcalc.partitions import (
     SetMap,
     all_partitions,
-    indiscrete,
     make_partition,
 )
 from forestcalc.powers import (
@@ -27,7 +26,7 @@ from forestcalc.simplicial import (
     surj_identity,
 )
 
-from helpers import betti_numbers
+from helpers import betti_numbers, indiscrete
 
 
 # --- oracle: diagonals by sweeping every partition ---------------------------

@@ -12,8 +12,6 @@ from forestcalc.homology import homology
 from forestcalc.partitions import (
     all_partitions,
     canonicalize,
-    discrete,
-    indiscrete,
     make_partition,
     refinement_poset,
 )
@@ -25,7 +23,6 @@ from forestcalc.simplicial import (
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
-    joint_normalize,
     model_circle,
     model_from_json,
     model_interval,
@@ -44,7 +41,6 @@ from forestcalc.simplicial import (
     surj_face,
     surj_identity,
     surj_zero,
-    surjections,
     T_SPACE_TOP_CELL_CAP,
     t_space,
     t_space_suspension_model,
@@ -54,10 +50,15 @@ from forestcalc.simplicial import (
 from helpers import (
     PermutationAction,
     betti_numbers,
+    discrete,
     identity_simplicial,
+    indiscrete,
+    joint_normalize,
     quotient_by_group,
     smash_via_product,
     surj_degeneracy,
+    surjections,
+    suspension_via_nerve,
 )
 
 
@@ -430,6 +431,16 @@ def test_suspension_model_agrees():
         }
 
 
+def test_suspension_model_matches_nerve_route():
+    # every shape of support <= 6 with positive excess, against the
+    # model built from the whole nerve of the refinement poset
+    shapes = {canonicalize(p) for m in range(7) for p in all_partitions(m)}
+    for lam in shapes:
+        if lam.excess > 0:
+            model = t_space_suspension_model(lam)
+            assert same_object(model, suspension_via_nerve(lam)), lam
+
+
 def test_suspension_model_needs_excess():
     with pytest.raises(ValidationError):
         t_space_suspension_model(make_partition(2, [[0], [1]]))
@@ -462,6 +473,26 @@ def test_t_space_size_cap_before_any_work(monkeypatch):
     for build in (t_space, t_space_suspension_model):
         with pytest.raises(CapExceededError, match="1587600 top cells"):
             build(indiscrete(8))
+
+
+def test_suspension_size_cap_before_any_work(monkeypatch):
+    import forestcalc.simplicial as simplicial_module
+
+    class Built(Exception):
+        pass
+
+    def no_poset(lam):
+        raise Built
+
+    monkeypatch.setattr(simplicial_module, "refinement_poset", no_poset)
+    # every shape up to support 6 passes the cap and reaches the poset
+    shapes = {canonicalize(p) for m in range(7) for p in all_partitions(m)}
+    for lam in shapes:
+        if lam.excess > 0:
+            with pytest.raises(Built):
+                t_space_suspension_model(lam)
+    with pytest.raises(CapExceededError, match="340200 top cells, exceeds cap 13500"):
+        t_space_suspension_model(indiscrete(7))
 
 
 # --- JSON models -----------------------------------------------------------------------
