@@ -2,9 +2,10 @@
 
 Objects are canonical representatives, one per isomorphism class
 (block-size multisets), morphisms are strict fusions stored as value
-tuples, like the automorphism generators.  Morphism enumeration walks
-block-to-class assignments that respect the excess budget and then fills in injective block images
-whose union never closes a cycle; that is exactly strictness.
+tuples, like the automorphism generators.  Morphism enumeration is one
+backtracking search: it places each source block injectively inside a
+target class with excess budget left, never closing a cycle among the
+block images; that is exactly strictness.
 """
 
 from __future__ import annotations
@@ -24,18 +25,20 @@ HOM_MATERIALIZE_CAP = 4  # full hom sets above this get impractically large
 def shapes_of_excess(n):
     """Block-size tuples of irreducible partitions with the given excess,
     weakly decreasing; one per isomorphism class."""
-
-    def parts(total, most):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, most), 0, -1):
-            for rest in parts(total - first, first):
-                yield (first,) + rest
-
     # each block of size s contributes s - 1 to the excess
-    shapes = [tuple(p + 1 for p in pat) for pat in parts(n, n)]
+    shapes = [tuple(p + 1 for p in pat) for pat in _integer_partitions(n, n)]
     return sorted(shapes, key=lambda s: (sum(s), s))
+
+
+def _integer_partitions(total, most):
+    """Weakly decreasing tuples of positive parts at most `most` summing
+    to total, largest first part first."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, most), 0, -1):
+        for rest in _integer_partitions(total - first, first):
+            yield (first,) + rest
 
 
 def canonical_object(shape):
@@ -56,93 +59,60 @@ def strict_fusions(source, target):
     """All strict fusions from source to target, as sorted value tuples.
 
     A fusion is strict exactly when each block maps injectively and the
-    block images form a spanning hypertree in every target class; the
-    search enumerates block-to-class assignments filtered by the excess
-    budget, then injective images pruned by a cycle check.
+    block images form a spanning hypertree in every target class.
     """
     if source.excess != target.excess:
         return ()
-    sblocks = source.blocks
-    tclasses = target.blocks
-    budgets = [len(c) - 1 for c in tclasses]
-    weights = [len(b) - 1 for b in sblocks]
     out = []
-    assign = [0] * len(sblocks)
-    used = [0] * len(tclasses)
-
-    def assignments(b):
-        if b == len(sblocks):
-            if used == budgets:
-                yield tuple(assign)
-            return
-        for c in range(len(tclasses)):
-            if used[c] + weights[b] <= budgets[c]:
-                used[c] += weights[b]
-                assign[b] = c
-                yield from assignments(b + 1)
-                used[c] -= weights[b]
-
-    for h in assignments(0):
-        per_class = []
-        feasible = True
-        for c, cls in enumerate(tclasses):
-            blocks_here = [sblocks[b] for b in range(len(sblocks)) if h[b] == c]
-            choices = _spanning_fills(blocks_here, cls)
-            if not choices:
-                feasible = False
-                break
-            per_class.append(choices)
-        if not feasible:
-            continue
-        for combo in itertools.product(*per_class):
-            values = [0] * source.support_size
-            for choice in combo:
-                for pairs in choice:
-                    for x, y in pairs:
-                        values[x] = y
-            out.append(tuple(values))
+    _place_blocks(
+        source.blocks,
+        0,
+        target.blocks,
+        [len(c) - 1 for c in target.blocks],
+        list(range(target.support_size)),
+        [0] * source.support_size,
+        out,
+    )
     out.sort()
     return tuple(out)
 
 
-def _spanning_fills(blocks, cls):
-    """Injective images of each block inside cls whose union is a
-    spanning hypertree: every image merge joins distinct components."""
-    results = []
-    parent = {x: x for x in cls}
+def _place_blocks(blocks, b, classes, budgets, parent, values, out):
+    """Backtracking step of `strict_fusions`: maps blocks[b] onto points
+    of one class with budget left for its |block| - 1 merges, lying in
+    distinct trees of the forest `parent` over the target points, links
+    those trees, recurses on the next block, and unlinks them again.
+    Each complete map in `values` is appended to out.
 
-    def find(p, x):
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def rec(bi, p):
-        if bi == len(blocks):
-            roots = {find(p, x) for x in cls}
-            if len(roots) == 1:
-                results.append(tuple(fills))
-            return
-        blk = blocks[bi]
-        for image in itertools.permutations(cls, len(blk)):
-            q = dict(p)
-            ok = True
-            head = find(q, image[0])
-            for y in image[1:]:
-                r = find(q, y)
-                if r == head:
-                    ok = False
-                    break
-                q[r] = head
-            if ok:
-                fills.append(tuple(zip(blk, image)))
-                rec(bi + 1, q)
-                fills.pop()
-
-    fills = []
-    if not blocks:
-        return [()] if len(cls) == 1 else []
-    rec(0, parent)
-    return results
+    The budgets start at |class| - 1 and sum to the blocks' total
+    weight, because the excesses agree; so a complete map has spent every
+    budget, and |class| - 1 acyclic merges span each class.
+    """
+    if b == len(blocks):
+        out.append(tuple(values))
+        return
+    block = blocks[b]
+    weight = len(block) - 1
+    for c, cls in enumerate(classes):
+        if budgets[c] < weight:
+            continue
+        budgets[c] -= weight
+        for image in itertools.permutations(cls, len(block)):
+            roots = []
+            for y in image:
+                while parent[y] != y:
+                    y = parent[y]
+                roots.append(y)
+            if len(set(roots)) < len(roots):
+                continue
+            for r in roots[1:]:
+                parent[r] = roots[0]
+            for x, y in zip(block, image):
+                values[x] = y
+            _place_blocks(blocks, b + 1, classes, budgets, parent, values, out)
+            for r in roots[1:]:
+                parent[r] = r
+        budgets[c] += weight
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import CapExceededError, NotAFusionError, ValidationError
 from .fusion import goodness_via_graph, is_good
 from .homology import cover_acyclicity, homology
 from .layers import derivative_report
-from .partitions import all_partitions, make_partition
+from .partitions import all_partitions, check_support_cap, make_partition
 from .simplicial import (
     check_cell_id,
     model_circle,
@@ -146,6 +146,7 @@ def run_enumerate(args):
 def run_goodness(args):
     lam = parse_partition(args.lam)
     if args.all:
+        check_support_cap(lam.support_size)
         verdicts = []
         for delta in all_partitions(lam.support_size):
             verdicts.append(

@@ -8,15 +8,15 @@ f(p) = q exactly, and a refinement when f is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import CapExceededError, NotAFusionError, SupportMismatchError, ValidationError
+from .errors import NotAFusionError, SupportMismatchError, ValidationError
+from .kernel import sparse_elementary_divisors
 from .partitions import (
-    POSET_SUPPORT_CAP,
     Partition,
     SetMap,
     UnionFind,
     all_partitions,
+    check_support_cap,
     image_partition,
     meet,
 )
@@ -143,33 +143,6 @@ class Multigraph:
         return len(self.edges) - self.num_vertices + self.component_count()
 
 
-def _int_det(rows):
-    """Exact determinant of a small square integer matrix."""
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                ratio = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= ratio * a[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
 def strictness_via_h1(m):
     """Strictness of a fusion via first homology of collapsed cylinders.
 
@@ -192,16 +165,17 @@ def strictness_via_h1(m):
             row_of[y] = len(row_of)
     if len(cols) != len(row_of):
         return False
-    n = len(cols)
-    mat = [[0] * n for _ in range(n)]
+    entries = []
     for j, x in enumerate(cols):
         plus = f[x]
         minus = f[first_s[where_s[x]]]
         if plus in row_of:
-            mat[row_of[plus]][j] += 1
+            entries.append((row_of[plus], j, 1))
         if minus in row_of:
-            mat[row_of[minus]][j] -= 1
-    return abs(_int_det(mat)) == 1
+            entries.append((row_of[minus], j, -1))
+    n = len(cols)
+    # |det| = 1 exactly when all n elementary divisors are units
+    return sparse_elementary_divisors(entries, n, n) == [1] * n
 
 
 def is_good(delta, lam):
@@ -238,10 +212,7 @@ def goodness_via_graph(delta, lam):
 
 def bad_diagonals(lam):
     """All partitions of the support of lam that are bad relative to it."""
-    if lam.support_size > POSET_SUPPORT_CAP:
-        raise CapExceededError(
-            f"support {lam.support_size} exceeds cap {POSET_SUPPORT_CAP}"
-        )
+    check_support_cap(lam.support_size)
     out = [d for d in all_partitions(lam.support_size) if not is_good(d, lam)]
     out.sort(key=lambda d: d.blocks)
     return out

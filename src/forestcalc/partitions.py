@@ -175,20 +175,30 @@ def from_block_of(block_of):
 
 def all_partitions(m):
     """All partitions of {0..m-1} in restricted-growth-string order."""
-    if m == 0:
-        yield Partition(0, ())
+    for blocks in _set_partitions(tuple(range(m))):
+        yield Partition(m, blocks)
+
+
+def _set_partitions(elements):
+    """All partitions of a sorted tuple, as block tuples with blocks
+    ordered by minimum, in restricted-growth-string order: the last
+    element's label varies fastest, through the blocks of a partition
+    of the other elements and then a block of its own."""
+    if not elements:
+        yield ()
         return
-    rgs = [0] * m
+    last = elements[-1:]
+    for part in _set_partitions(elements[:-1]):
+        for j, b in enumerate(part):
+            yield part[:j] + (b + last,) + part[j + 1:]
+        yield part + (last,)
 
-    def rec(i, maxlabel):
-        if i == m:
-            yield from_block_of(rgs)
-            return
-        for label in range(maxlabel + 2):
-            rgs[i] = label
-            yield from rec(i + 1, max(maxlabel, label))
 
-    yield from rec(1, 0)
+def check_support_cap(m):
+    """Rejects a support whose partitions are too many to list: their
+    number, the Bell number of m, grows faster than exponentially."""
+    if m > POSET_SUPPORT_CAP:
+        raise CapExceededError(f"support {m} exceeds cap {POSET_SUPPORT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -299,10 +309,9 @@ class PosetTable:
         if len(self.index) != len(self.elements):
             raise ValidationError("duplicate poset elements")
         at = {p.blocks: i for i, p in enumerate(self.elements)}
-        splits = {}
         above = []
         for i, q in enumerate(self.elements):
-            succ = sorted(at[blocks] for blocks in _refinements(q.blocks, splits))
+            succ = sorted(at[blocks] for blocks in _refinements(q.blocks))
             succ.remove(i)  # keeping every block whole gives q itself
             above.append(tuple(succ))
         self.above = tuple(above)
@@ -324,37 +333,13 @@ def refinement_poset(p):
     Elements are produced as products of per-block partitions.  The
     support cap guards against Bell-number blowup.
     """
-    if p.support_size > POSET_SUPPORT_CAP:
-        raise CapExceededError(
-            f"support {p.support_size} exceeds cap {POSET_SUPPORT_CAP}"
-        )
-    refinements = sorted(_refinements(p.blocks, {}))
+    check_support_cap(p.support_size)
+    refinements = sorted(_refinements(p.blocks))
     return PosetTable(Partition(p.support_size, blocks) for blocks in refinements)
 
 
-def _refinements(blocks, splits):
-    """The refinements of the partition with these blocks, as block
-    tuples.  splits is the caller's memo for `_partitions_of_block`."""
-    per_block = [_partitions_of_block(b, splits) for b in blocks]
-    for combo in itertools.product(*per_block):
+def _refinements(blocks):
+    """The refinements of the partition with these blocks, as block tuples."""
+    for combo in itertools.product(*map(_set_partitions, blocks)):
         # sorting disjoint blocks as tuples orders them by minimum
         yield tuple(sorted(blk for part in combo for blk in part))
-
-
-def _partitions_of_block(block, memo):
-    """All partitions of a sorted tuple of elements, as block tuples with
-    blocks ordered by minimum; memo maps a block to its partitions."""
-    if block not in memo:
-        if not block:
-            memo[block] = [()]
-        else:
-            # the first element is the minimum: it starts a block of its
-            # own or joins one block of a partition of the rest
-            first = block[:1]
-            out = []
-            for part in _partitions_of_block(block[1:], memo):
-                out.append((first,) + part)
-                for j, b in enumerate(part):
-                    out.append((first + b,) + part[:j] + part[j + 1:])
-            memo[block] = out
-    return memo[block]

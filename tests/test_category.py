@@ -16,7 +16,7 @@ from forestcalc.category import (
     verify_nice_filtration,
 )
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.partitions import SetMap, image_partition, make_partition
+from forestcalc.partitions import SetMap, all_partitions, image_partition, make_partition
 
 from helpers import brute_force_fusions, compose, filtration
 
@@ -85,13 +85,19 @@ def test_support_sizes_span_expected_range():
 
 
 def test_strict_fusions_match_brute_force():
+    pairs = []
     for n in (1, 2, 3):
-        table = enumerate_en(n, include_homs=False)
-        for src in table.objects:
-            for tgt in table.objects:
-                fast = strict_fusions(src, tgt)
-                slow = brute_force_fusions(src, tgt)
-                assert fast == slow, f"{src} -> {tgt}"
+        objects = enumerate_en(n, include_homs=False).objects
+        pairs += itertools.product(objects, repeat=2)
+    # partitions with singleton blocks too: a singleton block has weight 0
+    # and can land anywhere, and the search relies on the excess budgets
+    # alone to make every class spanned
+    small = [p for m in range(5) for p in all_partitions(m)]
+    pairs += [(p, q) for p in small for q in small if p.excess == q.excess]
+    for src, tgt in pairs:
+        fast = strict_fusions(src, tgt)
+        slow = brute_force_fusions(src, tgt)
+        assert fast == slow, f"{src} -> {tgt}"
 
 
 def test_fusions_between_different_excess_empty():

@@ -102,6 +102,15 @@ def test_goodness_json_blocks(capsys):
     assert env["payload"]["bad_count"] == 10
 
 
+def test_goodness_sweep_too_big_is_rejected_at_once(capsys):
+    argv = ["goodness", "--lambda", "(0 1 2 3 4 5)(6 7 8 9)", "--all"]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: support 10 exceeds cap 9\n"
+
+
 # --- tspace --------------------------------------------------------------------
 
 

@@ -2,18 +2,25 @@
 (perfbench/tracing.py) wraps package functions by module and name, so
 each of them must keep existing; the README's examples must run; no
 module, test module included, keeps an import it does not use, at the
-top or inside a function."""
+top or inside a function; and the package leaves no reference cycles
+for the garbage collector, so no nested function refers to itself."""
 
 import ast
+import gc
 import glob
 import importlib
 import os
 import re
 from collections import Counter
 
+import pytest
+
 import forestcalc.verify
-from forestcalc.layers import coend
-from forestcalc.simplicial import model_points
+from forestcalc.category import enumerate_en
+from forestcalc.layers import coend, derivative_report
+from forestcalc.partitions import all_partitions
+from forestcalc.simplicial import model_circle, model_points
+from forestcalc.verify import run_checks
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -88,3 +95,46 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append((os.path.basename(path), stmt.lineno, name))
     assert not unused, unused
+
+
+def test_no_self_referencing_nested_functions():
+    # a nested function that refers to its own name holds the cell that
+    # holds it: a reference cycle that keeps the function, and all it
+    # closes over, alive until the cyclic garbage collector runs
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for outer in ast.walk(tree):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, functions):
+                    continue
+                if any(
+                    isinstance(node, ast.Name) and node.id == inner.name
+                    for node in ast.walk(inner)
+                ):
+                    found.add((os.path.basename(path), inner.lineno, inner.name))
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        lambda: enumerate_en(4),
+        lambda: list(all_partitions(6)),
+        lambda: derivative_report(model_circle(), 2),
+        lambda: run_checks("quick"),
+    ],
+    ids=["enumerate_en", "all_partitions", "derivative_report", "run_checks"],
+)
+def test_no_cyclic_garbage(work):
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
