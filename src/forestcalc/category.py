@@ -356,7 +356,7 @@ class CategoryTable:
         }
         if self.homs is not None:
             data["homs"] = {
-                f"{i}->{j}": [list(f) for f in maps]
+                f"{i}->{j}": list(maps)
                 for (i, j), maps in sorted(self.homs.items())
             }
             data["hom_counts"] = self.hom_size_matrix()

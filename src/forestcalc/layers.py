@@ -385,15 +385,18 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
                 continue
             res = stratum(assembly, lam)
             label = "-".join(str(s) for s in lam.shape())
+            # a power cell off the fat diagonal has pairwise distinct
+            # coordinates, so only the identity fixes it
+            if not res.free:
+                raise ValidationError(f"automorphisms of stratum {label} do not act freely")
+            groups = homology_of_complex(res.complex, coefficients)
             entry = {
                 "support": lam.support_size,
                 "free_action": res.free,
                 "group_order": res.group_order,
+                "homology": HomologyResult(coefficients, True, groups).groups_json(),
+                "model": coefficients,
             }
-            over = coefficients if res.free else "Q"
-            groups = homology_of_complex(res.complex, over)
-            entry["homology"] = HomologyResult(over, True, groups).groups_json()
-            entry["model"] = coefficients if res.free else "rational, invariants model"
             strata[label] = entry
             stratum_sum += entry["homology"]["euler"]
         additivity.append(

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import forestcalc
-from forestcalc import layers
+from forestcalc import commands, layers
 from forestcalc.cli import main, parse_partition
 from forestcalc.partitions import make_partition
 from forestcalc.simplicial import SimplicialObject
@@ -557,6 +557,42 @@ def test_edited_cache_entry_is_a_miss(capsys, tmp_path):
             assert json.load(fh) == json.loads(fresh)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command ran")
+
+
+def test_cache_path_that_is_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "not-a-dir"
+    path.write_text("x", encoding="utf-8")
+    monkeypatch.setattr(commands, "enumerate_en", _must_not_run)
+    code, out, err = run_cli(capsys, ["--cache", str(path), "enumerate", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cache path {path} is not a directory\n"
+
+
+def test_out_into_missing_directory_exits_2_before_any_work(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "missing" / "env.json"
+    monkeypatch.setattr(commands, "enumerate_en", _must_not_run)
+    code, out, err = run_cli(capsys, ["--out", str(path), "enumerate", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: no directory for --out {path}\n"
+    assert not path.parent.exists()
+
+
+def test_failed_writes_are_one_error_line(capsys, tmp_path):
+    # a cache directory below a file cannot be made, and a directory
+    # cannot be opened as the --out file
+    blocker = tmp_path / "file"
+    blocker.write_text("x", encoding="utf-8")
+    for argv in (
+        ["--cache", str(blocker / "cache")],
+        ["--out", str(tmp_path)],
+    ):
+        code, out, err = run_cli(capsys, argv + ["enumerate", "--n", "1"])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_failures_are_not_cached(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     code, _, _ = run_cli(capsys, ["--cache", cache, "verify", "--inject-fault"])
@@ -576,3 +612,147 @@ def test_module_entrypoint():
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["tool"] == "forestcalc"
+
+
+# --- start-up -------------------------------------------------------------------
+
+# what the compute layer loads; none of it is needed to parse arguments
+# or to serve a cache hit
+COMPUTE_MODULES = {"dataclasses"} | {
+    f"forestcalc.{name}"
+    for name in (
+        "kernel",
+        "partitions",
+        "fusion",
+        "category",
+        "simplicial",
+        "homology",
+        "powers",
+        "layers",
+        "verify",
+        "commands",
+    )
+}
+
+
+def run_fresh(*args, **env):
+    """Run a fresh interpreter on args from the directory holding the
+    package under test, with env added to the environment."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(forestcalc.__file__)),
+        env={**os.environ, **env},
+    )
+
+
+def loaded_after(code):
+    """What a fresh interpreter prints running code, as lines, and the
+    modules it holds afterwards."""
+    proc = run_fresh("-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    return lines[:-1], set(json.loads(lines[-1]))
+
+
+def test_parsing_loads_no_compute_module():
+    _, loaded = loaded_after("import forestcalc.cli\nforestcalc.cli.build_parser()")
+    assert not loaded & COMPUTE_MODULES, sorted(loaded & COMPUTE_MODULES)
+
+
+def test_cache_hit_loads_no_compute_module(capsys, tmp_path):
+    argv = ["--cache", str(tmp_path), "tspace", "--lambda", "(0 1)(2 3)"]
+    code, miss, _ = run_cli(capsys, argv)
+    assert code == 0
+    printed, loaded = loaded_after(
+        f"from forestcalc.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert printed == miss.splitlines()
+    assert not loaded & COMPUTE_MODULES, sorted(loaded & COMPUTE_MODULES)
+
+
+def test_miss_loads_every_traced_module(monkeypatch):
+    # the benchmark's traced run looks these modules up after one plain
+    # pass, and the tspace workload's plain pass runs tspace commands only
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import tracing
+
+    _, loaded = loaded_after(
+        "from forestcalc.cli import main\n"
+        "assert main(['tspace', '--lambda', '(0 1)']) == 0"
+    )
+    wanted = {f"forestcalc.{module}" for module, _, _, _ in tracing.TARGETS}
+    assert wanted | {"forestcalc.verify"} <= loaded
+
+
+@pytest.mark.parametrize(
+    "first",
+    ["import forestcalc.layers", "import forestcalc.homology", "import forestcalc", ""],
+)
+def test_exported_homology_stays_the_function(first):
+    # the submodule homology shares its name with an exported function;
+    # loading the submodule must not rebind the package attribute
+    proc = run_fresh(
+        "-c",
+        f"{first}\n"
+        "from forestcalc import homology\n"
+        "import forestcalc, forestcalc.homology\n"
+        "assert forestcalc.homology is homology\n"
+        "print(type(homology).__name__)",
+    )
+    assert (proc.stdout, proc.stderr) == ("function\n", "")
+
+
+def test_cube_demo_names_are_the_verify_demos():
+    from forestcalc.cli import CUBE_DEMO_NAMES
+    from forestcalc.verify import CUBE_DEMOS
+
+    assert CUBE_DEMO_NAMES == tuple(CUBE_DEMOS)
+
+
+# argparse's output under Python 3.11 at 80 columns
+HELP = """\
+usage: forestcalc [-h] [--format {json,text}] [--out OUT] [--cache [CACHE]]
+                  [--timings]
+                  {enumerate,goodness,tspace,layer,cube-check,verify} ...
+
+partition fusions, tree spaces, and layer homology
+
+positional arguments:
+  {enumerate,goodness,tspace,layer,cube-check,verify}
+    enumerate           objects and morphisms at a given excess
+    goodness            goodness of a partition relative to another
+    tspace              tree space homology of a partition
+    layer               layer report for a model and excess
+    cube-check          acyclicity of a cover cube
+    verify              run the named invariant checks
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --out OUT             write the envelope to a file instead of stdout
+  --cache [CACHE]       cache envelopes (optional directory; default
+                        ~/.cache/forestcalc)
+  --timings             print wall time to stderr
+"""
+
+BAD_DEMO = """\
+usage: forestcalc cube-check [-h] [--demo {interval,circle,negative}]
+                             [--file FILE]
+forestcalc cube-check: error: argument --demo: invalid choice: 'bogus' \
+(choose from 'interval', 'circle', 'negative')
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["--help"], 0, HELP, ""),
+        (["cube-check", "--demo", "bogus"], 2, "", BAD_DEMO),
+    ],
+    ids=["help", "bad-demo"],
+)
+def test_parser_texts(argv, code, stdout, stderr):
+    proc = run_fresh("-m", "forestcalc", *argv, COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)

@@ -1,9 +1,10 @@
 """Tooling around the package.  The benchmark's traced run
 (perfbench/tracing.py) wraps package functions by module and name, so
-each of them must keep existing; the README's examples must run; no
-module, test module included, keeps an import it does not use, at the
-top or inside a function; and the package leaves no reference cycles
-for the garbage collector, so no nested function refers to itself."""
+each of them must keep existing; the README's examples must run; the
+package's lazily loaded exports must exist; no module, test module
+included, keeps an import it does not use, at the top or inside a
+function; and the package leaves no reference cycles for the garbage
+collector, so no nested function refers to itself."""
 
 import ast
 import gc
@@ -77,13 +78,10 @@ def _imports_with_scope(tree):
 
 
 def test_no_unused_imports():
-    # __init__.py imports in order to re-export, so it is left out; an
-    # import inside a function must be used inside that function
+    # an import inside a function must be used inside that function
     unused = []
     paths = glob.glob(os.path.join(PACKAGE, "*.py")) + glob.glob(os.path.join(TESTS, "*.py"))
     for path in sorted(paths):
-        if os.path.basename(path) == "__init__.py":
-            continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for scope, stmt in _imports_with_scope(tree):
@@ -95,6 +93,33 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append((os.path.basename(path), stmt.lineno, name))
     assert not unused, unused
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def test_lazy_exports_are_defined():
+    # the package loads its exported names on first use from a table of
+    # name -> submodule; the table must cover __all__ exactly, and each
+    # submodule must define its names, not import them
+    (table,) = (
+        ast.literal_eval(node.value)
+        for node in _parse(os.path.join(PACKAGE, "__init__.py")).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+    )
+    assert set(table) == set(forestcalc.__all__)
+    missing = []
+    for module in set(table.values()):
+        defined = set()
+        for node in _parse(os.path.join(PACKAGE, module + ".py")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        missing += [(name, m) for name, m in table.items() if m == module and name not in defined]
+    assert not missing, sorted(missing)
 
 
 def test_no_self_referencing_nested_functions():
