@@ -15,7 +15,7 @@ from .category import enumerate_en
 from .cli import EXIT_COMPUTATION, EXIT_OK, parse_partition
 from .errors import ValidationError
 from .fusion import goodness_via_graph, is_good
-from .homology import cover_acyclicity, homology
+from .homology import cover_acyclicity, homology, parse_coefficients
 from .layers import derivative_report
 from .partitions import all_partitions, check_support_cap
 from .simplicial import (
@@ -117,6 +117,7 @@ def run_goodness(args):
 
 
 def run_tspace(args):
+    parse_coefficients(args.coeff)
     lam = parse_partition(args.lam)
     if args.model == "suspension":
         space = t_space_suspension_model(lam)
@@ -132,6 +133,7 @@ def run_tspace(args):
 
 
 def run_layer(args):
+    parse_coefficients(args.coeff)
     model = load_model(args.m)
     report = derivative_report(
         model, args.n, coefficients=args.coeff, emit_cells=args.emit_cells

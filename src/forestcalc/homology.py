@@ -16,6 +16,7 @@ so the two can cross-check each other.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,23 +27,25 @@ from .simplicial import _debug, subobject, surj_identity
 # a cube has 2^d corners: 12 interval covers take 0.5 s and 50 MB, and
 # each further cover doubles both
 COVER_CAP = 12
+# the primality test is trial division: 46,340 steps at this bound
+PRIME_CAP = 2**31 - 1
 
 
 def parse_coefficients(spec):
-    """Accept "Z", "Q" or "F<p>"; return ("Z",), ("Q",) or ("F", p)."""
-    if spec == "Z":
-        return ("Z", None)
-    if spec == "Q":
-        return ("Q", None)
-    if spec.startswith("F"):
-        try:
-            p = int(spec[1:])
-        except ValueError:
-            raise ValidationError(f"bad coefficient spec {spec!r}")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValidationError(f"{p} is not prime")
-        return ("F", p)
-    raise ValidationError(f"bad coefficient spec {spec!r}")
+    """Accept "Z", "Q" or "F<p>" for a prime p written in ASCII digits
+    without sign or leading zero; return ("Z", None), ("Q", None) or
+    ("F", p).  One spelling per ring keeps one digest per computation."""
+    if spec in ("Z", "Q"):
+        return (spec, None)
+    if not re.fullmatch(r"F[1-9][0-9]*", spec):
+        raise ValidationError(f"bad coefficient spec {spec!r}")
+    # the length test comes first: int() refuses very long digit strings
+    if len(spec) - 1 > len(str(PRIME_CAP)) or int(spec[1:]) > PRIME_CAP:
+        raise ValidationError(f"coefficient prime exceeds cap {PRIME_CAP}")
+    p = int(spec[1:])
+    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise ValidationError(f"{p} is not prime")
+    return ("F", p)
 
 
 # ---------------------------------------------------------------------------

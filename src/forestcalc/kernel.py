@@ -1,24 +1,18 @@
 """Sparse integer elimination, the one kernel behind integer homology.
 
-Computes the elementary divisor chain of a sparse integer matrix by
-fraction-free row and column operations.  Values are Python ints
-throughout, so no overflow is possible.  Pivots are chosen
-deterministically: unit entries first, then least absolute value, least
-fill estimate, and finally position.
+A column-order Smith elimination: each column in turn pivots on its
+least entry (ties: shortest row, then row index), row operations clear
+the column, and column operations, which then touch only the pivot row,
+reduce that row modulo the pivot.  Any remainder becomes the new pivot,
+so |pivot| falls at every move.  Values are Python ints, so no overflow
+is possible, and the divisor chain of the diagonal is unique, so the
+pivot order cannot change a result.
 """
 
-from heapq import heappop, heappush
 from math import gcd
 
 # benchmark results record this label, so runs stay comparable across kernels
 IMPLEMENTATION = "python"
-
-
-def _key(rows, cols, i, j):
-    v = rows[i][j]
-    a = v if v > 0 else -v
-    fill = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-    return (0 if a == 1 else 1, a, fill, i, j)
 
 
 def sparse_elementary_divisors(entries, nrows, ncols):
@@ -27,138 +21,54 @@ def sparse_elementary_divisors(entries, nrows, ncols):
     Returns the ascending chain d1 | d2 | ... of positive divisors; its
     length is the rank of the matrix.
     """
-    rows = [dict() for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
     for i, j, v in entries:
-        if v == 0:
-            continue
-        w = rows[i].get(j, 0) + v
-        if w == 0:
-            del rows[i][j]
-            cols[j].discard(i)
-        else:
+        w = rows[i].pop(j, 0) + v
+        if w:
             rows[i][j] = w
             cols[j].add(i)
-    live = sum(len(r) for r in rows)
-
-    heap = []
-    for i in range(nrows):
-        for j in rows[i]:
-            heappush(heap, _key(rows, cols, i, j))
-
-    def axpy_row(dst, src, q, skip_col):
-        # row[dst] += q * row[src]; the skip_col entry is the caller's job
-        nonlocal live
-        row_dst = rows[dst]
-        for c, v in rows[src].items():
-            if c == skip_col:
-                continue
-            w = row_dst.get(c, 0) + q * v
-            if w == 0:
-                if c in row_dst:
-                    del row_dst[c]
-                    cols[c].discard(dst)
-                    live -= 1
-            else:
-                if c not in row_dst:
-                    cols[c].add(dst)
-                    live += 1
-                row_dst[c] = w
-                heappush(heap, _key(rows, cols, dst, c))
-
-    def axpy_col(dst, src, q, skip_row):
-        # col[dst] += q * col[src]; the skip_row entry is the caller's job
-        nonlocal live
-        for r in list(cols[src]):
-            if r == skip_row:
-                continue
-            w = rows[r].get(dst, 0) + q * rows[r][src]
-            if w == 0:
-                if dst in rows[r]:
-                    del rows[r][dst]
-                    cols[dst].discard(r)
-                    live -= 1
-            else:
-                if dst not in rows[r]:
-                    cols[dst].add(r)
-                    live += 1
-                rows[r][dst] = w
-                heappush(heap, _key(rows, cols, r, dst))
-
-    def drop(i, j):
-        nonlocal live
-        if j in rows[i]:
-            del rows[i][j]
+        else:
             cols[j].discard(i)
-            live -= 1
 
     diagonal = []
-    while live:
-        pi = -1
-        pj = -1
-        while heap:
-            key = heappop(heap)
-            i, j = key[3], key[4]
-            if j not in rows[i]:
-                continue
-            cur = _key(rows, cols, i, j)
-            if cur == key:
-                pi, pj = i, j
-                break
-            heappush(heap, cur)
-        if pi < 0:
-            for i in range(nrows):
-                for j in rows[i]:
-                    heappush(heap, _key(rows, cols, i, j))
-            continue
-
-        # shrink the pivot until it divides its whole row and column
-        while True:
+    for j in range(ncols):
+        while cols[j]:
+            pj = j
+            pi = min(cols[j], key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
             v = rows[pi][pj]
-            bad_row = -1
-            for r in sorted(cols[pj]):
-                if r != pi and rows[r][pj] % v != 0:
-                    bad_row = r
+            while True:
+                # row operations clear the pivot column
+                others = [r for r in cols[pj] if r != pi]
+                while others:
+                    r = others.pop()
+                    src, dst = rows[pi], rows[r]
+                    q = dst[pj] // v
+                    for c, w in src.items():
+                        x = dst.pop(c, 0) - q * w
+                        if x:
+                            dst[c] = x
+                            cols[c].add(r)
+                        else:
+                            cols[c].discard(r)
+                    if pj in dst:
+                        others.append(pi)
+                        pi, v = r, dst[pj]
+                # column operations reduce the pivot row modulo the pivot
+                row = rows[pi]
+                for c in [c for c in row if c != pj]:
+                    x = row.pop(c) % v
+                    if x:
+                        row[c] = x
+                    else:
+                        cols[c].discard(pi)
+                if len(row) == 1:
                     break
-            if bad_row >= 0:
-                u = rows[bad_row][pj]
-                q = -(u // v)
-                axpy_row(bad_row, pi, q, pj)
-                rows[bad_row][pj] = u + q * v
-                heappush(heap, _key(rows, cols, bad_row, pj))
-                pi = bad_row
-                continue
-            bad_col = -1
-            for c in sorted(rows[pi]):
-                if c != pj and rows[pi][c] % v != 0:
-                    bad_col = c
-                    break
-            if bad_col >= 0:
-                u = rows[pi][bad_col]
-                q = -(u // v)
-                axpy_col(bad_col, pj, q, pi)
-                rows[pi][bad_col] = u + q * v
-                heappush(heap, _key(rows, cols, pi, bad_col))
-                pj = bad_col
-                continue
-            break
-
-        # clear the pivot column by row operations, then the row
-        v = rows[pi][pj]
-        for r in sorted(cols[pj]):
-            if r == pi:
-                continue
-            q = -(rows[r][pj] // v)
-            axpy_row(r, pi, q, pj)
-            drop(r, pj)
-        for c in sorted(rows[pi]):
-            if c == pj:
-                continue
-            q = -(rows[pi][c] // v)
-            axpy_col(c, pj, q, pi)
-            drop(pi, c)
-        diagonal.append(v if v > 0 else -v)
-        drop(pi, pj)
+                pj = min((c for c in row if c != pj), key=lambda c: (abs(row[c]), c))
+                v = row[pj]
+            diagonal.append(abs(v))
+            del rows[pi][pj]
+            cols[pj].discard(pi)
 
     return normalize_divisor_chain(diagonal)
 

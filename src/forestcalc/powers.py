@@ -44,12 +44,7 @@ def sub_diagonal_cells(power_obj, delta):
 
 def fat_diagonal_cells(power_obj):
     """Cells with at least one repeated coordinate ref."""
-    out = set()
-    for cell in power_obj.all_cells():
-        k = coincidence_partition(cell)
-        if k.components < len(cell):
-            out.add(cell)
-    return out
+    return {cell for cell in power_obj.all_cells() if len(set(cell)) < len(cell)}
 
 
 def bad_diagonal_cells(power_obj, lam):

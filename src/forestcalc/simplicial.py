@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
@@ -20,6 +21,8 @@ from .partitions import refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
+# wedge:2 at n = 2 builds 83,232 cells; points:60 at n = 2 would need 216,000
+PRODUCT_CELL_CAP = 150_000
 T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 6 s end to end; T8 has 1,587,600
 # excess x top cells of T(lam); (0 1 2 3 4 5) takes about 4 s and 170 MB
 SUSPENSION_TOP_CELL_CAP = 13_500
@@ -296,16 +299,25 @@ def _product_cells(factors, coordinate_cells, basepoints=None):
     top = sum(f.dimension for f in factors)
     if top > PRODUCT_DIM_CAP:
         raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
-    normalize = JointNormalizer()
+    # count the cells before enumerating any: per dims tuple, the
+    # coordinate cells of those dims times the surjection tuples
+    per_dim = [
+        Counter(f.dim_of[c] for c in cs)
+        for f, cs in zip(factors, coordinate_cells)
+    ]
     surjection_tuples = {}
+    count = 0
+    for dims in itertools.product(*per_dim):
+        tuples = surjection_tuples[dims] = _joint_surjection_tuples(dims)
+        count += math.prod(n[d] for n, d in zip(per_dim, dims)) * len(tuples)
+    if count > PRODUCT_CELL_CAP:
+        raise CapExceededError(f"product has {count} cells, exceeds cap {PRODUCT_CELL_CAP}")
+    normalize = JointNormalizer()
     face_memos = [{} for _ in factors]  # per factor: ref -> its faces
     cells, faces = {}, {}
     for combo in itertools.product(*coordinate_cells):
         dims = tuple(f.dim_of[c] for f, c in zip(factors, combo))
-        tuples = surjection_tuples.get(dims)
-        if tuples is None:
-            tuples = surjection_tuples[dims] = _joint_surjection_tuples(dims)
-        for alphas in tuples:
+        for alphas in surjection_tuples[dims]:
             name = tuple(zip(combo, alphas))
             k = len(alphas[0]) - 1
             cells.setdefault(k, []).append(name)

@@ -201,6 +201,34 @@ def test_tspace_suspension_too_big_is_rejected_at_once(capsys):
     assert err == "error: suspension model has 340200 top cells, exceeds cap 13500\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tspace", "--lambda", "(0 1 2 3 4 5 6)"],
+        ["layer", "--m", "circle", "--n", "2"],
+    ],
+    ids=["tspace-T7", "layer-circle"],
+)
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        ("F4", "error: 4 is not prime"),
+        ("F2305843009213693951", "error: coefficient prime exceeds cap 2147483647"),
+        ("F+3", "error: bad coefficient spec 'F+3'"),
+        ("F03", "error: bad coefficient spec 'F03'"),
+        ("F\u0663", "error: bad coefficient spec 'F\u0663'"),
+        ("R", "error: bad coefficient spec 'R'"),
+    ],
+    ids=["composite", "huge-prime", "sign", "leading-zero", "non-ascii-digit", "unknown"],
+)
+def test_bad_coefficients_are_rejected_at_once(capsys, argv, coeff, message):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv + ["--coeff", coeff])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
 def test_tspace_many_small_blocks_accepted(capsys):
     code, env, _ = run_json(capsys, ["tspace", "--lambda", "(0 1)(2 3)(4 5)(6 7)"])
     assert code == 0
@@ -291,6 +319,18 @@ def test_layer_coend_cap_message(capsys):
     code, out, err = run_cli(capsys, ["layer", "--m", "points:2", "--n", "3"])
     assert (code, out) == (2, "")
     assert err == "error: coend for n=3 exceeds cap 2\n"
+
+
+@pytest.mark.parametrize(
+    "model, n, cells",
+    [("points:60", "2", 216_000), ("points:3000", "1", 9_000_000)],
+)
+def test_layer_product_too_big_is_rejected_at_once(capsys, model, n, cells):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["layer", "--m", model, "--n", n])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: product has {cells} cells, exceeds cap 150000\n"
 
 
 def test_layer_unknown_model(capsys):

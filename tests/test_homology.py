@@ -4,8 +4,10 @@ import functools
 import importlib
 import itertools
 import math
+import random
+import sys
 import time
-from collections import Counter
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -33,7 +35,7 @@ from forestcalc.kernel import (
     normalize_divisor_chain,
     sparse_elementary_divisors,
 )
-from forestcalc.layers import coend, stratum
+from forestcalc.layers import coend, derivative_report, stratum
 from forestcalc.partitions import all_partitions, make_partition
 from forestcalc.simplicial import (
     SimplicialObject,
@@ -208,6 +210,38 @@ def test_kernel_implementation_label():
     assert IMPLEMENTATION == "python"
 
 
+def test_dense_matrix_divisors_in_small_memory():
+    rng = random.Random(3)
+    m = [[rng.randint(-20, 20) for _ in range(20)] for _ in range(20)]
+    tracemalloc.start()
+    try:
+        divs = sparse_elementary_divisors(matrix_entries(m), 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert divs == sympy_divisors(m)
+    assert peak < 5_000_000
+
+
+@st.composite
+def integer_matrices(draw):
+    nrows = draw(st.integers(min_value=1, max_value=12))
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    row = st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@given(integer_matrices())
+def test_sparse_divisors_are_a_chain_matching_mod_p_ranks(m):
+    es, nrows, ncols = matrix_entries(m), len(m), len(m[0])
+    divs = sparse_elementary_divisors(es, nrows, ncols)
+    assert all(d > 0 for d in divs)
+    assert all(b % a == 0 for a, b in zip(divs, divs[1:]))
+    # over F_p the rank counts the divisors that p does not kill
+    for p in (2, 3, 5, 7):
+        assert rank_mod_p(es, nrows, ncols, p) == sum(1 for d in divs if d % p)
+
+
 def closure_divisor_chain(values):
     """The pairwise gcd/lcm closure over every entry, units included."""
     d = [abs(v) for v in values if v]
@@ -263,7 +297,8 @@ def test_parse_coefficients():
     assert parse_coefficients("Q") == ("Q", None)
     assert parse_coefficients("F2") == ("F", 2)
     assert parse_coefficients("F13") == ("F", 13)
-    for bad in ("F4", "F1", "Fx", "R", ""):
+    assert parse_coefficients("F2147483647") == ("F", 2**31 - 1)
+    for bad in ("F4", "F1", "Fx", "R", "", "F+3", "F03", "F\u0663", "F 3", "F2147483659"):
         with pytest.raises(ValidationError):
             parse_coefficients(bad)
 
@@ -536,23 +571,43 @@ def test_reduction_exact_on_random_complexes(facets, reduced):
     assert_reduction_exact(chain_complex(complex_from_facets(facets), reduced=reduced))
 
 
-def test_tree_space_homology_never_eliminates(monkeypatch):
-    # T6 pairs off all but its 5! top-degree homology generators
-    cx = chain_complex(t_space(indiscrete(6)))
-    assert {k: r for k, r in reduce_complex(cx).ranks.items() if r} == {5: 120}
-    calls = Counter()
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """(elimination, rows, cols) of every call of either elimination,
+    wherever a module binds it."""
+    calls = []
     for name in ("sparse_elementary_divisors", "rank_mod_p"):
         original = getattr(homology_module, name)
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+        def counting(entries, nrows, ncols, *rest, _name=name, _original=original):
+            calls.append((_name, nrows, ncols))
+            return _original(entries, nrows, ncols, *rest)
 
-        monkeypatch.setattr(homology_module, name, counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("forestcalc") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_tree_space_homology_never_eliminates(elimination_calls):
+    # T6 pairs off all but its 5! top-degree homology generators
+    cx = chain_complex(t_space(indiscrete(6)))
+    assert {k: r for k, r in reduce_complex(cx).ranks.items() if r} == {5: 120}
     for coefficients in ("Z", "F2"):
         groups = homology_of_complex(cx, coefficients)
         assert groups[5] == HomologyGroup(120, ())
-    assert calls == Counter()
+    assert elimination_calls == []
+
+
+@pytest.mark.parametrize("coefficients", ["Z", "F2"])
+def test_circle_layer_eliminates_little(elimination_calls, coefficients):
+    # the traffic the kernel is sized for: coreduction leaves the circle's
+    # n = 2 layer three residual boundaries of at most 8 x 8, which carry
+    # its 2- and 3-torsion and have no free face to pair off
+    report = derivative_report(model_circle(), 2, coefficients=coefficients)
+    assert report["euler_additivity"]["passed"]
+    assert len(elimination_calls) == 3
+    assert all(rows <= 8 and cols <= 8 for _, rows, cols in elimination_calls)
 
 
 @pytest.mark.parametrize(
