@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 from .category import enumerate_en
 from .cli import EXIT_COMPUTATION, EXIT_OK, parse_partition
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .fusion import goodness_via_graph, is_good
 from .homology import cover_acyclicity, homology, parse_coefficients
 from .layers import derivative_report
 from .partitions import all_partitions, check_support_cap
 from .simplicial import (
+    PRODUCT_CELL_CAP,
     check_cell_id,
     model_circle,
     model_from_json,
@@ -32,14 +34,17 @@ from .verify import CUBE_DEMOS, results_payload, run_checks
 
 
 def _model_count(spec):
-    """The k of points:k or wedge:k, which must be a non-negative integer."""
-    try:
-        k = int(spec.split(":", 1)[1])
-    except ValueError:
-        k = -1
-    if k < 0:
+    """The k of points:k or wedge:k: ASCII digits, no sign, no leading zero.
+
+    Every power in a layer has support at least 2, so it has at least k^2
+    cells; a k above the product cap is rejected before the model is built.
+    """
+    digits = spec.split(":", 1)[1]
+    if not re.fullmatch(r"0|[1-9][0-9]*", digits):
         raise ValidationError(f"bad model {spec!r}: k must be a non-negative integer")
-    return k
+    if len(digits) > len(str(PRODUCT_CELL_CAP)) or int(digits) > PRODUCT_CELL_CAP:
+        raise CapExceededError(f"bad model {spec!r}: k exceeds cap {PRODUCT_CELL_CAP}")
+    return int(digits)
 
 
 def load_model(spec):
@@ -85,6 +90,8 @@ def run_enumerate(args):
 
 
 def run_goodness(args):
+    if args.all and args.delta is not None:
+        raise ValidationError("give --delta or --all, not both")
     lam = parse_partition(args.lam)
     if args.all:
         check_support_cap(lam.support_size)

@@ -46,7 +46,6 @@ from .simplicial import (
     point_object,
     product_map,
     smash,
-    sort_key,
     surj_compose,
     surj_identity,
     t_space,
@@ -177,10 +176,10 @@ def _glue(pieces, relations):
     (i, cell) of the pieces.  A degenerate image enters as its normal
     form (glued cell, word), which a lower dimension fixed; a class that
     holds one takes it, any other class becomes a glued cell named after
-    its smallest member.  gluing counts, per dimension k, the
-    identifications the colimit makes among all k-simplices: the pieces
-    have sum over q of n_q * C(k, q) of them, the glued space the same
-    sum over its own q-cells.
+    its first member: lowest piece first, then the piece's cell order.
+    gluing counts, per dimension k, the identifications the colimit makes
+    among all k-simplices: the pieces have sum over q of n_q * C(k, q) of
+    them, the glued space the same sum over its own q-cells.
     """
     top = max(p.dimension for p in pieces.values())
     normal = {}  # (piece, cell) -> normal form in the glued space
@@ -221,7 +220,7 @@ def _glue(pieces, relations):
             if forms:
                 nf = forms[0]
             else:
-                name = min(group, key=sort_key)
+                name = group[0]
                 nf = (name, surj_identity(k))
                 cells.setdefault(k, []).append(name)
                 if k > 0:

@@ -32,10 +32,6 @@ def _debug():
     return bool(os.environ.get("FORESTCALC_DEBUG"))
 
 
-def sort_key(name):
-    return repr(name)
-
-
 # ---------------------------------------------------------------------------
 # monotone surjections [k] -> [p], stored as value tuples of length k+1
 
@@ -73,12 +69,11 @@ def surj_face(alpha, i):
 
 
 class SimplicialObject:
-    """Nondegenerate cells per dimension plus a face table of refs."""
+    """Nondegenerate cells per dimension, in the order given, plus a face
+    table of refs."""
 
     def __init__(self, cells, faces, basepoint=None):
-        self.cells = {
-            k: tuple(sorted(v, key=sort_key)) for k, v in cells.items() if v
-        }
+        self.cells = {k: tuple(v) for k, v in cells.items() if v}
         self.faces = dict(faces)
         self.basepoint = basepoint
         self.dim_of = {}

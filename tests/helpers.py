@@ -37,7 +37,6 @@ from forestcalc.simplicial import (
     product_map,
     quotient,
     smash,
-    sort_key,
     subobject,
     surj_identity,
     t_space,
@@ -229,7 +228,7 @@ class PermutationAction:
                 uf.union(c, d)
         out = {}
         for members in uf.classes():
-            canon = min(members, key=sort_key)
+            canon = min(members, key=repr)
             for c in members:
                 out[c] = canon
         return out
@@ -242,7 +241,7 @@ def quotient_by_group(action):
     """Cellwise orbit object of a simplicial group action."""
     obj = action.space
     orbit_of = action.orbit_of
-    reps = sorted(set(orbit_of.values()), key=sort_key)
+    reps = sorted(set(orbit_of.values()), key=repr)
     cells = {}
     for r in reps:
         cells.setdefault(obj.dim_of[r], []).append(r)

@@ -94,6 +94,13 @@ def test_goodness_needs_delta_or_all(capsys):
     assert "error:" in err
 
 
+def test_goodness_delta_and_all_together_exit_2(capsys):
+    argv = ["goodness", "--lambda", "(0 1 2)", "--delta", "(0 1)(2)", "--all"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: give --delta or --all, not both\n"
+
+
 def test_goodness_json_blocks(capsys):
     code, env, _ = run_json(
         capsys, ["goodness", "--lambda", "[[0,1],[2,3]]", "--all"]
@@ -346,12 +353,22 @@ def test_layer_unknown_model(capsys):
         ("wedge:x", 2),
         ("points:-1", 2),
         ("wedge:-2", 2),
+        ("points:+3", 2),
+        ("points: 3", 2),
+        ("points:1_0", 2),
+        ("points:\u0663", 2),  # an Arabic-Indic three
+        ("points:03", 2),
+        ("wedge:03", 2),
+        ("points:1000000000000", 2),
+        ("wedge:1000000000000", 2),
         ("points:0", 0),  # the empty model
         ("wedge:0", 0),  # a point
     ],
 )
 def test_layer_model_count(capsys, spec, code):
+    start = time.monotonic()
     got, out, err = run_cli(capsys, ["layer", "--m", spec, "--n", "1"])
+    assert time.monotonic() - start < 1.0
     assert got == code
     if code == 2:
         assert out == ""

@@ -40,6 +40,7 @@ from forestcalc.partitions import all_partitions, make_partition
 from forestcalc.simplicial import (
     SimplicialObject,
     model_circle,
+    model_from_json,
     model_interval,
     model_points,
     model_wedge_of_circles,
@@ -602,12 +603,43 @@ def test_tree_space_homology_never_eliminates(elimination_calls):
 @pytest.mark.parametrize("coefficients", ["Z", "F2"])
 def test_circle_layer_eliminates_little(elimination_calls, coefficients):
     # the traffic the kernel is sized for: coreduction leaves the circle's
-    # n = 2 layer three residual boundaries of at most 8 x 8, which carry
-    # its 2- and 3-torsion and have no free face to pair off
+    # n = 2 layer four residual boundaries, which carry its 2- and 3-torsion
+    # and have no free face to pair off
     report = derivative_report(model_circle(), 2, coefficients=coefficients)
     assert report["euler_additivity"]["passed"]
-    assert len(elimination_calls) == 3
-    assert all(rows <= 8 and cols <= 8 for _, rows, cols in elimination_calls)
+    shapes = [(rows, cols) for _, rows, cols in elimination_calls]
+    assert shapes == [(25, 55), (55, 30), (3, 3), (5, 5)]
+
+
+def relabeled(M, ids):
+    """M as a JSON model that lists its cells in M's order, renamed to ids."""
+    fresh = dict(zip(M.all_cells(), ids))
+    cells = []
+    for c in M.all_cells():
+        item = {"id": fresh[c], "dim": M.dim_of[c]}
+        if M.dim_of[c]:
+            item["faces"] = [fresh[f] for f, _ in M.faces[c]]
+        cells.append(item)
+    return model_from_json({"cells": cells})
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(model_circle, 2), (lambda: model_wedge_of_circles(2), 1)],
+    ids=["circle-n2", "wedge2-n1"],
+)
+def test_elimination_traffic_ignores_cell_names(elimination_calls, model, n):
+    # cells keep the order a model lists them in, so fresh names in the
+    # same order leave the residual boundaries, and the kernel calls, as they are
+    M = model()
+    derivative_report(M, n)
+    expected = list(elimination_calls)
+    for seed in range(1, 5):
+        rng = random.Random(seed)
+        ids = [f"c{x:012x}" for x in rng.sample(range(1 << 48), len(M.dim_of))]
+        elimination_calls.clear()
+        derivative_report(relabeled(M, ids), n)
+        assert elimination_calls == expected, seed
 
 
 @pytest.mark.parametrize(
