@@ -134,21 +134,17 @@ def build_parser():
     return parser
 
 
-CONFIG_KEYS = {
-    "enumerate": ("n", "stratum", "objects_only"),
-    "goodness": ("lam", "delta", "all"),
-    "tspace": ("lam", "model", "coeff"),
-    "layer": ("m", "n", "coeff", "emit_cells"),
-    "cube-check": ("demo", "file"),
-    "verify": ("level", "inject_fault"),
-}
+# the options every command takes, none of which changes its result
+GLOBAL_OPTIONS = ("command", "format", "out", "cache", "timings")
 
 
 def _config_of(args):
+    """The command's own options, for the envelope and the cache key;
+    an option left unset (None, or False for a flag) is omitted."""
     return {
-        key: getattr(args, key)
-        for key in CONFIG_KEYS[args.command]
-        if getattr(args, key) not in (None, False)
+        key: value
+        for key, value in vars(args).items()
+        if key not in GLOBAL_OPTIONS and value is not None and value is not False
     }
 
 

@@ -152,7 +152,8 @@ def cache_get(directory, key, command, config):
 def cache_put(directory, key, env):
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
-    tmp = path + ".tmp"
+    # one name per process, so two runs writing one key do not collide
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_envelope_json(env))
     os.replace(tmp, path)

@@ -8,9 +8,11 @@ cube of subobjects.  Every complex is first
 reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
 chain-homotopy-equivalent subcomplex; a tree space keeps only its
 top-degree homology generators and needs no elimination at all.
-Integer homology is then read off elementary divisors computed by the
-sparse kernel; the mod-p route is an independent Gaussian elimination
-so the two can cross-check each other.
+Every ring is then read off one chain of elementary divisors per
+boundary, computed by the sparse kernel: over Z and Q each divisor adds
+to the rank, over F_p those that p does not divide, and over Z the
+divisors above 1 are the torsion.  The mod-p Gaussian elimination and
+the dense Smith form are reference routes for the checks, not used here.
 """
 
 from __future__ import annotations
@@ -250,8 +252,9 @@ def _euler(cx):
 
 
 def rank_mod_p(entries, nrows, ncols, p):
-    """Rank over F_p by plain Gaussian elimination; independent of the
-    integer route."""
+    """Rank over F_p by plain Gaussian elimination: the reference mod-p
+    route, independent of the kernel.  Homology reads F_p ranks off the
+    kernel's divisors instead; this one serves the tests."""
     rows = {}
     for i, j, v in entries:
         r = rows.setdefault(i, {})
@@ -349,35 +352,20 @@ def homology_of_complex(cx, coefficients="Z"):
         if _euler(small) != _euler(cx):
             raise ValidationError("reduction changed the Euler characteristic")
     cx = small
-    degrees = cx.degrees()
-    top = max(degrees, default=-1)
-    ranks_of_boundary = {}
-    divisors = {}
-    for k in range(0, top + 2):
-        es = cx.boundary(k)
-        n_from = cx.ranks.get(k, 0)
-        n_to = cx.ranks.get(k - 1, 0)
-        if n_from == 0 or n_to == 0:
-            ranks_of_boundary[k] = 0
-            divisors[k] = []
-            continue
-        if kind == "F":
-            ranks_of_boundary[k] = rank_mod_p(es, n_to, n_from, p)
-            divisors[k] = []
-        else:
-            d = sparse_elementary_divisors(es, n_to, n_from)
-            divisors[k] = d
-            ranks_of_boundary[k] = len(d)
-    groups = {}
-    for k in range(0, top + 1):
-        n = cx.ranks.get(k, 0)
-        rank = n - ranks_of_boundary.get(k, 0) - ranks_of_boundary.get(k + 1, 0)
-        if kind == "Z":
-            torsion = tuple(d for d in divisors.get(k + 1, []) if d > 1)
-        else:
-            torsion = ()
-        groups[k] = HomologyGroup(rank, torsion)
-    return groups
+    top = max(cx.degrees(), default=-1)
+    boundary_rank, torsion = {}, {}
+    for k in range(top + 2):
+        n_from, n_to = cx.ranks.get(k, 0), cx.ranks.get(k - 1, 0)
+        d = sparse_elementary_divisors(cx.boundary(k), n_to, n_from) if n_from and n_to else []
+        # a divisor is a unit over Q, and over F_p unless p divides it
+        boundary_rank[k] = sum(1 for x in d if x % p) if kind == "F" else len(d)
+        torsion[k] = tuple(x for x in d if x > 1) if kind == "Z" else ()
+    return {
+        k: HomologyGroup(
+            cx.ranks.get(k, 0) - boundary_rank[k] - boundary_rank[k + 1], torsion[k + 1]
+        )
+        for k in range(top + 1)
+    }
 
 
 def homology(obj, coefficients="Z", reduced=True):

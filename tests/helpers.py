@@ -4,7 +4,9 @@ The simplicial orbit route builds a stratum as a space: the power with
 its fat diagonal collapsed, smashed with the tree space, with the
 automorphisms of the partition acting on the cells of the smash and
 the cellwise orbit quotient taken.  It is the reference that the
-chain-level `layers.stratum` is checked against.
+chain-level `layers.stratum` is checked against.  The unreduced route
+reads homology off a complex's raw boundary matrices, over F_p by the
+reference mod-p elimination, not off the kernel's divisors.
 """
 
 import itertools
@@ -14,7 +16,15 @@ from functools import cached_property
 
 from forestcalc.category import CategoryTable, automorphism_group
 from forestcalc.errors import ValidationError
-from forestcalc.homology import HomologyResult, homology, homology_of_complex
+from forestcalc.homology import (
+    HomologyGroup,
+    HomologyResult,
+    homology,
+    homology_of_complex,
+    parse_coefficients,
+    rank_mod_p,
+)
+from forestcalc.kernel import sparse_elementary_divisors
 from forestcalc.layers import t_space_map
 from forestcalc.fusion import pushout_graph
 from forestcalc.partitions import (
@@ -106,6 +116,28 @@ def stratum_homology(res, coefficients="Z"):
     """The homology of a stratum's chain complex."""
     groups = homology_of_complex(res.complex, coefficients)
     return HomologyResult(coefficients, True, groups)
+
+
+def unreduced_groups(cx, coefficients):
+    """Homology straight from the raw boundary matrices, no reduction,
+    over F_p by the reference mod-p elimination rather than the kernel."""
+    kind, p = parse_coefficients(coefficients)
+    top = max(cx.degrees(), default=-1)
+    boundary_rank, torsion = {}, {}
+    for k in range(top + 2):
+        args = (cx.boundary(k), cx.ranks.get(k - 1, 0), cx.ranks.get(k, 0))
+        if kind == "F":
+            boundary_rank[k], torsion[k] = rank_mod_p(*args, p), ()
+        else:
+            d = sparse_elementary_divisors(*args)
+            boundary_rank[k] = len(d)
+            torsion[k] = tuple(x for x in d if x > 1) if kind == "Z" else ()
+    return {
+        k: HomologyGroup(
+            cx.ranks.get(k, 0) - boundary_rank[k] - boundary_rank[k + 1], torsion[k + 1]
+        )
+        for k in range(top + 1)
+    }
 
 
 def smash_via_product(a, b):

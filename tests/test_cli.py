@@ -583,6 +583,31 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert len(os.listdir(cache)) == 2
 
 
+def test_zero_valued_option_is_part_of_the_cache_key(capsys, tmp_path):
+    # --stratum 0 is bad input, not a hit on the entry without --stratum
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, ["--cache", cache, "enumerate", "--n", "2"])
+    argv = ["enumerate", "--n", "2", "--stratum", "0"]
+    code, out, err = run_cli(capsys, ["--cache", cache] + argv)
+    assert (code, out, err) == (2, "", "error: stratum must lie in 1..2\n")
+    assert run_cli(capsys, argv) == (code, out, err)
+
+
+def test_cache_write_survives_a_taken_temporary_name(capsys, tmp_path):
+    # whatever sits at <key>.json.tmp does not stop a run from storing its
+    # entry: each process writes through a temporary name of its own
+    argv = ["tspace", "--lambda", "(0 1 2)"]
+    _, fresh, _ = run_cli(capsys, argv)
+    cache = tmp_path / "cache"
+    run_cli(capsys, ["--cache", str(cache)] + argv)
+    (name,) = os.listdir(cache)
+    os.remove(cache / name)
+    os.mkdir(cache / (name + ".tmp"))
+    code, out, _ = run_cli(capsys, ["--cache", str(cache)] + argv)
+    assert (code, out) == (0, fresh)
+    assert (cache / name).read_text(encoding="utf-8") == fresh
+
+
 def _bump_euler(env):
     env["payload"]["homology"]["euler"] += 1
 

@@ -3,8 +3,10 @@
 each of them must keep existing; the README's examples must run; the
 package's lazily loaded exports must exist; no module, test module
 included, keeps an import it does not use, at the top or inside a
-function; and the package leaves no reference cycles for the garbage
-collector, so no nested function refers to itself."""
+function; homology eliminates through the one kernel, leaving the
+reference routes to verify and the tests; and the package leaves no
+reference cycles for the garbage collector, so no nested function
+refers to itself."""
 
 import ast
 import gc
@@ -120,6 +122,33 @@ def test_lazy_exports_are_defined():
                 defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         missing += [(name, m) for name, m in table.items() if m == module and name not in defined]
     assert not missing, sorted(missing)
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_one_elimination_in_production():
+    # homology reads every ring off the kernel's divisors, from one call
+    # site; the mod-p elimination and the dense Smith form are reference
+    # routes that only verify and the tests may call
+    callers = {"rank_mod_p": (), "smith_normal_form": ("verify.py",), "diagonal_of": ("verify.py",)}
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)
+        for node in ast.walk(_parse(path)):
+            name = isinstance(node, ast.Call) and _called_name(node)
+            if name in callers and module not in callers[name]:
+                found.append((module, node.lineno, name))
+    assert not found, found
+    kernel_sites = [
+        (getattr(scope, "name", None), node.lineno)
+        for scope in _parse(os.path.join(PACKAGE, "homology.py")).body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and _called_name(node) == "sparse_elementary_divisors"
+    ]
+    assert [scope for scope, _ in kernel_sites] == ["homology_of_complex"], kernel_sites
 
 
 def test_no_self_referencing_nested_functions():
