@@ -252,7 +252,8 @@ class CategoryTable:
 
     def generating_arrows(self, i, j):
         """Arrows of hom(i, j) that generate it under composition with
-        automorphisms: the generators of Aut(i) when i == j, else the
+        automorphisms: when i == j, the generators of Aut(i) less each one
+        that the generators kept so far already generate, else the
         smallest arrow of each orbit under Aut(j) x Aut(i).
 
         Every arrow is g' f0 g with f0 listed here and g, g' products of
@@ -289,7 +290,12 @@ class CategoryTable:
                 f"the generators of Aut({i}) generate {generated} of the "
                 f"{len(listed)} arrows of hom({i}, {i})"
             )
-        return group.generators
+        kept = list(group.generators)
+        for g in group.generators:
+            rest = [h for h in kept if h is not g]
+            if _group_order(group.degree, rest) == generated:
+                kept = rest
+        return tuple(kept)
 
     def validate(self):
         """Checks the objects, and every listed arrow as a fusion."""

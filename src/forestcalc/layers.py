@@ -3,16 +3,19 @@
 The coend is the colimit of simplicial sets that glues each piece along
 both actions of every morphism.  The relations of a set of arrows that
 generates the category under composition already fix it, so only the
-generating arrows of the table are applied: the automorphism generators
-of each object and one arrow per double coset of automorphisms in each
-other hom set (`CategoryTable.generating_arrows`).  Both actions are
-functorial, so the relation of a composite follows from those of its
-factors.  The colimit is computed from nondegenerate cells alone, one
-dimension at a time: the relations are applied to the cells of each
-mixing piece, and a degenerate image stands for its Eilenberg-Zilber
-normal form, fixed in a lower dimension.  Because both actions are
-simplicial, the identifications of degenerate simplices follow from
-these.
+generating arrows of the table are applied: a minimal set of
+automorphism generators of each object and one arrow per double coset
+of automorphisms in each other hom set
+(`CategoryTable.generating_arrows`).  Both actions are functorial, so
+the relation of a composite follows from those of its factors.  The
+colimit is computed from nondegenerate cells alone, one dimension at a
+time: the relations are applied to the cells of each mixing piece, and
+a degenerate image stands for its Eilenberg-Zilber normal form, fixed
+in a lower dimension.  Because both actions are simplicial, the
+identifications of degenerate simplices follow from these.  The colimit
+reads the faces of a piece's cell only when the cell becomes a glued
+representative, and never the faces of a mixing piece, so each piece
+computes its faces on lookup (`lazy_smash`).
 
 The pieces and relations are built once per coend.  Filtration stage i
 glues the pieces of the objects with at most i components, a prefix of
@@ -42,10 +45,11 @@ from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
     SimplicialObject,
+    check_product_size,
     descend_to_quotients,
+    lazy_smash,
     point_object,
     product_map,
-    smash,
     surj_compose,
     surj_identity,
     t_space,
@@ -136,6 +140,11 @@ def _coend_pieces(M, table, pairs=None, trees=None):
     that keeps the power pairs (by object index) and the tree spaces (see
     `_tree`) passes the dicts to fill.
 
+    Every power is counted against the product caps before the first is
+    built.  The pieces and mixing pieces compute their faces on lookup:
+    `_glue` reads only the faces of its glued representatives, and the
+    relation maps read only cells.
+
     Only the generating arrows get a relation.  For f = g' f0 g with g,
     g' automorphisms, functoriality of both actions chains
     (pw_g pw_f0 pw_g' q, t) ~ (pw_f0 pw_g' q, tw_g t)
@@ -144,10 +153,12 @@ def _coend_pieces(M, table, pairs=None, trees=None):
     """
     pairs = {} if pairs is None else pairs
     trees = {} if trees is None else trees
+    for lam in table.objects:
+        check_product_size([M] * lam.support_size)
     pieces = {}
     for i, lam in enumerate(table.objects):
         pairs[i] = power_pair(M, lam)
-        pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1])
+        pieces[i] = lazy_smash(pairs[i].quotient, _tree(trees, lam)[1])
     relations = []
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
@@ -158,7 +169,7 @@ def _coend_pieces(M, table, pairs=None, trees=None):
             if i == j:
                 w = pieces[i]
             else:
-                w = smash(pairs[j].quotient, tree)
+                w = lazy_smash(pairs[j].quotient, tree)
             for values in arrows:
                 f = SetMap(lam.support_size, lam_j.support_size, values)
                 pw = power_quotient_map(f, pairs[i], pairs[j])
@@ -177,6 +188,8 @@ def _glue(pieces, relations):
     form (glued cell, word), which a lower dimension fixed; a class that
     holds one takes it, any other class becomes a glued cell named after
     its first member: lowest piece first, then the piece's cell order.
+    Only such a representative's faces are read from its piece, and only
+    cells are read from a mixing piece.
     gluing counts, per dimension k, the identifications the colimit makes
     among all k-simplices: the pieces have sum over q of n_q * C(k, q) of
     them, the glued space the same sum over its own q-cells.
@@ -326,7 +339,7 @@ def stratum(assembly, lam):
     orbits = UnionFind(generators)
     m = lam.support_size
     group = table.groups[idx]
-    for g in group.generators:
+    for g in table.generating_arrows(idx, idx):
         gmap = SetMap(m, m, g)
         pmap = induced_power_map(gmap.inverse(), pair.power, pair.power).mapping
         tmap = t_space_map(gmap, lam, lam, assembly.trees).mapping

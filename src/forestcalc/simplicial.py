@@ -74,7 +74,7 @@ class SimplicialObject:
 
     def __init__(self, cells, faces, basepoint=None):
         self.cells = {k: tuple(v) for k, v in cells.items() if v}
-        self.faces = dict(faces)
+        self.faces = faces
         self.basepoint = basepoint
         self.dim_of = {}
         for k, names in self.cells.items():
@@ -119,7 +119,12 @@ class SimplicialObject:
             if k == 0:
                 continue
             for c in names:
-                refs = self.faces.get(c)
+                # by subscript, so a table that computes faces on lookup
+                # has every face checked
+                try:
+                    refs = self.faces[c]
+                except KeyError:
+                    refs = None
                 if refs is None or len(refs) != k + 1:
                     raise ValidationError(f"cell {c!r} needs {k + 1} faces")
                 for tcell, alpha in refs:
@@ -236,9 +241,9 @@ class JointNormalizer:
     """Joint normal forms of tuples of refs, with the per-word work
     memoized: each word's bitmask of degenerate positions (bit t when
     a[t] == a[t + 1]), each word's stripped form under a shared mask,
-    and each mask's outer word.  One normalizer serves one `product` or
-    `product_map` call and is dropped with it, so no memo outlives the
-    call that filled it.
+    and each mask's outer word.  One normalizer serves one `product_map`
+    call or one face table (`ProductFaces`), and its memos live as long
+    as that call or that table.
     """
 
     def __init__(self):
@@ -281,21 +286,18 @@ class JointNormalizer:
         return tuple(out), tau
 
 
-def _product_cells(factors, coordinate_cells, basepoints=None):
-    """Cells and faces of the product simplices whose coordinate j is a
-    cell of coordinate_cells[j].
+def _surjection_tuples(factors, coordinate_cells):
+    """Per dims tuple of the coordinate cells, its jointly nondegenerate
+    surjection tuples.
 
-    Faces are computed coordinatewise and renormalized.  Given the
-    factors' basepoints, a face with a basepoint coordinate becomes the
-    collapsed face (BASEPOINT, surj_zero(k - 1)).  Within the call each
-    coordinate face and each dims tuple's surjection tuples are computed
-    once.
+    Raises CapExceededError when the product simplices whose coordinate
+    j is a cell of coordinate_cells[j] are over a cap: the cells are
+    counted, per dims tuple the coordinate cells of those dims times the
+    surjection tuples, before any is enumerated.
     """
     top = sum(f.dimension for f in factors)
     if top > PRODUCT_DIM_CAP:
         raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
-    # count the cells before enumerating any: per dims tuple, the
-    # coordinate cells of those dims times the surjection tuples
     per_dim = [
         Counter(f.dim_of[c] for c in cs)
         for f, cs in zip(factors, coordinate_cells)
@@ -307,17 +309,66 @@ def _product_cells(factors, coordinate_cells, basepoints=None):
         count += math.prod(n[d] for n, d in zip(per_dim, dims)) * len(tuples)
     if count > PRODUCT_CELL_CAP:
         raise CapExceededError(f"product has {count} cells, exceeds cap {PRODUCT_CELL_CAP}")
-    normalize = JointNormalizer()
-    face_memos = [{} for _ in factors]  # per factor: ref -> its faces
-    cells, faces = {}, {}
+    return surjection_tuples
+
+
+def check_product_size(factors):
+    """Raise CapExceededError when product(factors) is over a cap,
+    without building it."""
+    _surjection_tuples(factors, [list(f.all_cells()) for f in factors])
+
+
+def _product_cells(factors, coordinate_cells):
+    """Cells per dimension of the product simplices whose coordinate j
+    is a cell of coordinate_cells[j]; `_surjection_tuples` checks the
+    caps first.  Their faces come from a `ProductFaces` table."""
+    surjection_tuples = _surjection_tuples(factors, coordinate_cells)
+    cells = {}
     for combo in itertools.product(*coordinate_cells):
         dims = tuple(f.dim_of[c] for f, c in zip(factors, combo))
         for alphas in surjection_tuples[dims]:
-            name = tuple(zip(combo, alphas))
-            k = len(alphas[0]) - 1
-            cells.setdefault(k, []).append(name)
-            if k == 0:
-                continue
+            cells.setdefault(len(alphas[0]) - 1, []).append(tuple(zip(combo, alphas)))
+    return cells
+
+
+class ProductFaces(dict):
+    """Face table of product cells: a cell's faces are computed the
+    first time they are looked up, or all at once by `fill`.
+
+    Faces are computed coordinatewise and renormalized.  Given the
+    factors' basepoints, a face with a basepoint coordinate becomes the
+    collapsed face (BASEPOINT, surj_zero(k - 1)).  The per-factor face
+    memos and the normalizer live as long as the table, so each
+    coordinate face is computed once however the faces are asked for.
+    """
+
+    def __init__(self, factors, basepoints=None):
+        super().__init__()
+        self.factors = factors
+        self.basepoints = basepoints
+        self.normalize = JointNormalizer()
+        self.face_memos = [{} for _ in factors]  # per factor: ref -> its faces
+
+    def __missing__(self, name):
+        # a filled table holds every face; else only a product cell of
+        # positive dimension has faces
+        if self.factors is None or not isinstance(name, tuple) or len(name[0][1]) < 2:
+            raise KeyError(name)
+        self._compute((name,))
+        return self[name]
+
+    def fill(self, cells):
+        """Compute the faces of every cell of positive dimension in the
+        dict dimension -> cells, in one loop.  No face can be missing
+        afterwards, so the memos are dropped."""
+        self._compute(c for k, names in cells.items() if k for c in names)
+        self.factors = self.normalize = self.face_memos = None
+
+    def _compute(self, names):
+        factors, face_memos = self.factors, self.face_memos
+        basepoints, normalize = self.basepoints, self.normalize
+        for name in names:
+            k = len(name[0][1]) - 1
             coordinate_faces = []
             for f, memo, ref in zip(factors, face_memos, name):
                 ref_faces = memo.get(ref)
@@ -331,20 +382,21 @@ def _product_cells(factors, coordinate_cells, basepoints=None):
                     fs.append((BASEPOINT, surj_zero(k - 1)))
                 else:
                     fs.append(normalize(sub))
-            faces[name] = tuple(fs)
-    return cells, faces
+            self[name] = tuple(fs)
 
 
 def product(factors):
     """Product of finitely many simplicial objects.
 
     Cells are jointly nondegenerate tuples of refs; faces are computed
-    coordinatewise and renormalized (see `_product_cells`).  Pointed
-    when every factor is.
+    coordinatewise and renormalized (see `ProductFaces`), all of them
+    before the product is returned.  Pointed when every factor is.
     """
     if not factors:
         raise ValidationError("product needs at least one factor")
-    cells, faces = _product_cells(factors, [list(f.all_cells()) for f in factors])
+    cells = _product_cells(factors, [list(f.all_cells()) for f in factors])
+    faces = ProductFaces(factors)
+    faces.fill(cells)
     basepoint = None
     if all(f.basepoint is not None for f in factors):
         basepoint = tuple((f.basepoint, (0,)) for f in factors)
@@ -403,8 +455,9 @@ def quotient(obj, collapse):
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
-def smash(a, b):
-    """Smash product of pointed objects: product over wedge.
+def lazy_smash(a, b):
+    """Smash product of pointed objects, each face computed the first
+    time it is looked up (see `ProductFaces`).
 
     Built directly: the cells are the product cells with no basepoint
     coordinate, plus a fresh basepoint, and a face with a basepoint
@@ -417,11 +470,18 @@ def smash(a, b):
     coordinate_cells = [
         [c for c in f.all_cells() if c != f.basepoint] for f in factors
     ]
-    cells, faces = _product_cells(
-        factors, coordinate_cells, (a.basepoint, b.basepoint)
-    )
+    cells = _product_cells(factors, coordinate_cells)
     cells = {0: [BASEPOINT] + cells.pop(0, []), **cells}
+    faces = ProductFaces(factors, (a.basepoint, b.basepoint))
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
+
+
+def smash(a, b):
+    """Smash product of pointed objects, with every face computed
+    before it is returned (see `lazy_smash`)."""
+    obj = lazy_smash(a, b)
+    obj.faces.fill(obj.cells)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +538,13 @@ class SimplicialMap:
 
 
 def same_object(a, b):
-    """Structural equality; separately built copies compose fine."""
+    """Structural equality; separately built copies compose fine.  Faces
+    are read by subscript, so a table that computes them on lookup is
+    compared by its faces, not by the ones it holds so far."""
     return a is b or (
-        a.cells == b.cells and a.faces == b.faces and a.basepoint == b.basepoint
+        a.cells == b.cells
+        and a.basepoint == b.basepoint
+        and all(a.faces[c] == b.faces[c] for k, cs in a.cells.items() if k for c in cs)
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from forestcalc.category import (
     CategoryTable,
+    _group_order,
     aut_order_formula,
     automorphism_group,
     canonical_object,
@@ -299,12 +300,25 @@ def test_generating_arrows_generate_each_hom_set(n):
             assert reached == set(table.hom(i, j)), (i, j)
 
 
-@pytest.mark.parametrize("n, arrows, generating", [(1, 2, 1), (2, 38, 6), (3, 1140, 14)])
+@pytest.mark.parametrize("n, arrows, generating", [(1, 2, 1), (2, 38, 5), (3, 1140, 12)])
 def test_generating_arrow_counts(n, arrows, generating):
     table = enumerate_en(n, include_homs=True)
     pairs = list(itertools.product(range(len(table.objects)), repeat=2))
     assert sum(len(table.hom(i, j)) for i, j in pairs) == arrows
     assert sum(len(table.generating_arrows(i, j)) for i, j in pairs) == generating
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphism_generating_arrows_are_irredundant(n):
+    # each kept generator is needed: the others generate a proper subgroup
+    table = enumerate_en(n, include_homs=True)
+    for i, group in enumerate(table.groups):
+        gens = table.generating_arrows(i, i)
+        assert set(gens) <= set(group.generators)
+        assert _group_order(group.degree, gens) == group.order
+        for g in gens:
+            rest = [h for h in gens if h != g]
+            assert _group_order(group.degree, rest) < group.order, (i, g)
 
 
 def test_generating_arrows_are_smallest_of_their_orbits():

@@ -12,7 +12,7 @@ import forestcalc
 from forestcalc import commands, layers
 from forestcalc.cli import main, parse_partition
 from forestcalc.partitions import make_partition
-from forestcalc.simplicial import SimplicialObject
+from forestcalc.simplicial import ProductFaces, SimplicialObject
 
 
 @pytest.fixture(autouse=True)
@@ -267,7 +267,8 @@ def test_layer_emit_cells(capsys):
 def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     # one assembly gives every filtration stage and every stratum: its
     # pieces and relations are built once, with three smashes (two
-    # pieces, one mixing piece); the coend's chains come from its cells
+    # pieces, one mixing piece), each computing its faces on lookup; the
+    # coend's chains come from its cells
     # and each of the two strata is a tensor complex, built with no smash
     calls = {}
 
@@ -281,7 +282,7 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
         monkeypatch.setattr(module, name, counting)
 
     count(layers, "_coend_pieces")
-    count(layers, "smash")
+    count(layers, "lazy_smash")
     # the package exports a function named homology, so fetch the module
     count(layers, "tensor_chain_complex")
     count(sys.modules["forestcalc.homology"], "chain_complex")
@@ -290,7 +291,7 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     assert code == 0
     assert calls == {
         "_coend_pieces": 1,
-        "smash": 3,
+        "lazy_smash": 3,
         "chain_complex": 1,
         "tensor_chain_complex": 2,
     }
@@ -303,23 +304,73 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     ids=["layer", "tspace"],
 )
 def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
-    # FORESTCALC_DEBUG=1 validates every simplicial object on construction
+    # FORESTCALC_DEBUG=1 validates every simplicial object on construction;
+    # an unfilled face table (one that still computes faces on lookup)
+    # starts empty, so after validation it must hold the faces of every
+    # positive-dimensional cell
     validated = []
+    unchecked = []
     original = SimplicialObject.validate
 
     def counting(self):
         validated.append(self)
-        return original(self)
+        lazy = isinstance(self.faces, ProductFaces) and self.faces.factors is not None
+        result = original(self)
+        if lazy:
+            unchecked.append(
+                [c for k, cs in self.cells.items() if k for c in cs if c not in self.faces]
+            )
+        return result
 
     monkeypatch.setattr(SimplicialObject, "validate", counting)
     monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
     code, plain, _ = run_cli(capsys, argv)
-    unchecked = len(validated)
+    unchecked_plain = len(validated)
     monkeypatch.setenv("FORESTCALC_DEBUG", "1")
     code_debug, debug, _ = run_cli(capsys, argv)
     assert code == code_debug == 0
     assert debug == plain
-    assert len(validated) > unchecked
+    assert len(validated) > unchecked_plain
+    assert all(not cells for cells in unchecked)
+    if argv[0] == "layer":
+        # two pieces and one mixing piece, all built with lazy_smash
+        assert len(unchecked) == 3
+
+
+def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
+    # the colimit reads a piece's faces only for its glued representatives
+    # and never those of a mixing piece, so only those face tuples are
+    # ever computed, each once for both filtration stages
+    monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
+    built, assemblies = [], []
+
+    def recording(wrapped, out):
+        def record(*args, **kwargs):
+            out.append(wrapped(*args, **kwargs))
+            return out[-1]
+
+        return record
+
+    monkeypatch.setattr(layers, "lazy_smash", recording(layers.lazy_smash, built))
+    monkeypatch.setattr(layers, "coend", recording(layers.coend, assemblies))
+    code, _, _ = run_cli(capsys, ["layer", "--m", "circle", "--n", "2"])
+    assert code == 0
+    (assembly,) = assemblies
+    pieces = list(assembly.pieces.values())
+    mixing = [w for w in built if not any(w is p for p in pieces)]
+    assert len(pieces) == 2 and len(mixing) == 1
+    assert [len(w.faces) for w in mixing] == [0]
+    computed = sum(len(p.faces) for p in pieces)
+    glued = sum(
+        n_k
+        for stage in assembly.stages.values()
+        for k, n_k in stage.cell_count().items()
+        if k > 0
+    )
+    assert computed <= glued
+    # stage 2 reuses the 126 tuples of stage 1, out of 6,420 piece cells
+    assert computed == 570
+    assert sum(n_k for p in pieces for k, n_k in p.cell_count().items() if k) == 6420
 
 
 def test_layer_coend_cap_message(capsys):
@@ -338,6 +389,29 @@ def test_layer_product_too_big_is_rejected_at_once(capsys, model, n, cells):
     assert time.monotonic() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: product has {cells} cells, exceeds cap 150000\n"
+
+
+def test_layer_rejects_an_oversized_power_before_building_any(capsys, monkeypatch):
+    # every power is counted before the first is built: points:20 at n = 2
+    # fits the power of the first object (8,000 cells) but not that of
+    # (2, 2), and nothing is built before the error
+    calls = []
+
+    def refuse(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return record
+
+    monkeypatch.setattr(layers, "power_pair", refuse("power_pair"))
+    monkeypatch.setattr(layers, "lazy_smash", refuse("lazy_smash"))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["layer", "--m", "points:20", "--n", "2"])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: product has 160000 cells, exceeds cap 150000\n"
+    assert calls == []
 
 
 def test_layer_unknown_model(capsys):
