@@ -7,7 +7,10 @@ stratum, and through the chains of its corners the total cofiber of a
 cube of subobjects.  Every complex is first
 reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
 chain-homotopy-equivalent subcomplex; a tree space keeps only its
-top-degree homology generators and needs no elimination at all.
+top-degree homology generators and needs no elimination at all.  The
+reduction holds the complex in flat integer arrays, each generator's
+faces with their coefficients and its cofaces, not in a dict per
+generator.
 Every ring is then read off one chain of elementary divisors per
 boundary, computed by the sparse kernel: over Z and Q each divisor adds
 to the rank, over F_p those that p does not divide, and over Z the
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from operator import add, itemgetter, sub
 
 from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
@@ -188,59 +193,114 @@ def reduce_complex(cx):
     in (degree, index) order and neighbours of a removed pair requeued;
     a last-in first-out order stalls far from a perfect matching on tree
     spaces.  Entries other than +-1 are never paired, so torsion stays.
+
+    The complex is held in flat arrays: each generator's faces with
+    their coefficients and its cofaces, each run starting at the
+    generator's offset, with live-neighbour counts and an alive flag
+    per generator.  Entries that repeat a (row, col) are summed first
+    and a sum of 0 is dropped; faces and cofaces keep the order in
+    which their entries were first given (a dict's insertion order).
     """
-    offset = {}
-    n = 0
+    offset, n = {}, 0
     for k in sorted(cx.ranks):
         offset[k] = n
         n += cx.ranks[k]
-    bd = [{} for _ in range(n)]
-    cobd = [{} for _ in range(n)]
-    for k, es in cx.entries.items():
-        if not es:
-            continue
-        col, row = offset[k], offset[k - 1]
-        for i, j, v in es:
-            a, b = col + j, row + i
-            w = bd[a].get(b, 0) + v
-            if w:
-                bd[a][b] = cobd[b][a] = w
-            else:
-                bd[a].pop(b, None)
-                cobd[b].pop(a, None)
-    alive = [True] * n
-    queue = deque(range(n))
-    while queue:
-        g = queue.popleft()
-        if not alive[g]:
-            continue
-        for nbrs in (bd[g], cobd[g]):
-            if len(nbrs) == 1 and next(iter(nbrs.values())) in (1, -1):
-                (h,) = nbrs
-                for x in (g, h):
-                    alive[x] = False
-                    for f in bd[x]:
-                        del cobd[f][x]
+    blocks = [(offset[k], offset[k - 1], es) for k, es in cx.entries.items() if es]
+    start, face, coef = _runs(blocks, n, by_column=True)
+    runs = map(face.__getitem__, map(slice, start, start[1:]))
+    if 0 in coef or sum(map(len, map(set, runs))) < len(face):
+        blocks = [(col, row, _summed(es)) for col, row, es in blocks]
+        start, face, coef = _runs(blocks, n, by_column=True)
+    cstart, coface, _ = _runs(blocks, n, by_column=False)
+    # live face and coface counts: lists, as they are small ints
+    nf, nc = list(map(sub, start[1:], start)), list(map(sub, cstart[1:], cstart))
+    alive = bytearray(b"\x01") * n
+    # first in first out: each batch is what the one before requeued
+    batch = range(n)
+    while batch:
+        queue = array("q")
+        for g in batch:
+            if not alive[g]:
+                continue
+            h = None
+            if nf[g] == 1:
+                s = start[g]
+                while not alive[face[s]]:
+                    s += 1
+                if coef[s] in (1, -1):
+                    h = face[s]
+            if h is None and nc[g] == 1:
+                s = cstart[g]
+                while not alive[coface[s]]:
+                    s += 1
+                c = coface[s]
+                t = start[c]
+                while face[t] != g:
+                    t += 1
+                if coef[t] in (1, -1):
+                    h = c
+            if h is None:
+                continue
+            # a neighbour that dies with the pair is not requeued: it
+            # would be skipped when it came up
+            alive[g] = alive[h] = 0
+            for x in (g, h):
+                for f in face[start[x]:start[x + 1]]:
+                    if alive[f]:
+                        nc[f] -= 1
                         queue.append(f)
-                    for c in cobd[x]:
-                        del bd[c][x]
+                for c in coface[cstart[x]:cstart[x + 1]]:
+                    if alive[c]:
+                        nf[c] -= 1
                         queue.append(c)
-                    bd[x], cobd[x] = {}, {}
-                break
+        batch = queue
     ranks, entries, index = {}, {}, {}
-    for k, start in offset.items():
-        keep = [start + i for i in range(cx.ranks[k]) if alive[start + i]]
+    for k, first in offset.items():
+        keep = [first + i for i in range(cx.ranks[k]) if alive[first + i]]
         ranks[k] = len(keep)
         index.update((g, new) for new, g in enumerate(keep))
     for k in cx.entries:
-        start = offset.get(k, 0)
+        first = offset.get(k, 0)
         entries[k] = [
-            (index[f], index[g], v)
-            for g in range(start, start + cx.ranks.get(k, 0))
+            (index[face[s]], index[g], coef[s])
+            for g in range(first, first + cx.ranks.get(k, 0))
             if alive[g]
-            for f, v in bd[g].items()
+            for s in range(start[g], start[g + 1])
+            if alive[face[s]]
         ]
     return ChainComplex(ranks=ranks, entries=entries)
+
+
+def _runs(blocks, n, by_column):
+    """Each generator's faces (by_column) or cofaces, as one flat array
+    of neighbours with the coefficients alongside and a start offset per
+    generator.  blocks holds (first column, first row, entries) per
+    degree; each generator's run keeps the order its entries are given
+    in."""
+    mine, theirs = (itemgetter(1), itemgetter(0)) if by_column else (itemgetter(0), itemgetter(1))
+    count = array("q", [0]) * (n + 1)
+    neighbours, coef = array("q"), []
+    for col, row, es in sorted(blocks, key=itemgetter(0)):
+        base, other = (col, row) if by_column else (row, col)
+        es = sorted(es, key=mine)  # stable: each run in the given order
+        neighbours.extend(map(add, itertools.repeat(other), map(theirs, es)))
+        coef.extend(map(itemgetter(2), es))
+        for x, c in Counter(map(mine, es)).items():
+            count[base + x + 1] = c
+    return array("q", itertools.accumulate(count)), neighbours, coef
+
+
+def _summed(es):
+    """The entries with each repeated (row, col) summed and a sum of 0
+    dropped, in the order a dict keyed by (row, col) would hold them."""
+    acc = {}
+    for i, j, v in es:
+        w = acc.get((i, j), 0) + v
+        if w:
+            acc[i, j] = w
+        else:
+            acc.pop((i, j), None)
+    return [(i, j, v) for (i, j), v in acc.items()]
 
 
 def _euler(cx):

@@ -10,6 +10,7 @@ computed concretely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -23,8 +24,8 @@ BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
 # wedge:2 at n = 2 builds 83,232 cells; points:60 at n = 2 would need 216,000
 PRODUCT_CELL_CAP = 150_000
-T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 6 s end to end; T8 has 1,587,600
-# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 4 s and 170 MB
+T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 4 s and 190 MB; T8 has 1,587,600
+# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 4 s and 140 MB
 SUSPENSION_TOP_CELL_CAP = 13_500
 
 
@@ -113,6 +114,25 @@ class SimplicialObject:
             return (cell, beta)
         fcell, gamma = self.faces[cell][j]
         return (fcell, surj_compose(gamma, beta))
+
+    def faces_of_ref(self, ref, known):
+        """Every face of an arbitrary simplex in normal form.  The faces
+        of its cell are read from the dict known, or looked up once and
+        kept there: a face table may compute them on each lookup, and
+        the refs of one cell then share its face names."""
+        cell, alpha = ref
+        out = []
+        for i in range(len(alpha)):
+            j, beta = surj_face(alpha, i)
+            if j is None:
+                out.append((cell, beta))
+                continue
+            cell_faces = known.get(cell)
+            if cell_faces is None:
+                cell_faces = known[cell] = self.faces[cell]
+            fcell, gamma = cell_faces[j]
+            out.append((fcell, surj_compose(gamma, beta)))
+        return out
 
     def validate(self):
         for k, names in self.cells.items():
@@ -211,11 +231,19 @@ def nerve(poset):
 # products and powers
 
 
+@functools.cache
 def _joint_surjection_tuples(dims):
-    """Jointly nondegenerate tuples of monotone surjections onto [dims_i]."""
+    """Jointly nondegenerate tuples of monotone surjections onto [dims_i],
+    as a tuple of tuples of value tuples.
+
+    Every power, piece and mixing piece asks for the same dims, so the
+    result is cached for the life of the process.  It is immutable, and
+    the product dimension cap, checked before any call, bounds the dims
+    and so the cache.
+    """
     out = []
     _extend_jointly(dims, [[0] for _ in dims], out)
-    return out
+    return tuple(out)
 
 
 def _extend_jointly(dims, cur, out):
@@ -339,7 +367,8 @@ class ProductFaces(dict):
     factors' basepoints, a face with a basepoint coordinate becomes the
     collapsed face (BASEPOINT, surj_zero(k - 1)).  The per-factor face
     memos and the normalizer live as long as the table, so each
-    coordinate face is computed once however the faces are asked for.
+    coordinate face is computed once however the faces are asked for,
+    and each factor cell's faces are looked up once.
     """
 
     def __init__(self, factors, basepoints=None):
@@ -348,6 +377,7 @@ class ProductFaces(dict):
         self.basepoints = basepoints
         self.normalize = JointNormalizer()
         self.face_memos = [{} for _ in factors]  # per factor: ref -> its faces
+        self.cell_memos = [{} for _ in factors]  # per factor: cell -> its faces
 
     def __missing__(self, name):
         # a filled table holds every face; else only a product cell of
@@ -362,18 +392,18 @@ class ProductFaces(dict):
         dict dimension -> cells, in one loop.  No face can be missing
         afterwards, so the memos are dropped."""
         self._compute(c for k, names in cells.items() if k for c in names)
-        self.factors = self.normalize = self.face_memos = None
+        self.factors = self.normalize = self.face_memos = self.cell_memos = None
 
     def _compute(self, names):
-        factors, face_memos = self.factors, self.face_memos
+        factors, face_memos, cell_memos = self.factors, self.face_memos, self.cell_memos
         basepoints, normalize = self.basepoints, self.normalize
         for name in names:
             k = len(name[0][1]) - 1
             coordinate_faces = []
-            for f, memo, ref in zip(factors, face_memos, name):
+            for f, memo, known, ref in zip(factors, face_memos, cell_memos, name):
                 ref_faces = memo.get(ref)
                 if ref_faces is None:
-                    ref_faces = memo[ref] = [f.face_of_ref(ref, i) for i in range(k + 1)]
+                    ref_faces = memo[ref] = f.faces_of_ref(ref, known)
                 coordinate_faces.append(ref_faces)
             fs = []
             for i in range(k + 1):
@@ -640,15 +670,44 @@ def _chains_from_min(poset):
         ]
 
 
+class ChainFaces(dict):
+    """Face table of a space of chains in a poset, computed on each
+    lookup and never stored.
+
+    Face i of a k-chain drops its element i and keeps the identity
+    word.  The first face falls to the basepoint, and so does the last
+    when last_collapses; every other face is again a chain of the space.
+    """
+
+    def __init__(self, last_collapses):
+        super().__init__()
+        self.last_collapses = last_collapses
+        self.ends = {}  # k -> identity word, first face, last face, inner range
+
+    def __missing__(self, chain):
+        # only a chain of two or more elements has faces
+        if not isinstance(chain, tuple) or len(chain) < 2:
+            raise KeyError(chain)
+        k = len(chain) - 1
+        ends = self.ends.get(k)
+        if ends is None:
+            head = ((BASEPOINT, surj_zero(k - 1)),)
+            tail = head if self.last_collapses else ()
+            ends = self.ends[k] = (surj_identity(k - 1), head, tail, range(1, k + 1 - len(tail)))
+        ident, head, tail, inner = ends
+        return (*head, *[(chain[:i] + chain[i + 1:], ident) for i in inner], *tail)
+
+
 def t_space(lam):
     """Nerve of the refinement poset of lam modulo its boundary part.
 
     The boundary consists of the chains missing the minimum or the
     maximum, so the cells left are the chains from the minimum to the
     maximum: their first and last faces fall to the basepoint, and an
-    inner face drops one element and stays such a chain.  For the
-    discrete partition the space degenerates to two points, one of them
-    the basepoint.
+    inner face drops one element and stays such a chain.  The faces
+    follow from the chain, so they are computed on lookup
+    (`ChainFaces`) and none is stored.  For the discrete partition the
+    space degenerates to two points, one of them the basepoint.
     """
     _check_t_space_size(lam)
     poset = refinement_poset(lam)
@@ -656,15 +715,9 @@ def t_space(lam):
     if mn == mx:
         return SimplicialObject({0: [BASEPOINT, (mn,)]}, {}, basepoint=BASEPOINT)
     cells = {0: [BASEPOINT]}
-    faces = {}
     for k, chains in enumerate(_chains_from_min(poset), 1):
-        ident = surj_identity(k - 1)
-        collapsed = (BASEPOINT, surj_zero(k - 1))
         cells[k] = [ch + (mx,) for ch in chains]
-        for cell in cells[k]:
-            inner = tuple((cell[:i] + cell[i + 1:], ident) for i in range(1, k))
-            faces[cell] = (collapsed,) + inner + (collapsed,)
-    return SimplicialObject(cells, faces, basepoint=BASEPOINT)
+    return SimplicialObject(cells, ChainFaces(last_collapses=True), basepoint=BASEPOINT)
 
 
 def t_space_suspension_model(lam):
@@ -674,9 +727,10 @@ def t_space_suspension_model(lam):
 
     The cells left are the chains from the minimum: the first face of
     each falls to the basepoint, and every other face drops one element
-    and stays such a chain.  Cell names index the poset without its
-    maximum, as they would in the nerve of that subposet.  Requires
-    positive excess; the degenerate case has no suspension description.
+    and stays such a chain (`ChainFaces`, computed on lookup).  Cell
+    names index the poset without its maximum, as they would in the
+    nerve of that subposet.  Requires positive excess; the degenerate
+    case has no suspension description.
     """
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
@@ -689,18 +743,9 @@ def t_space_suspension_model(lam):
     poset = refinement_poset(lam)
     mx = poset.max_index
     cells = {0: [BASEPOINT]}
-    faces = {}
     for k, chains in enumerate(_chains_from_min(poset)):
-        names = [tuple(i - (i > mx) for i in ch) for ch in chains]
-        cells.setdefault(k, []).extend(names)
-        if k == 0:
-            continue
-        ident = surj_identity(k - 1)
-        collapsed = (BASEPOINT, surj_zero(k - 1))
-        for ch in names:
-            inner = tuple((ch[:i] + ch[i + 1:], ident) for i in range(1, k + 1))
-            faces[ch] = (collapsed,) + inner
-    q = SimplicialObject(cells, faces, basepoint=BASEPOINT)
+        cells.setdefault(k, []).extend(tuple(i - (i > mx) for i in ch) for ch in chains)
+    q = SimplicialObject(cells, ChainFaces(last_collapses=False), basepoint=BASEPOINT)
     return smash(model_circle(pointed=True), q)
 
 

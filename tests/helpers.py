@@ -6,23 +6,28 @@ automorphisms of the partition acting on the cells of the smash and
 the cellwise orbit quotient taken.  It is the reference that the
 chain-level `layers.stratum` is checked against.  The unreduced route
 reads homology off a complex's raw boundary matrices, over F_p by the
-reference mod-p elimination, not off the kernel's divisors.
+reference mod-p elimination, not off the kernel's divisors.  The
+reference reducer removes unit pairs through dicts, where production
+uses flat arrays, and the nerve route to a tree space stores every face
+that production computes on lookup.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from forestcalc.category import CategoryTable, automorphism_group
 from forestcalc.errors import ValidationError
 from forestcalc.homology import (
+    ChainComplex,
     HomologyGroup,
     HomologyResult,
     homology,
     homology_of_complex,
     parse_coefficients,
     rank_mod_p,
+    reduce_complex,
 )
 from forestcalc.kernel import sparse_elementary_divisors
 from forestcalc.layers import t_space_map
@@ -138,6 +143,91 @@ def unreduced_groups(cx, coefficients):
         )
         for k in range(top + 1)
     }
+
+
+def reduce_complex_reference(cx):
+    """The unit-pair reduction of `homology.reduce_complex`, with a
+    boundary dict and a coboundary dict per generator: the oracle that
+    the flat-array reducer must match entry for entry.
+
+    A generator a is paired with b when <da, b> = +-1 and either b is
+    the only remaining face of a or a the only remaining coface of b.
+    Generators are visited first-in first-out in (degree, index) order
+    and neighbours of a removed pair requeued.
+    """
+    offset = {}
+    n = 0
+    for k in sorted(cx.ranks):
+        offset[k] = n
+        n += cx.ranks[k]
+    bd = [{} for _ in range(n)]
+    cobd = [{} for _ in range(n)]
+    for k, es in cx.entries.items():
+        if not es:
+            continue
+        col, row = offset[k], offset[k - 1]
+        for i, j, v in es:
+            a, b = col + j, row + i
+            w = bd[a].get(b, 0) + v
+            if w:
+                bd[a][b] = cobd[b][a] = w
+            else:
+                bd[a].pop(b, None)
+                cobd[b].pop(a, None)
+    alive = [True] * n
+    queue = deque(range(n))
+    while queue:
+        g = queue.popleft()
+        if not alive[g]:
+            continue
+        for nbrs in (bd[g], cobd[g]):
+            if len(nbrs) == 1 and next(iter(nbrs.values())) in (1, -1):
+                (h,) = nbrs
+                for x in (g, h):
+                    alive[x] = False
+                    for f in bd[x]:
+                        del cobd[f][x]
+                        queue.append(f)
+                    for c in cobd[x]:
+                        del bd[c][x]
+                        queue.append(c)
+                    bd[x], cobd[x] = {}, {}
+                break
+    ranks, entries, index = {}, {}, {}
+    for k, start in offset.items():
+        keep = [start + i for i in range(cx.ranks[k]) if alive[start + i]]
+        ranks[k] = len(keep)
+        index.update((g, new) for new, g in enumerate(keep))
+    for k in cx.entries:
+        start = offset.get(k, 0)
+        entries[k] = [
+            (index[f], index[g], v)
+            for g in range(start, start + cx.ranks.get(k, 0))
+            if alive[g]
+            for f, v in bd[g].items()
+        ]
+    return ChainComplex(ranks=ranks, entries=entries)
+
+
+def t_space_via_nerve(lam):
+    """The tree space by its definition, with every face stored: the
+    nerve of the refinement poset of lam with the chains that miss its
+    minimum or its maximum collapsed.  The oracle for `t_space`, which
+    builds the chains through both directly and computes their faces on
+    lookup."""
+    poset = refinement_poset(lam)
+    full = nerve(poset)
+    away = [c for c in full.all_cells() if poset.min_index not in c or poset.max_index not in c]
+    return quotient(full, away)
+
+
+def assert_same_reduction(cx):
+    """`reduce_complex` leaves what the reference leaves: the same
+    ranks and entries, in the same order."""
+    small, expected = reduce_complex(cx), reduce_complex_reference(cx)
+    assert list(small.ranks.items()) == list(expected.ranks.items())
+    assert list(small.entries.items()) == list(expected.entries.items())
+    return small
 
 
 def smash_via_product(a, b):

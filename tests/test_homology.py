@@ -48,9 +48,11 @@ from forestcalc.simplicial import (
     subobject,
     surj_identity,
     t_space,
+    t_space_suspension_model,
 )
+from forestcalc.verify import CUBE_DEMOS
 
-from helpers import betti_numbers, indiscrete, unreduced_groups
+from helpers import assert_same_reduction, betti_numbers, indiscrete, unreduced_groups
 
 # the package exports a function named homology, which hides the module
 homology_module = importlib.import_module("forestcalc.homology")
@@ -549,6 +551,124 @@ def test_reduction_keeps_a_lone_entry_of_two():
 )
 def test_reduction_exact_on_random_complexes(facets, reduced):
     assert_reduction_exact(chain_complex(complex_from_facets(facets), reduced=reduced))
+
+
+# --- the flat-array reducer against the dict reference ------------------------------
+
+
+TREE_SPACE_MODELS = [(t_space, lam) for lam in tree_space_shapes()] + [
+    (t_space_suspension_model, lam) for lam in tree_space_shapes() if lam.excess
+]
+
+
+@pytest.mark.parametrize(
+    "build, lam",
+    TREE_SPACE_MODELS,
+    ids=[f"{build.__name__}-{lam}" for build, lam in TREE_SPACE_MODELS],
+)
+def test_reduction_matches_reference_on_tree_spaces(build, lam):
+    assert_same_reduction(chain_complex(build(lam)))
+
+
+@pytest.mark.parametrize("case", sorted(CUBE_DEMOS))
+def test_reduction_matches_reference_on_cube_demos(monkeypatch, case):
+    complexes = []
+
+    def recording(cx):
+        complexes.append(cx)
+        return reduce_complex(cx)
+
+    monkeypatch.setattr(homology_module, "reduce_complex", recording)
+    CUBE_DEMOS[case][0]()
+    assert complexes
+    for cx in complexes:
+        assert_same_reduction(cx)
+
+
+HAND_MADE = {
+    # (0, 0) given three times sums to 1; (1, 1) cancels to 0 and is dropped
+    "repeats": ChainComplex(
+        ranks={0: 2, 1: 3},
+        entries={1: [(0, 0, 1), (1, 0, -1), (0, 0, 1), (1, 1, 2), (0, 0, -1), (1, 1, -2), (0, 2, 1)]},
+    ),
+    # (0, 0) cancels and comes back, behind (1, 0) in its column's order
+    "cancel-and-return": ChainComplex(
+        ranks={0: 2, 1: 2, 2: 1},
+        entries={
+            1: [(0, 0, 1), (0, 0, -1), (1, 0, 1), (0, 0, -1), (0, 1, 1), (1, 1, -1)],
+            2: [(0, 0, 1), (1, 0, -1)],
+        },
+    ),
+    # explicit zeros, alone and beside a repeat
+    "zeros": ChainComplex(
+        ranks={0: 2, 1: 2},
+        entries={1: [(0, 0, 0), (1, 0, 1), (0, 1, 3), (0, 1, -3), (1, 1, 0)]},
+    ),
+    "lone-two": ChainComplex(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]}),
+    # requeueing the cofaces of a removed pair in another order leaves
+    # another residual here
+    "requeue-order": ChainComplex(
+        ranks={0: 2, 1: 3, 2: 1, 3: 2},
+        entries={
+            1: [(0, 0, -1), (1, 0, -1), (0, 1, 1), (1, 1, 2), (1, 2, -1)],
+            2: [(1, 0, 2), (2, 0, 2)],
+            3: [],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_reduction_matches_reference_on_hand_made_complexes(name):
+    assert_same_reduction(HAND_MADE[name])
+
+
+def test_reduction_sums_repeated_entries():
+    # the repeats sum to d(e0) = v0 - v1, d(e1) = 0 and d(e2) = v0: the
+    # pairs (v1, e0) and (v0, e2) leave the cycle e1 alone
+    small = assert_same_reduction(HAND_MADE["repeats"])
+    assert small.ranks == {0: 0, 1: 1} and small.entries == {1: []}
+    assert homology_of_complex(HAND_MADE["repeats"])[1] == HomologyGroup(1, ())
+    assert assert_same_reduction(HAND_MADE["lone-two"]).entries == {1: [(0, 0, 2)]}
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=-2, max_value=2),
+        ),
+        max_size=30,
+    ),
+)
+def test_reduction_matches_reference_on_random_matrices(ranks, raw):
+    # any matrices, d squared or not, with repeats and zeros: pairing reads
+    # the entries alone
+    ranks = dict(enumerate(ranks))
+    entries = {}
+    for k, i, j, v in raw:
+        if i < ranks.get(k - 1, 0) and j < ranks.get(k, 0):
+            entries.setdefault(k, []).append((i, j, v))
+    assert_same_reduction(ChainComplex(ranks=ranks, entries=entries))
+
+
+def test_tree_space_homology_in_small_memory():
+    # T6 keeps no face tuple and no dict per generator: under tracemalloc
+    # the whole computation peaked at 14.4 MB with both
+    tracemalloc.start()
+    try:
+        space = t_space(indiscrete(6))
+        result = homology(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.groups[5] == HomologyGroup(120, ())
+    assert peak < 8_000_000
+    # faces were computed on lookup, none kept
+    assert dict.__len__(space.faces) == 0
 
 
 @pytest.fixture

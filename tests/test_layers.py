@@ -41,6 +41,7 @@ from forestcalc.simplicial import (
 )
 
 from helpers import (
+    assert_same_reduction,
     betti_numbers,
     compose,
     filtration,
@@ -288,6 +289,22 @@ def test_glue_matches_all_simplices_colimit(model, n):
     oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
     assert same_object(total, oracle_total)
     assert gluing == oracle_gluing
+
+
+REDUCTION_CASES = [(name, n) for name in ("circle", "interval", "wedge2") for n in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "name, n", REDUCTION_CASES, ids=[f"{c}-n{n}" for c, n in REDUCTION_CASES]
+)
+def test_reduction_matches_reference_on_coend_and_strata(name, n):
+    # the flat-array reducer against the dict reference, on every stage of
+    # the coend and every stratum
+    assembly = assembled(name, n)
+    for i in range(1, n + 1):
+        assert_same_reduction(chain_complex(assembly.stages[i]))
+    for lam in assembly.table.objects:
+        assert_same_reduction(stratum(assembly, lam).complex)
 
 
 SMASH_CASES = [(name, n) for name in ("points3", "circle", "interval", "wedge2") for n in (1, 2)]

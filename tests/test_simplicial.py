@@ -59,6 +59,7 @@ from helpers import (
     surj_degeneracy,
     surjections,
     suspension_via_nerve,
+    t_space_via_nerve,
 )
 
 
@@ -448,6 +449,18 @@ def test_suspension_model_matches_nerve_route():
         if lam.excess > 0:
             model = t_space_suspension_model(lam)
             assert same_object(model, suspension_via_nerve(lam)), lam
+
+
+def test_t_space_faces_on_lookup_match_nerve_route():
+    # every shape of support <= 5: the chains through both ends of the
+    # refinement poset, with faces computed on lookup, against the nerve
+    # with the chains that miss an end collapsed, every face stored
+    for m in range(6):
+        for shape in shapes_of_support(m):
+            lam = make_partition(m, blocks_from_shape(shape))
+            space = t_space(lam)
+            assert same_object(space, t_space_via_nerve(lam)), shape
+            assert dict.__len__(space.faces) == 0
 
 
 def test_suspension_model_needs_excess():

@@ -4,9 +4,10 @@ each of them must keep existing; the README's examples must run; the
 package's lazily loaded exports must exist; no module, test module
 included, keeps an import it does not use, at the top or inside a
 function; homology eliminates through the one kernel, leaving the
-reference routes to verify and the tests; and the package leaves no
-reference cycles for the garbage collector, so no nested function
-refers to itself."""
+reference routes to verify and the tests; coreduction has one routine
+and one caller, its dict-based reference living in the tests; and the
+package leaves no reference cycles for the garbage collector, so no
+nested function refers to itself."""
 
 import ast
 import gc
@@ -149,6 +150,35 @@ def test_one_elimination_in_production():
         if isinstance(node, ast.Call) and _called_name(node) == "sparse_elementary_divisors"
     ]
     assert [scope for scope, _ in kernel_sites] == ["homology_of_complex"], kernel_sites
+
+
+def test_one_coreduction_in_production():
+    # the package defines one unit-pair reducer and homology calls it from
+    # one site; the dict-based reference reducer lives in the tests alone
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, calls, reference = [], [], []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)
+        tree = _parse(path)
+        for scope in tree.body:
+            for node in ast.walk(scope):
+                if isinstance(node, functions) and re.search(r"(^|_)(co)?reduc", node.name):
+                    defined.append((module, node.name))
+                if isinstance(node, ast.Call) and _called_name(node) == "reduce_complex":
+                    calls.append((module, getattr(scope, "name", None)))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "reduce_complex_reference":
+                reference.append((module, node.lineno))
+    assert defined == [("homology.py", "reduce_complex")], defined
+    assert calls == [("homology.py", "homology_of_complex")], calls
+    assert not reference, reference
+    helpers_defs = [
+        node.name
+        for node in _parse(os.path.join(TESTS, "helpers.py")).body
+        if isinstance(node, functions)
+    ]
+    assert "reduce_complex_reference" in helpers_defs
 
 
 def test_no_self_referencing_nested_functions():
