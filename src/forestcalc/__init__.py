@@ -50,6 +50,7 @@ _EXPORTS = {
     "product": "simplicial",
     "quotient": "simplicial",
     "smash": "simplicial",
+    "suspension": "simplicial",
     "t_space": "simplicial",
     "t_space_suspension_model": "simplicial",
     "ChainComplex": "homology",

@@ -1,16 +1,19 @@
 """Homology of finite simplicial objects over Z, Q and prime fields.
 
 Normalized chains: one generator per nondegenerate cell, faces with a
-degenerate normal form contribute nothing.  One face-sum routine feeds
-every boundary matrix: the chains of an object, the tensor chains of a
-stratum, and through the chains of its corners the total cofiber of a
-cube of subobjects.  Every complex is first
+degenerate normal form contribute nothing.  A complex holds its boundary
+as runs: each generator's faces and their coefficients, in flat lists
+over one numbering of the generators.  One routine lays the runs out,
+in the same pass that sums each cell's faces, for every boundary: the
+chains of an object, the tensor chains of a stratum, and through the
+chains of its corners the total cofiber of a cube of subobjects.
+(row, col, value) triples are made only for the boundaries that reach
+the kernel, and for callers that ask for them.  Every complex is first
 reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
 chain-homotopy-equivalent subcomplex; a tree space keeps only its
 top-degree homology generators and needs no elimination at all.  The
-reduction holds the complex in flat integer arrays, each generator's
-faces with their coefficients and its cofaces, not in a dict per
-generator.
+reduction reads the runs as they are and finds the cofaces by one
+counting pass, with no sort.
 Every ring is then read off one chain of elementary divisors per
 boundary, computed by the sparse kernel: over Z and Q each divisor adds
 to the rank, over F_p those that p does not divide, and over Z the
@@ -22,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter, sub
+from operator import sub
 
 from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
@@ -59,24 +61,52 @@ def parse_coefficients(spec):
 # chain complexes
 
 
-@dataclass
 class ChainComplex:
-    """ranks[k] generators in degree k; entries[k] is the boundary
-    C_k -> C_{k-1} as (row, col, value) triples.  An augmented complex
-    carries a degree -1 rank of 1 and entries[0]."""
+    """Chains with ranks[k] generators in degree k, numbered in one
+    sequence by increasing degree: offset[k] is the number of the first
+    generator of degree k.  An augmented complex carries a degree -1
+    rank of 1.
 
-    ranks: dict
-    entries: dict
-    labels: dict | None = None
+    The boundary is held as runs in flat lists: generator g's faces are
+    face[start[g]:start[g + 1]], by number, with their coefficients
+    alongside in coef.  It is given either as runs, one dict face number
+    -> nonzero coefficient per generator in numbering order, or as
+    entries: per degree k the boundary C_k -> C_{k-1} as (row, col,
+    value) triples, in which repeats are summed and a sum of 0 dropped,
+    each run keeping the order in which its faces were first given.
+    Either way one routine lays the runs out (`_lay_out`); `entries`
+    and `boundary` give the triples back.
+    """
+
+    def __init__(self, ranks, entries=None, labels=None, runs=None):
+        self.ranks, self.labels = ranks, labels
+        self.offset, n = _offsets(ranks)
+        if runs is None:
+            runs = _summed_runs(ranks, self.offset, n, entries or {})
+        self.start, self.face, self.coef = _lay_out(runs)
 
     def degrees(self):
         return sorted(k for k in self.ranks if k >= 0)
 
     def boundary(self, k):
-        return self.entries.get(k, [])
+        """The boundary C_k -> C_{k-1} as (row, col, value) triples."""
+        if k not in self.ranks or k - 1 not in self.ranks:
+            return []
+        col, row = self.offset[k], self.offset[k - 1]
+        start, face, coef = self.start, self.face, self.coef
+        return [
+            (face[s] - row, g - col, coef[s])
+            for g in range(col, col + self.ranks[k])
+            for s in range(start[g], start[g + 1])
+        ]
+
+    @property
+    def entries(self):
+        return {k: self.boundary(k) for k in sorted(self.ranks) if k - 1 in self.ranks}
 
     def validate(self):
-        for k, es in self.entries.items():
+        entries = self.entries
+        for k, es in entries.items():
             n_from = self.ranks.get(k, 0)
             n_to = self.ranks.get(k - 1, 0)
             for i, j, v in es:
@@ -84,15 +114,15 @@ class ChainComplex:
                     raise ValidationError(f"boundary entry out of range in degree {k}")
                 if v == 0:
                     raise ValidationError(f"explicit zero entry in degree {k}")
-        for k in list(self.entries):
-            if k - 1 not in self.entries:
+        for k in list(entries):
+            if k - 1 not in entries:
                 continue
             # compose boundary maps and demand zero
             lower = {}
-            for i, j, v in self.entries[k - 1]:
+            for i, j, v in entries[k - 1]:
                 lower.setdefault(j, {})[i] = v
             acc = {}
-            for i, j, v in self.entries[k]:
+            for i, j, v in entries[k]:
                 row = lower.get(i)
                 if not row:
                     continue
@@ -104,20 +134,67 @@ class ChainComplex:
         return True
 
 
-def _kept_face_sums(obj, drop):
-    """Each cell outside drop with its boundary in normalized chains: the
-    alternating sum of its faces that are nondegenerate and outside
-    drop, as face -> nonzero coefficient."""
+def _offsets(ranks):
+    """The number of the first generator of each degree, numbering
+    generators by increasing degree, and the number of generators."""
+    offset, n = {}, 0
+    for k in sorted(ranks):
+        offset[k] = n
+        n += ranks[k]
+    return offset, n
+
+
+def _lay_out(runs):
+    """The flat start / face / coef lists of runs given in generator
+    order: the one routine that lays out every boundary."""
+    start, face, coef = [0], [], []
+    for run in runs:
+        face.extend(run)
+        coef.extend(run.values())
+        start.append(len(face))
+    return start, face, coef
+
+
+def _summed_runs(ranks, offset, n, entries):
+    """Each generator's run from (row, col, value) triples: repeats
+    summed, a sum of 0 dropped, in the order a dict keyed by face would
+    hold them."""
+    runs = [{} for _ in range(n)]
+    for k, es in entries.items():
+        n_from, n_to = ranks.get(k, 0), ranks.get(k - 1, 0)
+        for i, j, v in es:
+            if not (0 <= i < n_to and 0 <= j < n_from):
+                raise ValidationError(f"boundary entry out of range in degree {k}")
+            run, f = runs[offset[k] + j], offset[k - 1] + i
+            w = run.get(f, 0) + v
+            if w:
+                run[f] = w
+            else:
+                run.pop(f, None)
+    return runs
+
+
+def _kept_face_sums(obj, index, augmentation=None):
+    """Each cell that index numbers with its boundary in normalized
+    chains: the alternating sum of its faces that are nondegenerate and
+    numbered, as face number -> nonzero coefficient.  A vertex's
+    boundary is the augmentation's number with coefficient 1, if given."""
+    vertex = {} if augmentation is None else {augmentation: 1}
     for k in sorted(obj.cells):
-        ident = surj_identity(k - 1)
+        ident, signs = surj_identity(k - 1), (1, -1) * (k // 2 + 1)
         for c in obj.cells[k]:
-            if c in drop:
+            if c not in index:
+                continue
+            if not k:
+                yield c, dict(vertex)
                 continue
             acc = {}
-            for i, (t, alpha) in enumerate(obj.faces[c] if k else ()):
-                if alpha == ident and t not in drop:
-                    acc[t] = acc.get(t, 0) + (-1 if i % 2 else 1)
-            yield c, {t: v for t, v in acc.items() if v}
+            for (t, alpha), v in zip(obj.faces[c], signs):
+                if alpha == ident:
+                    j = index.get(t)
+                    if j is not None:
+                        acc[j] = acc.get(j, 0) + v
+            yield c, acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
 
 
 def chain_complex(obj, reduced=True):
@@ -129,16 +206,16 @@ def chain_complex(obj, reduced=True):
     pointed = obj.basepoint is not None
     drop = {obj.basepoint} if reduced and pointed else ()
     basis = {k: [c for c in obj.cells[k] if c not in drop] for k in sorted(obj.cells)}
-    index = {c: i for names in basis.values() for i, c in enumerate(names)}
     ranks = {k: len(v) for k, v in basis.items()}
-    entries = {k: [] for k in basis if k}
-    for c, faces in _kept_face_sums(obj, drop):
-        if faces:
-            entries[obj.dim_of[c]] += [(index[t], index[c], v) for t, v in faces.items()]
-    if reduced and not pointed:
+    augmented = reduced and not pointed
+    # the augmentation's generator, if any, comes first in the numbering
+    cells = itertools.chain.from_iterable(basis.values())
+    index = {c: i for i, c in enumerate(cells, augmented)}
+    runs = (faces for _, faces in _kept_face_sums(obj, index, 0 if augmented else None))
+    if augmented:
         ranks[-1] = 1
-        entries[0] = [(0, j, 1) for j in range(ranks.get(0, 0))]
-    return ChainComplex(ranks=ranks, entries=entries, labels=basis)
+        runs = itertools.chain([{}], runs)
+    return ChainComplex(ranks=ranks, labels=basis, runs=runs)
 
 
 def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
@@ -153,7 +230,9 @@ def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
     member, read through class_of; dropped and degenerate faces are zero.
     The caller's classes must be compatible with this boundary.
     """
-    da, db = dict(_kept_face_sums(a, drop_a)), dict(_kept_face_sums(b, drop_b))
+    # each cell kept is its own key
+    da = dict(_kept_face_sums(a, {c: c for c in a.dim_of if c not in drop_a}))
+    db = dict(_kept_face_sums(b, {c: c for c in b.dim_of if c not in drop_b}))
     index = {}  # class -> position within its degree
     members = {}  # degree -> first member of each class
     for x in da:
@@ -163,23 +242,23 @@ def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
                 firsts = members.setdefault(a.dim_of[x] + b.dim_of[y], [])
                 index[c] = len(firsts)
                 firsts.append((x, y))
-    entries = {}
-    for k, firsts in members.items():
-        if k == 0:
-            continue
-        es = []
-        for j, (x, y) in enumerate(firsts):
-            sign = -1 if a.dim_of[x] % 2 else 1
-            terms = [((f, y), v) for f, v in da[x].items()]
-            terms += [((x, f), sign * v) for f, v in db[y].items()]
-            acc = {}
-            for gen, v in terms:
-                i = index[class_of[gen]]
-                acc[i] = acc.get(i, 0) + v
-            es.extend((i, j, v) for i, v in acc.items() if v)
-        entries[k] = es
     ranks = {k: len(firsts) for k, firsts in members.items()}
-    return ChainComplex(ranks=ranks, entries=entries, labels=members)
+    offset, _ = _offsets(ranks)
+
+    def runs():
+        for k in sorted(members):
+            row = offset.get(k - 1, 0)
+            for x, y in members[k]:
+                sign = -1 if a.dim_of[x] % 2 else 1
+                terms = [((f, y), v) for f, v in da[x].items()]
+                terms += [((x, f), sign * v) for f, v in db[y].items()]
+                acc = {}
+                for gen, v in terms:
+                    i = row + index[class_of[gen]]
+                    acc[i] = acc.get(i, 0) + v
+                yield {i: v for i, v in acc.items() if v}
+
+    return ChainComplex(ranks=ranks, labels=members, runs=runs())
 
 
 def reduce_complex(cx):
@@ -194,31 +273,30 @@ def reduce_complex(cx):
     a last-in first-out order stalls far from a perfect matching on tree
     spaces.  Entries other than +-1 are never paired, so torsion stays.
 
-    The complex is held in flat arrays: each generator's faces with
-    their coefficients and its cofaces, each run starting at the
-    generator's offset, with live-neighbour counts and an alive flag
-    per generator.  Entries that repeat a (row, col) are summed first
-    and a sum of 0 is dropped; faces and cofaces keep the order in
-    which their entries were first given (a dict's insertion order).
+    The reduction reads cx's runs as they are, each generator's faces in
+    their given order; each generator's cofaces come from one counting
+    pass over the runs, in generator order.  Live-neighbour counts and
+    an alive flag per generator are flat too.  The survivors keep their
+    runs, with the dead faces left out.
     """
-    offset, n = {}, 0
-    for k in sorted(cx.ranks):
-        offset[k] = n
-        n += cx.ranks[k]
-    blocks = [(offset[k], offset[k - 1], es) for k, es in cx.entries.items() if es]
-    start, face, coef = _runs(blocks, n, by_column=True)
-    runs = map(face.__getitem__, map(slice, start, start[1:]))
-    if 0 in coef or sum(map(len, map(set, runs))) < len(face):
-        blocks = [(col, row, _summed(es)) for col, row, es in blocks]
-        start, face, coef = _runs(blocks, n, by_column=True)
-    cstart, coface, _ = _runs(blocks, n, by_column=False)
-    # live face and coface counts: lists, as they are small ints
-    nf, nc = list(map(sub, start[1:], start)), list(map(sub, cstart[1:], cstart))
+    start, face, coef = cx.start, cx.face, cx.coef
+    n = len(start) - 1
+    # live face and coface counts
+    nf = list(map(sub, start[1:], start))
+    count = Counter(face)
+    nc = list(map(count.get, range(n), itertools.repeat(0)))
+    cstart = list(itertools.accumulate(nc, initial=0))
+    fill, coface = cstart[:], [0] * len(face)
+    owners = itertools.chain.from_iterable(map(itertools.repeat, range(n), nf))
+    for f, g in zip(face, owners):
+        s = fill[f]
+        coface[s] = g
+        fill[f] = s + 1
     alive = bytearray(b"\x01") * n
     # first in first out: each batch is what the one before requeued
     batch = range(n)
     while batch:
-        queue = array("q")
+        queue = []
         for g in batch:
             if not alive[g]:
                 continue
@@ -254,53 +332,15 @@ def reduce_complex(cx):
                         nf[c] -= 1
                         queue.append(c)
         batch = queue
-    ranks, entries, index = {}, {}, {}
-    for k, first in offset.items():
-        keep = [first + i for i in range(cx.ranks[k]) if alive[first + i]]
-        ranks[k] = len(keep)
-        index.update((g, new) for new, g in enumerate(keep))
-    for k in cx.entries:
-        first = offset.get(k, 0)
-        entries[k] = [
-            (index[face[s]], index[g], coef[s])
-            for g in range(first, first + cx.ranks.get(k, 0))
-            if alive[g]
-            for s in range(start[g], start[g + 1])
-            if alive[face[s]]
-        ]
-    return ChainComplex(ranks=ranks, entries=entries)
-
-
-def _runs(blocks, n, by_column):
-    """Each generator's faces (by_column) or cofaces, as one flat array
-    of neighbours with the coefficients alongside and a start offset per
-    generator.  blocks holds (first column, first row, entries) per
-    degree; each generator's run keeps the order its entries are given
-    in."""
-    mine, theirs = (itemgetter(1), itemgetter(0)) if by_column else (itemgetter(0), itemgetter(1))
-    count = array("q", [0]) * (n + 1)
-    neighbours, coef = array("q"), []
-    for col, row, es in sorted(blocks, key=itemgetter(0)):
-        base, other = (col, row) if by_column else (row, col)
-        es = sorted(es, key=mine)  # stable: each run in the given order
-        neighbours.extend(map(add, itertools.repeat(other), map(theirs, es)))
-        coef.extend(map(itemgetter(2), es))
-        for x, c in Counter(map(mine, es)).items():
-            count[base + x + 1] = c
-    return array("q", itertools.accumulate(count)), neighbours, coef
-
-
-def _summed(es):
-    """The entries with each repeated (row, col) summed and a sum of 0
-    dropped, in the order a dict keyed by (row, col) would hold them."""
-    acc = {}
-    for i, j, v in es:
-        w = acc.get((i, j), 0) + v
-        if w:
-            acc[i, j] = w
-        else:
-            acc.pop((i, j), None)
-    return [(i, j, v) for (i, j), v in acc.items()]
+    # a survivor's new number is the count of survivors before it
+    new = list(itertools.accumulate(alive, initial=0))
+    ranks = {k: new[first + cx.ranks[k]] - new[first] for k, first in cx.offset.items()}
+    runs = (
+        {new[f]: v for f, v in zip(face[s:t], coef[s:t]) if alive[f]}
+        for s, t, live in zip(start, start[1:], alive)
+        if live
+    )
+    return ChainComplex(ranks=ranks, runs=runs)
 
 
 def _euler(cx):
@@ -551,23 +591,32 @@ def cube_cofiber(corners):
         for k, n in cx.ranks.items():
             offset[U, k] = ranks.get(k + d - len(U), 0)
             ranks[k + d - len(U)] = offset[U, k] + n
-    entries = {k: [] for k in ranks if k > 0}
-    for U, cx in chains.items():
-        shift, sign = d - len(U), (-1) ** len(U)
-        for k, es in cx.entries.items():
-            entries[k + shift] += [
-                (offset[U, k - 1] + i, offset[U, k] + j, sign * v) for i, j, v in es
-            ]
-        outside = [i for i in range(d) if i not in U]
-        for pos, i in enumerate(outside):
-            V = U | {i}
-            _check_subobject(corners[U], corners[V])
-            for k, names in cx.labels.items():
-                entries[k + shift] += [
-                    (offset[V, k] + index[V][c], offset[U, k] + j, (-1) ** pos)
-                    for j, c in enumerate(names)
-                ]
-    return ChainComplex(ranks=ranks, entries=entries)
+    for U in chains:
+        for i in range(d):
+            if i not in U:
+                _check_subobject(corners[U], corners[U | {i}])
+    first, _ = _offsets(ranks)
+
+    def runs():
+        # in numbering order: by degree, then corner, then the corner's order
+        for m in sorted(ranks):
+            row = first.get(m - 1, 0)
+            for U, cx in chains.items():
+                k = m - d + len(U)
+                if k not in cx.ranks:
+                    continue
+                sign = (-1) ** len(U)
+                corner_row = row + offset.get((U, k - 1), 0) - cx.offset.get(k - 1, 0)
+                outside = [i for i in range(d) if i not in U]
+                for g, c in enumerate(cx.labels[k], cx.offset[k]):
+                    s, t = cx.start[g], cx.start[g + 1]
+                    run = {corner_row + f: sign * v for f, v in zip(cx.face[s:t], cx.coef[s:t])}
+                    for pos, i in enumerate(outside):
+                        V = U | {i}
+                        run[row + offset[V, k] + index[V][c]] = (-1) ** pos
+                    yield run
+
+    return ChainComplex(ranks=ranks, runs=runs())
 
 
 def _check_subobject(small, big):

@@ -18,14 +18,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
-from .partitions import refinement_poset
+from .partitions import check_support_cap, refinement_poset
 
 BASEPOINT = "*"
 PRODUCT_DIM_CAP = 6
 # wedge:2 at n = 2 builds 83,232 cells; points:60 at n = 2 would need 216,000
 PRODUCT_CELL_CAP = 150_000
-T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 4 s and 190 MB; T8 has 1,587,600
-# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 4 s and 140 MB
+T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 2.6 s and 150 MB; T8 has 1,587,600
+# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 1.1 s and 58 MB
 SUSPENSION_TOP_CELL_CAP = 13_500
 
 
@@ -494,6 +494,15 @@ def lazy_smash(a, b):
     coordinate is the collapsed face, so the cells and faces are those
     of quotient(product([a, b]), wedge) without building the product.
     """
+    cells = _smash_cells(a, b)
+    faces = ProductFaces((a, b), (a.basepoint, b.basepoint))
+    return SimplicialObject(cells, faces, basepoint=BASEPOINT)
+
+
+def _smash_cells(a, b):
+    """The cells of the smash product of pointed objects, per dimension:
+    the fresh basepoint, then the product cells with no basepoint
+    coordinate, in `_product_cells` order."""
     if a.basepoint is None or b.basepoint is None:
         raise ValidationError("smash needs basepoints on both factors")
     factors = (a, b)
@@ -501,9 +510,7 @@ def lazy_smash(a, b):
         [c for c in f.all_cells() if c != f.basepoint] for f in factors
     ]
     cells = _product_cells(factors, coordinate_cells)
-    cells = {0: [BASEPOINT] + cells.pop(0, []), **cells}
-    faces = ProductFaces(factors, (a.basepoint, b.basepoint))
-    return SimplicialObject(cells, faces, basepoint=BASEPOINT)
+    return {0: [BASEPOINT] + cells.pop(0, []), **cells}
 
 
 def smash(a, b):
@@ -512,6 +519,83 @@ def smash(a, b):
     obj = lazy_smash(a, b)
     obj.faces.fill(obj.cells)
     return obj
+
+
+class SuspensionFaces(dict):
+    """Face table of the suspension S^1 smash X (`suspension`), computed
+    on each lookup and never stored.
+
+    A cell pairs (e, alpha), alpha a surjection [d] -> [1] that steps up
+    at position a, with (x, beta), beta either the identity of a d-cell
+    x or s, the degeneracy of a (d - 1)-cell that repeats a - 1.  Face i
+    drops position i from both words by the simplicial identities.  It
+    falls to the basepoint when alpha loses its only 0 or its only 1
+    (the circle's vertex), or when it takes a face of x that is X's
+    basepoint.  Otherwise alpha's face steps up at a2, and beta's face
+    is face i of x, or x itself when s repeats i, or face i - (i > a)
+    of x degenerated by the s that repeats a2 - 1.  The two words are
+    then jointly nondegenerate, unless X has degenerate faces, which are
+    normalized as in a product.
+    """
+
+    def __init__(self, obj):
+        super().__init__()
+        self.obj = obj
+        self.normalize = JointNormalizer()
+        self.last = (None, None)  # the last cell of obj looked up, its faces
+
+    def __missing__(self, cell):
+        # only a cell of positive dimension has faces
+        if not isinstance(cell, tuple) or len(cell[0][1]) < 2:
+            raise KeyError(cell)
+        (e, alpha), (x, beta) = cell
+        d = len(alpha) - 1
+        a = alpha.index(1)
+        degenerate = beta[-1] < d
+        ident, collapsed = surj_identity(d - 1), (BASEPOINT, surj_zero(d - 1))
+        # cells come x by x, so the faces of the last x are kept
+        x_faces = self.last[1] if self.last[0] == x else None
+        out = []
+        for i in range(d + 1):
+            if (i == 0 and a == 1) or (i == d and a == d):
+                out.append(collapsed)
+                continue
+            a2 = a - (i < a)
+            if degenerate and a - 1 <= i <= a:
+                t, gamma = x, ident
+            else:
+                if x_faces is None:
+                    x_faces = self.obj.faces[x]
+                    self.last = (x, x_faces)
+                t, gamma = x_faces[i - (degenerate and i > a)]
+                if t == self.obj.basepoint:
+                    out.append(collapsed)
+                    continue
+                if degenerate:
+                    s = _degeneracy(d - 1, a2 - 1)
+                    gamma = s if gamma[-1] == len(gamma) - 1 else surj_compose(gamma, s)
+            refs = ((e, alpha[:i] + alpha[i + 1:]), (t, gamma))
+            # only a repeat of gamma away from alpha's step is shared
+            if gamma[-1] == d - 1 or (gamma[-1] == d - 2 and gamma[a2 - 1] == gamma[a2]):
+                out.append((refs, ident))
+            else:
+                out.append(self.normalize(refs))
+        return tuple(out)
+
+
+@functools.cache
+def _degeneracy(k, j):
+    """The surjection [k] -> [k - 1] that repeats j."""
+    return tuple(range(j + 1)) + tuple(range(j, k))
+
+
+def suspension(obj):
+    """The smash product of the pointed circle with a pointed object,
+    with the cells, cell order and faces of
+    smash(model_circle(pointed=True), obj), its faces in closed form
+    (`SuspensionFaces`)."""
+    cells = _smash_cells(model_circle(pointed=True), obj)
+    return SimplicialObject(cells, SuspensionFaces(obj), basepoint=BASEPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +734,9 @@ def t_space_top_cells(lam):
 
 
 def _check_t_space_size(lam):
+    # the support cap first: the top-cell count of a large support has
+    # thousands of digits, too many to print
+    check_support_cap(lam.support_size)
     top = t_space_top_cells(lam)
     if top > T_SPACE_TOP_CELL_CAP:
         raise CapExceededError(
@@ -729,8 +816,10 @@ def t_space_suspension_model(lam):
     each falls to the basepoint, and every other face drops one element
     and stays such a chain (`ChainFaces`, computed on lookup).  Cell
     names index the poset without its maximum, as they would in the
-    nerve of that subposet.  Requires positive excess; the degenerate
-    case has no suspension description.
+    nerve of that subposet.  The smash with the circle is built in
+    closed form (`suspension`), its faces computed on lookup too.
+    Requires positive excess; the degenerate case has no suspension
+    description.
     """
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
@@ -746,7 +835,7 @@ def t_space_suspension_model(lam):
     for k, chains in enumerate(_chains_from_min(poset)):
         cells.setdefault(k, []).extend(tuple(i - (i > mx) for i in ch) for ch in chains)
     q = SimplicialObject(cells, ChainFaces(last_collapses=False), basepoint=BASEPOINT)
-    return smash(model_circle(pointed=True), q)
+    return suspension(q)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,19 @@ def test_tspace_too_big_is_rejected_at_once(capsys, model):
     assert err == "error: tree space has 1587600 top cells, exceeds cap 56700\n"
 
 
+@pytest.mark.parametrize("model", ["quotient", "suspension"])
+@pytest.mark.parametrize("support", [10, 3001])
+def test_tspace_support_over_cap_is_rejected_at_once(capsys, model, support):
+    # the support cap comes before the top cells are counted: at support
+    # 3001 their count has too many digits to print
+    lam = "(" + " ".join(map(str, range(support))) + ")"
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["tspace", "--lambda", lam, "--model", model])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: support {support} exceeds cap 9\n"
+
+
 def test_tspace_suspension_too_big_is_rejected_at_once(capsys):
     # T7 itself passes the tree-space cap; its suspension model has six
     # times its top cells

@@ -37,6 +37,7 @@ from forestcalc.simplicial import (
     same_object,
     smash,
     subobject,
+    suspension,
     surj_compose,
     surj_face,
     surj_identity,
@@ -283,17 +284,24 @@ def test_smash_with_point_collapses():
     assert homology(out).is_acyclic()
 
 
+def suspended_objects(monkeypatch):
+    """The objects that `t_space_suspension_model` suspends, recorded."""
+    objects = []
+
+    def recording_suspension(obj):
+        objects.append(obj)
+        return suspension(obj)
+
+    monkeypatch.setattr(simplicial, "suspension", recording_suspension)
+    return objects
+
+
 def test_smash_of_suspension_factors_matches_product_over_wedge(monkeypatch):
     # the circle and the nerve quotient that the suspension model of
     # (0 1 2 3) smashes, with smash_via_product as the oracle
-    factors = []
-
-    def recording_smash(a, b):
-        factors.append((a, b))
-        return smash(a, b)
-
-    monkeypatch.setattr(simplicial, "smash", recording_smash)
+    suspended = suspended_objects(monkeypatch)
     t_space_suspension_model(make_partition(4, [[0, 1, 2, 3]]))
+    factors = [(model_circle(pointed=True), b) for b in suspended]
     assert len(factors) == 1
     a, b = factors[0]
     built, oracle = smash(a, b), smash_via_product(a, b)
@@ -414,9 +422,9 @@ def test_t_space_of_triple_block():
 def test_t_space_wedge_rank_formula():
     # H~(T_lam) is free of rank the product over blocks of (size - 1)!, in
     # the excess degree, over Z, F2 and F3: every shape of support <= 6 in
-    # the quotient model, every shape of positive excess and support <= 5
-    # in the suspension model (support 6 takes seconds to build there)
-    for build, largest in ((t_space, 6), (t_space_suspension_model, 5)):
+    # the quotient model and every shape of positive excess in the
+    # suspension model
+    for build, largest in ((t_space, 6), (t_space_suspension_model, 6)):
         for m in range(1, largest + 1):
             for shape in shapes_of_support(m):
                 lam = make_partition(m, blocks_from_shape(shape))
@@ -449,6 +457,62 @@ def test_suspension_model_matches_nerve_route():
         if lam.excess > 0:
             model = t_space_suspension_model(lam)
             assert same_object(model, suspension_via_nerve(lam)), lam
+
+
+def positive_excess_shapes():
+    """Every shape of positive excess and support <= 6, smallest first."""
+    shapes = {canonicalize(p) for m in range(7) for p in all_partitions(m)}
+    return sorted((lam for lam in shapes if lam.excess), key=lambda lam: (lam.support_size, lam.blocks))
+
+
+def test_suspension_model_cell_counts(monkeypatch):
+    # S^1 smash X has d (|X_d| + |X_{d-1}|) cells in dimension d >= 1,
+    # counting the cells of X off its basepoint: d per d-cell of X, one
+    # for each surjection [d] -> [1], and d per (d-1)-cell, one for each
+    # degeneracy paired with the surjection that separates what it repeats
+    suspended = suspended_objects(monkeypatch)
+    for lam in positive_excess_shapes():
+        model = t_space_suspension_model(lam)
+        x = suspended[-1]
+        off_base = {k: sum(c != x.basepoint for c in cs) for k, cs in x.cells.items()}
+        expected = {
+            d: d * (off_base.get(d, 0) + off_base.get(d - 1, 0)) for d in range(1, x.dimension + 2)
+        }
+        assert list(model.cells[0]) == [BASEPOINT]
+        assert {d: len(cs) for d, cs in model.cells.items() if d} == expected, lam
+
+
+def test_suspension_model_matches_smash_of_its_factors(monkeypatch):
+    # the closed-form faces against the smash product's coordinatewise
+    # ones, on the same factors: the same cells in the same order per
+    # dimension, and the same faces
+    suspended = suspended_objects(monkeypatch)
+    for lam in positive_excess_shapes():
+        model = t_space_suspension_model(lam)
+        built = smash(model_circle(pointed=True), suspended[-1])
+        assert list(model.cells) == list(built.cells), lam
+        assert same_object(model, built), lam
+        assert dict.__len__(model.faces) == 0
+
+
+def test_suspension_normalizes_degenerate_faces():
+    # a 2-cell f whose first face is the degenerate edge on a vertex v
+    # off the basepoint: faces of the suspension then repeat twice in
+    # the second coordinate and are normalized as in the smash product
+    x = SimplicialObject(
+        {0: [BASEPOINT, "v"], 1: ["a"], 2: ["f"]},
+        {"a": (("v", (0,)), (BASEPOINT, (0,))), "f": (("v", (0, 0)), ("a", (0, 1)), ("a", (0, 1)))},
+        basepoint=BASEPOINT,
+    )
+    assert x.validate()
+    for obj in (x, model_circle(pointed=True), smash(model_circle(pointed=True), x)):
+        built = suspension(obj)
+        assert same_object(built, smash(model_circle(pointed=True), obj))
+        shifted = {k + 1: r for k, r in betti_numbers(obj).items()}
+        assert betti_numbers(built) == shifted
+    sx = suspension(x)
+    faces = [f for c in sx.cells[3] for f in sx.faces[c]]
+    assert any(tau != surj_identity(2) for _, tau in faces)
 
 
 def test_t_space_faces_on_lookup_match_nerve_route():

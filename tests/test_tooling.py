@@ -5,7 +5,9 @@ package's lazily loaded exports must exist; no module, test module
 included, keeps an import it does not use, at the top or inside a
 function; homology eliminates through the one kernel, leaving the
 reference routes to verify and the tests; coreduction has one routine
-and one caller, its dict-based reference living in the tests; and the
+and one caller, its dict-based reference living in the tests; one
+routine lays out every boundary, and the package never calls the eager
+smash; and the
 package leaves no reference cycles for the garbage collector, so no
 nested function refers to itself."""
 
@@ -179,6 +181,45 @@ def test_one_coreduction_in_production():
         if isinstance(node, functions)
     ]
     assert "reduce_complex_reference" in helpers_defs
+
+
+def test_one_boundary_layout_in_production():
+    # every boundary is laid out once, straight from each generator's
+    # summed faces: the package builds every chain complex from runs,
+    # homology.py lays runs out from one call site and sorts nothing by
+    # a key into runs; and the eager smash, whose face fill the
+    # suspension model no longer pays, has no caller in the package
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    complexes, smash_calls = [], []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and _called_name(node) == "ChainComplex":
+                complexes.append((module, node.lineno, {k.arg for k in node.keywords}))
+            if isinstance(node, ast.Call) and _called_name(node) == "smash":
+                smash_calls.append((module, node.lineno))
+    assert complexes
+    assert all("runs" in keys and "entries" not in keys for _, _, keys in complexes), complexes
+    assert not smash_calls, smash_calls
+    tree = _parse(os.path.join(PACKAGE, "homology.py"))
+    layout_sites = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, functions)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _called_name(node) == "_lay_out"
+    ]
+    assert layout_sites == ["__init__"], layout_sites
+    keyed_sorts = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node) in ("sorted", "sort")
+        for k in node.keywords
+        if k.arg == "key" and not (isinstance(k.value, ast.Name) and k.value.id == "repr")
+    ]
+    assert not keyed_sorts, keyed_sorts
+    assert "itemgetter" not in {getattr(node, "id", None) for node in ast.walk(tree)}
 
 
 def test_no_self_referencing_nested_functions():
