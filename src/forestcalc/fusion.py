@@ -117,32 +117,6 @@ def decompose_elementary(m):
     return factors
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """A finite multigraph on vertices {0..num_vertices-1}.
-
-    Edges are an ordered tuple of (u, v) pairs; loops and parallel
-    edges are allowed.
-    """
-
-    num_vertices: int
-    edges: tuple
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValidationError(f"edge ({u}, {v}) outside vertex range")
-
-    def component_count(self):
-        uf = UnionFind(range(self.num_vertices))
-        for u, v in self.edges:
-            uf.union(u, v)
-        return len(uf.classes())
-
-    def first_betti(self):
-        return len(self.edges) - self.num_vertices + self.component_count()
-
-
 def strictness_via_h1(m):
     """Strictness of a fusion via first homology of collapsed cylinders.
 
@@ -190,24 +164,22 @@ def is_good(delta, lam):
     return lam.excess == delta.components - meet(lam, delta).components
 
 
-def pushout_graph(delta, lam):
-    """Bipartite graph on blocks of lam and delta, one edge per element."""
-    cl = lam.components
-    where_l = lam.block_of()
-    where_d = delta.block_of()
-    edges = tuple(
-        (where_l[x], cl + where_d[x]) for x in range(lam.support_size)
-    )
-    return Multigraph(cl + delta.components, edges)
-
-
 def goodness_via_graph(delta, lam):
-    """Graph criterion: the pushout graph is a forest with one component
-    per block of meet(lam, delta)."""
+    """Graph criterion: the pushout graph, bipartite on the blocks of lam
+    and of delta with one edge per element, is a forest with one
+    component per block of meet(lam, delta).
+
+    One union-find pass over the edges: a union that finds both ends
+    already joined closes a cycle.
+    """
     if delta.support_size != lam.support_size:
         raise SupportMismatchError("goodness needs a common support")
-    g = pushout_graph(delta, lam)
-    return g.first_betti() == 0 and g.component_count() == meet(lam, delta).components
+    cl = lam.components
+    where_l, where_d = lam.block_of(), delta.block_of()
+    uf = UnionFind(range(cl + delta.components))
+    if not all(uf.union(where_l[x], cl + where_d[x]) for x in range(lam.support_size)):
+        return False
+    return len(uf.classes()) == meet(lam, delta).components
 
 
 def bad_diagonals(lam):

@@ -14,12 +14,14 @@ a degenerate image stands for its Eilenberg-Zilber normal form, fixed
 in a lower dimension.  Because both actions are simplicial, the
 identifications of degenerate simplices follow from these.  The colimit
 reads the faces of a piece's cell only when the cell becomes a glued
-representative, and never the faces of a mixing piece, so each piece
-computes its faces on lookup (`lazy_smash`).
+representative, and never the faces of a mixing piece; `smash` computes
+each face on lookup, so no other face is computed.
 
-The pieces and relations are built once per coend.  Filtration stage i
-glues the pieces of the objects with at most i components, a prefix of
-the table, along the relations among them.  The stratum of an object is
+The pieces and relations are built once per coend, and glued once.
+Filtration stage i is the subobject of the glued cells of the objects
+with at most i components, a prefix of the table: essential cofibrancy
+makes each stage map injective, so gluing those pieces alone would give
+the same cells, named and ordered alike.  The stratum of an object is
 computed at chain level, as the automorphism coinvariants of the chains
 of (power / fat diagonal) tensored with those of the tree space.  This is
 exact: the shuffle and Alexander-Whitney maps and the Eilenberg-Zilber
@@ -47,9 +49,10 @@ from .simplicial import (
     SimplicialObject,
     check_product_size,
     descend_to_quotients,
-    lazy_smash,
     point_object,
     product_map,
+    smash,
+    subobject,
     surj_compose,
     surj_identity,
     t_space,
@@ -118,7 +121,7 @@ def power_quotient_map(f, pair_source, pair_target):
 @dataclass
 class CoendAssembly:
     n: int
-    stages: dict  # i -> filtration stage i, glued; stage 0 is the point
+    stages: dict  # i -> filtration stage i, a subobject of the total; 0 is the point
     pieces: dict  # object index -> pointed piece
     pairs: dict  # object index -> power pair
     trees: dict  # partition -> (refinement poset, tree space)
@@ -158,7 +161,7 @@ def _coend_pieces(M, table, pairs=None, trees=None):
     pieces = {}
     for i, lam in enumerate(table.objects):
         pairs[i] = power_pair(M, lam)
-        pieces[i] = lazy_smash(pairs[i].quotient, _tree(trees, lam)[1])
+        pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1])
     relations = []
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
@@ -169,7 +172,7 @@ def _coend_pieces(M, table, pairs=None, trees=None):
             if i == j:
                 w = pieces[i]
             else:
-                w = lazy_smash(pairs[j].quotient, tree)
+                w = smash(pairs[j].quotient, tree)
             for values in arrows:
                 f = SetMap(lam.support_size, lam_j.support_size, values)
                 pw = power_quotient_map(f, pairs[i], pairs[j])
@@ -257,22 +260,23 @@ def coend(M, n):
     with its filtration stages.
 
     Identifications run along both actions of every strict fusion,
-    automorphisms included; basepoints are shared.  Stage i glues the
-    pieces of the objects with at most i components along the relations
-    between them.  The objects come in increasing order of components,
-    so these pieces are a prefix and keep their indices.
+    automorphisms included; basepoints are shared.  Stage i holds the
+    glued cells named after a piece of an object with at most i
+    components.  The objects come in increasing order of components and
+    a glued cell is named after its first member, lowest piece first, so
+    these are the cells that gluing those pieces alone would give.
     """
     if n > COEND_N_CAP:
         raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
     table = enumerate_en(n)
     pairs, trees = {}, {}
     pieces, relations = _coend_pieces(M, table, pairs, trees)
+    total, gluing = _glue(pieces, relations)
     stages = {0: point_object()}
-    for i in range(1, n + 1):
-        kept = {k: piece for k, piece in pieces.items() if table.strata[k] <= i}
-        stages[i], gluing = _glue(
-            kept, [r for r in relations if r[0] in kept and r[1] in kept]
-        )
+    for i in range(1, n):
+        keep = [c for c in total.dim_of if table.strata[c[0]] <= i]
+        stages[i] = subobject(total, keep, basepoint=total.basepoint)
+    stages[n] = total
     return CoendAssembly(
         n=n,
         stages=stages,

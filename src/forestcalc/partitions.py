@@ -8,6 +8,7 @@ the maximum of every refinement poset.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceededError, SupportMismatchError, ValidationError
@@ -157,7 +158,7 @@ def make_partition(support_size, blocks):
         raw = list(block)
         items = sorted(set(raw))
         if len(items) != len(raw):
-            dup = min(x for x in raw if raw.count(x) > 1)
+            dup = min(x for x, c in Counter(raw).items() if c > 1)
             raise ValidationError(f"element {dup} repeated inside a block")
         cleaned.append(tuple(items))
     cleaned.sort(key=lambda b: b[0] if b else -1)

@@ -361,14 +361,14 @@ def _product_cells(factors, coordinate_cells):
 
 class ProductFaces(dict):
     """Face table of product cells: a cell's faces are computed the
-    first time they are looked up, or all at once by `fill`.
+    first time they are looked up, and kept.
 
     Faces are computed coordinatewise and renormalized.  Given the
     factors' basepoints, a face with a basepoint coordinate becomes the
     collapsed face (BASEPOINT, surj_zero(k - 1)).  The per-factor face
     memos and the normalizer live as long as the table, so each
-    coordinate face is computed once however the faces are asked for,
-    and each factor cell's faces are looked up once.
+    coordinate face is computed once, and each factor cell's faces are
+    looked up once.
     """
 
     def __init__(self, factors, basepoints=None):
@@ -380,53 +380,39 @@ class ProductFaces(dict):
         self.cell_memos = [{} for _ in factors]  # per factor: cell -> its faces
 
     def __missing__(self, name):
-        # a filled table holds every face; else only a product cell of
-        # positive dimension has faces
-        if self.factors is None or not isinstance(name, tuple) or len(name[0][1]) < 2:
+        # only a product cell of positive dimension has faces
+        if not isinstance(name, tuple) or len(name[0][1]) < 2:
             raise KeyError(name)
-        self._compute((name,))
-        return self[name]
-
-    def fill(self, cells):
-        """Compute the faces of every cell of positive dimension in the
-        dict dimension -> cells, in one loop.  No face can be missing
-        afterwards, so the memos are dropped."""
-        self._compute(c for k, names in cells.items() if k for c in names)
-        self.factors = self.normalize = self.face_memos = self.cell_memos = None
-
-    def _compute(self, names):
-        factors, face_memos, cell_memos = self.factors, self.face_memos, self.cell_memos
-        basepoints, normalize = self.basepoints, self.normalize
-        for name in names:
-            k = len(name[0][1]) - 1
-            coordinate_faces = []
-            for f, memo, known, ref in zip(factors, face_memos, cell_memos, name):
-                ref_faces = memo.get(ref)
-                if ref_faces is None:
-                    ref_faces = memo[ref] = f.faces_of_ref(ref, known)
-                coordinate_faces.append(ref_faces)
-            fs = []
-            for i in range(k + 1):
-                sub = [fc[i] for fc in coordinate_faces]
-                if basepoints and any(c == bp for (c, _), bp in zip(sub, basepoints)):
-                    fs.append((BASEPOINT, surj_zero(k - 1)))
-                else:
-                    fs.append(normalize(sub))
-            self[name] = tuple(fs)
+        k = len(name[0][1]) - 1
+        coordinate_faces = []
+        for f, memo, known, ref in zip(self.factors, self.face_memos, self.cell_memos, name):
+            ref_faces = memo.get(ref)
+            if ref_faces is None:
+                ref_faces = memo[ref] = f.faces_of_ref(ref, known)
+            coordinate_faces.append(ref_faces)
+        basepoints = self.basepoints
+        fs = []
+        for i in range(k + 1):
+            sub = [fc[i] for fc in coordinate_faces]
+            if basepoints and any(c == bp for (c, _), bp in zip(sub, basepoints)):
+                fs.append((BASEPOINT, surj_zero(k - 1)))
+            else:
+                fs.append(self.normalize(sub))
+        faces = self[name] = tuple(fs)
+        return faces
 
 
 def product(factors):
     """Product of finitely many simplicial objects.
 
     Cells are jointly nondegenerate tuples of refs; faces are computed
-    coordinatewise and renormalized (see `ProductFaces`), all of them
-    before the product is returned.  Pointed when every factor is.
+    coordinatewise and renormalized when they are first looked up (see
+    `ProductFaces`).  Pointed when every factor is.
     """
     if not factors:
         raise ValidationError("product needs at least one factor")
     cells = _product_cells(factors, [list(f.all_cells()) for f in factors])
     faces = ProductFaces(factors)
-    faces.fill(cells)
     basepoint = None
     if all(f.basepoint is not None for f in factors):
         basepoint = tuple((f.basepoint, (0,)) for f in factors)
@@ -485,7 +471,7 @@ def quotient(obj, collapse):
     return SimplicialObject(cells, faces, basepoint=BASEPOINT)
 
 
-def lazy_smash(a, b):
+def smash(a, b):
     """Smash product of pointed objects, each face computed the first
     time it is looked up (see `ProductFaces`).
 
@@ -511,14 +497,6 @@ def _smash_cells(a, b):
     ]
     cells = _product_cells(factors, coordinate_cells)
     return {0: [BASEPOINT] + cells.pop(0, []), **cells}
-
-
-def smash(a, b):
-    """Smash product of pointed objects, with every face computed
-    before it is returned (see `lazy_smash`)."""
-    obj = lazy_smash(a, b)
-    obj.faces.fill(obj.cells)
-    return obj
 
 
 class SuspensionFaces(dict):

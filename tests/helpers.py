@@ -31,7 +31,6 @@ from forestcalc.homology import (
 )
 from forestcalc.kernel import sparse_elementary_divisors
 from forestcalc.layers import t_space_map
-from forestcalc.fusion import pushout_graph
 from forestcalc.partitions import (
     Partition,
     SetMap,
@@ -299,8 +298,12 @@ def brute_force_fusions(source, target):
 def goodness_via_graph_forest_only(delta, lam):
     """The weaker reading of the graph criterion: every component of the
     pushout graph is a tree.  The tests compare it with the full reading,
-    whose component count condition turns out to be automatic."""
-    return pushout_graph(delta, lam).first_betti() == 0
+    whose component count condition turns out to be automatic.  A union
+    that finds both ends of an edge already joined closes a cycle."""
+    cl = lam.components
+    where_l, where_d = lam.block_of(), delta.block_of()
+    uf = UnionFind()
+    return all(uf.union(where_l[x], cl + where_d[x]) for x in range(lam.support_size))
 
 
 # --- group actions on cells ------------------------------------------------------

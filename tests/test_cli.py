@@ -210,6 +210,17 @@ def test_tspace_support_over_cap_is_rejected_at_once(capsys, model, support):
     assert err == f"error: support {support} exceeds cap 9\n"
 
 
+def test_tspace_repeat_in_a_long_block_is_rejected_at_once(capsys):
+    # the repeated element is found in one counting pass, not by one
+    # scan of the block per element
+    lam = "(0 " + " ".join(map(str, range(20_000))) + ")"
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["tspace", "--lambda", lam])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: element 0 repeated inside a block\n"
+
+
 def test_tspace_suspension_too_big_is_rejected_at_once(capsys):
     # T7 itself passes the tree-space cap; its suspension model has six
     # times its top cells
@@ -281,8 +292,8 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     # one assembly gives every filtration stage and every stratum: its
     # pieces and relations are built once, with three smashes (two
     # pieces, one mixing piece), each computing its faces on lookup; the
-    # coend's chains come from its cells
-    # and each of the two strata is a tensor complex, built with no smash
+    # coend's chains come from its cells, and each of the two strata is
+    # a tensor complex, built with no smash
     calls = {}
 
     def count(module, name):
@@ -295,7 +306,7 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
         monkeypatch.setattr(module, name, counting)
 
     count(layers, "_coend_pieces")
-    count(layers, "lazy_smash")
+    count(layers, "smash")
     # the package exports a function named homology, so fetch the module
     count(layers, "tensor_chain_complex")
     count(sys.modules["forestcalc.homology"], "chain_complex")
@@ -304,7 +315,7 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
     assert code == 0
     assert calls == {
         "_coend_pieces": 1,
-        "lazy_smash": 3,
+        "smash": 3,
         "chain_complex": 1,
         "tensor_chain_complex": 2,
     }
@@ -318,16 +329,16 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
 )
 def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
     # FORESTCALC_DEBUG=1 validates every simplicial object on construction;
-    # an unfilled face table (one that still computes faces on lookup)
-    # starts empty, so after validation it must hold the faces of every
-    # positive-dimensional cell
+    # a product face table computes faces on lookup and starts empty, so
+    # after validation it must hold the faces of every positive-dimensional
+    # cell
     validated = []
     unchecked = []
     original = SimplicialObject.validate
 
     def counting(self):
         validated.append(self)
-        lazy = isinstance(self.faces, ProductFaces) and self.faces.factors is not None
+        lazy = isinstance(self.faces, ProductFaces)
         result = original(self)
         if lazy:
             unchecked.append(
@@ -346,14 +357,15 @@ def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
     assert len(validated) > unchecked_plain
     assert all(not cells for cells in unchecked)
     if argv[0] == "layer":
-        # two pieces and one mixing piece, all built with lazy_smash
-        assert len(unchecked) == 3
+        # two powers, two pieces and one mixing piece
+        assert len(unchecked) == 5
 
 
 def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
     # the colimit reads a piece's faces only for its glued representatives
     # and never those of a mixing piece, so only those face tuples are
-    # ever computed, each once for both filtration stages
+    # ever computed; the coend is glued once, and stage 1 is a subobject
+    # of the glued space, so it computes no faces of its own
     monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
     built, assemblies = [], []
 
@@ -364,7 +376,7 @@ def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
 
         return record
 
-    monkeypatch.setattr(layers, "lazy_smash", recording(layers.lazy_smash, built))
+    monkeypatch.setattr(layers, "smash", recording(layers.smash, built))
     monkeypatch.setattr(layers, "coend", recording(layers.coend, assemblies))
     code, _, _ = run_cli(capsys, ["layer", "--m", "circle", "--n", "2"])
     assert code == 0
@@ -381,7 +393,7 @@ def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
         if k > 0
     )
     assert computed <= glued
-    # stage 2 reuses the 126 tuples of stage 1, out of 6,420 piece cells
+    # the 570 glued cells of positive dimension, out of 6,420 piece cells
     assert computed == 570
     assert sum(n_k for p in pieces for k, n_k in p.cell_count().items() if k) == 6420
 
@@ -418,7 +430,7 @@ def test_layer_rejects_an_oversized_power_before_building_any(capsys, monkeypatc
         return record
 
     monkeypatch.setattr(layers, "power_pair", refuse("power_pair"))
-    monkeypatch.setattr(layers, "lazy_smash", refuse("lazy_smash"))
+    monkeypatch.setattr(layers, "smash", refuse("smash"))
     start = time.monotonic()
     code, out, err = run_cli(capsys, ["layer", "--m", "points:20", "--n", "2"])
     assert time.monotonic() - start < 1.0

@@ -6,10 +6,10 @@ included, keeps an import it does not use, at the top or inside a
 function; homology eliminates through the one kernel, leaving the
 reference routes to verify and the tests; coreduction has one routine
 and one caller, its dict-based reference living in the tests; one
-routine lays out every boundary, and the package never calls the eager
-smash; and the
-package leaves no reference cycles for the garbage collector, so no
-nested function refers to itself."""
+routine lays out every boundary, and simplicial.py has one smash, whose
+face table computes each face on lookup; and the package leaves no
+reference cycles for the garbage collector, so no nested function refers
+to itself."""
 
 import ast
 import gc
@@ -187,20 +187,34 @@ def test_one_boundary_layout_in_production():
     # every boundary is laid out once, straight from each generator's
     # summed faces: the package builds every chain complex from runs,
     # homology.py lays runs out from one call site and sorts nothing by
-    # a key into runs; and the eager smash, whose face fill the
-    # suspension model no longer pays, has no caller in the package
+    # a key into runs; the product face table has one mode, computing
+    # each face on lookup, simplicial.py defines one smash, and the
+    # suspension model, built in closed form, never calls it
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    complexes, smash_calls = [], []
+    complexes = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         module = os.path.basename(path)
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call) and _called_name(node) == "ChainComplex":
                 complexes.append((module, node.lineno, {k.arg for k in node.keywords}))
-            if isinstance(node, ast.Call) and _called_name(node) == "smash":
-                smash_calls.append((module, node.lineno))
     assert complexes
     assert all("runs" in keys and "entries" not in keys for _, _, keys in complexes), complexes
-    assert not smash_calls, smash_calls
+    simplicial = _parse(os.path.join(PACKAGE, "simplicial.py"))
+    defined = {node.name: node for node in ast.walk(simplicial) if isinstance(node, functions)}
+    (product_faces,) = [
+        node
+        for node in simplicial.body
+        if isinstance(node, ast.ClassDef) and node.name == "ProductFaces"
+    ]
+    methods = [node.name for node in product_faces.body if isinstance(node, functions)]
+    assert "fill" not in methods, methods
+    assert [name for name in defined if name.endswith("smash")] == ["smash"]
+    suspension_calls = [
+        _called_name(node)
+        for node in ast.walk(defined["t_space_suspension_model"])
+        if isinstance(node, ast.Call)
+    ]
+    assert "suspension" in suspension_calls and "smash" not in suspension_calls
     tree = _parse(os.path.join(PACKAGE, "homology.py"))
     layout_sites = [
         function.name
