@@ -21,10 +21,6 @@ def canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def payload_digest(payload):
-    return _digest_of(canonical_json(payload))
-
-
 def _digest_of(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

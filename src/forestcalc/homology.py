@@ -3,12 +3,14 @@
 Normalized chains: one generator per nondegenerate cell, faces with a
 degenerate normal form contribute nothing.  A complex holds its boundary
 as runs: each generator's faces and their coefficients, in flat lists
-over one numbering of the generators.  One routine lays the runs out,
-in the same pass that sums each cell's faces, for every boundary: the
-chains of an object, the tensor chains of a stratum, and through the
-chains of its corners the total cofiber of a cube of subobjects.
-(row, col, value) triples are made only for the boundaries that reach
-the kernel, and for callers that ask for them.  Every complex is first
+over one numbering of the generators: by degree, then in the order the
+builder lists them.  One routine lays the runs out, in the same pass
+that sums each cell's faces, for every boundary: the chains of an
+object, the tensor chains of a stratum, and the total cofiber of a cube
+of subobjects, summed from its corners' faces with no complex built per
+corner.  The checks read the runs as they lie; (row, col, value)
+triples are made only for the boundaries that reach the kernel, and
+for callers that ask for them.  Every complex is first
 reduced along unit pairs (coreductions, Mrozek-Batko), which leaves a
 chain-homotopy-equivalent subcomplex; a tree space keeps only its
 top-degree homology generators and needs no elimination at all.  The
@@ -33,9 +35,16 @@ from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
 from .simplicial import _debug, subobject, surj_identity
 
-# a cube has 2^d corners: 12 interval covers take 0.5 s and 50 MB, and
-# each further cover doubles both
+# a cube has 2^d corners: 12 interval covers take about 0.4 s and 35 MB,
+# and each further cover doubles both
 COVER_CAP = 12
+# (U, x) generators of a cube's total cofiber, counted before any corner
+# is built.  Near the cap a cube costs no more than wedge:2 at n = 2
+# (4.9 s and 142 MB): a fan of 39 cells under 12 full covers (159,744
+# generators) takes about 2.3 s and 121 MB, one of 42,003 cells under 2
+# (168,012) about 2.5 s and 147 MB; 100 points under 12 (409,600) took
+# 6.3 s and 298 MB when only the covers were counted
+CUBE_GENERATOR_CAP = 170_000
 # the primality test is trial division: 46,340 steps at this bound
 PRIME_CAP = 2**31 - 1
 
@@ -78,8 +87,8 @@ class ChainComplex:
     and `boundary` give the triples back.
     """
 
-    def __init__(self, ranks, entries=None, labels=None, runs=None):
-        self.ranks, self.labels = ranks, labels
+    def __init__(self, ranks, entries=None, runs=None):
+        self.ranks = ranks
         self.offset, n = _offsets(ranks)
         if runs is None:
             runs = _summed_runs(ranks, self.offset, n, entries or {})
@@ -105,32 +114,26 @@ class ChainComplex:
         return {k: self.boundary(k) for k in sorted(self.ranks) if k - 1 in self.ranks}
 
     def validate(self):
-        entries = self.entries
-        for k, es in entries.items():
-            n_from = self.ranks.get(k, 0)
-            n_to = self.ranks.get(k - 1, 0)
-            for i, j, v in es:
-                if not (0 <= i < n_to and 0 <= j < n_from):
+        """Check the runs as they lie: each face of a degree-k generator
+        is numbered in degree k - 1 with a nonzero coefficient, and the
+        faces of its faces cancel.  Generators are visited in numbering
+        order, so a face's own run is checked before it is read."""
+        start, face, coef = self.start, self.face, self.coef
+        for k, first in self.offset.items():
+            low = self.offset.get(k - 1, 0)
+            high = low + self.ranks.get(k - 1, 0)
+            for g in range(first, first + self.ranks[k]):
+                s, t = start[g], start[g + 1]
+                if not all(low <= f < high for f in face[s:t]):
                     raise ValidationError(f"boundary entry out of range in degree {k}")
-                if v == 0:
+                if not all(coef[s:t]):
                     raise ValidationError(f"explicit zero entry in degree {k}")
-        for k in list(entries):
-            if k - 1 not in entries:
-                continue
-            # compose boundary maps and demand zero
-            lower = {}
-            for i, j, v in entries[k - 1]:
-                lower.setdefault(j, {})[i] = v
-            acc = {}
-            for i, j, v in entries[k]:
-                row = lower.get(i)
-                if not row:
-                    continue
-                for ii, w in row.items():
-                    key = (ii, j)
-                    acc[key] = acc.get(key, 0) + v * w
-            if any(val != 0 for val in acc.values()):
-                raise ValidationError(f"boundary squared nonzero from degree {k}")
+                acc = Counter()
+                for f, v in zip(face[s:t], coef[s:t]):
+                    for u in range(start[f], start[f + 1]):
+                        acc[face[u]] += v * coef[u]
+                if any(acc.values()):
+                    raise ValidationError(f"boundary squared nonzero from degree {k}")
         return True
 
 
@@ -215,7 +218,7 @@ def chain_complex(obj, reduced=True):
     if augmented:
         ranks[-1] = 1
         runs = itertools.chain([{}], runs)
-    return ChainComplex(ranks=ranks, labels=basis, runs=runs)
+    return ChainComplex(ranks=ranks, runs=runs)
 
 
 def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
@@ -233,32 +236,30 @@ def tensor_chain_complex(a, b, drop_a, drop_b, class_of):
     # each cell kept is its own key
     da = dict(_kept_face_sums(a, {c: c for c in a.dim_of if c not in drop_a}))
     db = dict(_kept_face_sums(b, {c: c for c in b.dim_of if c not in drop_b}))
-    index = {}  # class -> position within its degree
-    members = {}  # degree -> first member of each class
+    members, seen = {}, set()  # degree -> first member of each class
     for x in da:
         for y in db:
             c = class_of[(x, y)]
-            if c not in index:
-                firsts = members.setdefault(a.dim_of[x] + b.dim_of[y], [])
-                index[c] = len(firsts)
-                firsts.append((x, y))
+            if c not in seen:
+                seen.add(c)
+                members.setdefault(a.dim_of[x] + b.dim_of[y], []).append((x, y))
     ranks = {k: len(firsts) for k, firsts in members.items()}
-    offset, _ = _offsets(ranks)
+    # in numbering order: by degree, then first appearance
+    generators = [gen for k in sorted(members) for gen in members[k]]
+    number = {class_of[gen]: i for i, gen in enumerate(generators)}
 
     def runs():
-        for k in sorted(members):
-            row = offset.get(k - 1, 0)
-            for x, y in members[k]:
-                sign = -1 if a.dim_of[x] % 2 else 1
-                terms = [((f, y), v) for f, v in da[x].items()]
-                terms += [((x, f), sign * v) for f, v in db[y].items()]
-                acc = {}
-                for gen, v in terms:
-                    i = row + index[class_of[gen]]
-                    acc[i] = acc.get(i, 0) + v
-                yield {i: v for i, v in acc.items() if v}
+        for x, y in generators:
+            sign = -1 if a.dim_of[x] % 2 else 1
+            terms = [((f, y), v) for f, v in da[x].items()]
+            terms += [((x, f), sign * v) for f, v in db[y].items()]
+            acc = {}
+            for gen, v in terms:
+                i = number[class_of[gen]]
+                acc[i] = acc.get(i, 0) + v
+            yield {i: v for i, v in acc.items() if v}
 
-    return ChainComplex(ranks=ranks, labels=members, runs=runs())
+    return ChainComplex(ranks=ranks, runs=runs())
 
 
 def reduce_complex(cx):
@@ -584,39 +585,31 @@ def cube_cofiber(corners):
     outside U, (-1)^#{j outside U : j < i} (U + {i}, x).
     """
     d = len(frozenset().union(*corners))
-    chains = {U: chain_complex(obj, reduced=False) for U, obj in corners.items()}
-    ranks, offset, index = {}, {}, {}  # offset[U, k]: first row of U's k-cells
-    for U, cx in chains.items():
-        index[U] = {c: i for names in cx.labels.values() for i, c in enumerate(names)}
-        for k, n in cx.ranks.items():
-            offset[U, k] = ranks.get(k + d - len(U), 0)
-            ranks[k + d - len(U)] = offset[U, k] + n
-    for U in chains:
+    for U in corners:
         for i in range(d):
             if i not in U:
                 _check_subobject(corners[U], corners[U | {i}])
-    first, _ = _offsets(ranks)
-
-    def runs():
-        # in numbering order: by degree, then corner, then the corner's order
-        for m in sorted(ranks):
-            row = first.get(m - 1, 0)
-            for U, cx in chains.items():
-                k = m - d + len(U)
-                if k not in cx.ranks:
-                    continue
-                sign = (-1) ** len(U)
-                corner_row = row + offset.get((U, k - 1), 0) - cx.offset.get(k - 1, 0)
-                outside = [i for i in range(d) if i not in U]
-                for g, c in enumerate(cx.labels[k], cx.offset[k]):
-                    s, t = cx.start[g], cx.start[g + 1]
-                    run = {corner_row + f: sign * v for f, v in zip(cx.face[s:t], cx.coef[s:t])}
-                    for pos, i in enumerate(outside):
-                        V = U | {i}
-                        run[row + offset[V, k] + index[V][c]] = (-1) ** pos
-                    yield run
-
-    return ChainComplex(ranks=ranks, runs=runs())
+    ranks = {}
+    for U, obj in corners.items():
+        for k, cells in sorted(obj.cells.items()):
+            ranks[k + d - len(U)] = ranks.get(k + d - len(U), 0) + len(cells)
+    # in numbering order: by degree, then corner, then the corner's order
+    number, count = {U: {} for U in corners}, itertools.count()
+    for m in sorted(ranks):
+        for U, obj in corners.items():
+            number[U].update(zip(obj.cells.get(m - d + len(U), ()), count))
+    runs = [None] * next(count)
+    for U, obj in corners.items():
+        sign, index = (-1) ** len(U), number[U]
+        # the numbering of each coface corner, with its sign
+        outside = [i for i in range(d) if i not in U]
+        cofaces = [(number[U | {i}], (-1) ** pos) for pos, i in enumerate(outside)]
+        for x, faces in _kept_face_sums(obj, index):
+            run = {f: sign * v for f, v in faces.items()}
+            for above, v in cofaces:
+                run[above[x]] = v
+            runs[index[x]] = run
+    return ChainComplex(ranks=ranks, runs=runs)
 
 
 def _check_subobject(small, big):
@@ -636,7 +629,8 @@ def cover_cube(obj, covers):
     """Corners of the cube of intersections of a family of subcomplexes
     covering obj: the corner at U is the intersection of the covers
     outside U, and the full subset is the whole object.  More than
-    COVER_CAP covers is refused before any corner is built."""
+    COVER_CAP covers, or a total cofiber of more than CUBE_GENERATOR_CAP
+    generators, is refused before any corner is built."""
     if len(covers) > COVER_CAP:
         raise CapExceededError(f"{len(covers)} covers exceed cap {COVER_CAP}")
     cells = set(obj.dim_of)
@@ -648,6 +642,10 @@ def cover_cube(obj, covers):
             raise ValidationError(f"covers miss cells, e.g. {missing}")
         unknown = sorted(union - cells, key=repr)[:3]
         raise ValidationError(f"covers name unknown cells, e.g. {unknown}")
+    # a cell lies in the corner at U when every cover outside U holds it
+    count = sum(2 ** sum(c in s for s in cover_sets) for c in cells)
+    if count > CUBE_GENERATOR_CAP:
+        raise CapExceededError(f"cube has {count} generators, exceeds cap {CUBE_GENERATOR_CAP}")
     d = len(covers)
     corners = {}
     for r in range(d + 1):

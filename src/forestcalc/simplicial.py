@@ -106,15 +106,6 @@ class SimplicialObject:
         """The i-th face of a nondegenerate cell, as a ref."""
         return self.faces[cell][i]
 
-    def face_of_ref(self, ref, i):
-        """The i-th face of an arbitrary simplex in normal form."""
-        cell, alpha = ref
-        j, beta = surj_face(alpha, i)
-        if j is None:
-            return (cell, beta)
-        fcell, gamma = self.faces[cell][j]
-        return (fcell, surj_compose(gamma, beta))
-
     def faces_of_ref(self, ref, known):
         """Every face of an arbitrary simplex in normal form.  The faces
         of its cell are read from the dict known, or looked up once and
@@ -160,11 +151,10 @@ class SimplicialObject:
             if k < 2:
                 continue
             for c in names:
+                sub = [self.faces_of_ref(r, {}) for r in self.faces[c]]
                 for j in range(1, k + 1):
                     for i in range(j):
-                        left = self.face_of_ref(self.faces[c][j], i)
-                        right = self.face_of_ref(self.faces[c][i], j - 1)
-                        if left != right:
+                        if sub[j][i] != sub[i][j - 1]:
                             raise ValidationError(
                                 f"simplicial identity fails on {c!r} at (i, j) = ({i}, {j})"
                             )
@@ -612,10 +602,9 @@ class SimplicialMap:
             k = self.source.dim_of[c]
             if k == 0:
                 continue
+            image_faces = self.target.faces_of_ref(self.mapping[c], {})
             for i in range(k + 1):
-                left = self.target.face_of_ref(self.cell_image(c), i)
-                right = self.ref_image(self.source.face(c, i))
-                if left != right:
+                if image_faces[i] != self.ref_image(self.source.faces[c][i]):
                     raise ValidationError(
                         f"map not simplicial at face {i} of {c!r}"
                     )

@@ -547,6 +547,20 @@ def test_cube_with_too_many_covers_is_rejected_at_once(capsys, tmp_path):
     assert err == "error: 40 covers exceed cap 12\n"
 
 
+def test_cube_over_the_generator_cap_is_rejected_at_once(capsys, tmp_path):
+    # 100 points in every corner of 2^12: 409,600 generators, counted
+    # before any corner is built
+    points = [{"id": f"p{i}", "dim": 0} for i in range(100)]
+    data = {"model": {"cells": points}, "covers": [[p["id"] for p in points]] * 12}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["cube-check", "--file", str(path)])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: cube has 409600 generators, exceeds cap 170000\n"
+
+
 def test_cube_file_missing_keys(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Tests for canonical serialization, digests, and the optional cache."""
 
+import hashlib
 import json
 
 from forestcalc import __version__
@@ -10,7 +11,6 @@ from forestcalc.envelope import (
     cache_put,
     canonical_json,
     envelope,
-    payload_digest,
     render,
 )
 
@@ -27,11 +27,16 @@ def test_canonical_json_no_spaces():
     assert " " not in out
 
 
+def sha256_of_payload(payload):
+    """The digest computed independently of the package's own helper."""
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
 def test_payload_digest_sensitivity():
-    base = payload_digest({"x": 1})
-    assert payload_digest({"x": 1}) == base
-    assert payload_digest({"x": 2}) != base
-    assert payload_digest({"y": 1}) != base
+    base = envelope("x", {}, {"x": 1})["digest"]
+    assert envelope("x", {}, {"x": 1})["digest"] == base == sha256_of_payload({"x": 1})
+    assert envelope("x", {}, {"x": 2})["digest"] != base
+    assert envelope("x", {}, {"y": 1})["digest"] != base
     assert len(base) == 64
 
 
@@ -40,7 +45,7 @@ def test_envelope_fields():
     assert env["tool"] == "forestcalc"
     assert env["version"] == __version__
     assert env["command"] == "tspace"
-    assert env["digest"] == payload_digest({"rank": 1})
+    assert env["digest"] == sha256_of_payload({"rank": 1})
 
 
 def test_render_json_is_canonical():

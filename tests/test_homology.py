@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forestcalc.errors import ValidationError
+from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.homology import (
     ChainComplex,
     HomologyGroup,
@@ -352,6 +352,21 @@ def test_chain_complex_boundary_squares_to_zero():
         assert chain_complex(obj).validate() is True
 
 
+@pytest.mark.parametrize(
+    "ranks, runs, message",
+    [
+        ({0: 1, 1: 1}, [{}, {0: 0}], "explicit zero entry in degree 1"),
+        # the face of a 1-cell numbered among the 1-cells
+        ({0: 1, 1: 2}, [{}, {0: 1}, {1: 1}], "boundary entry out of range in degree 1"),
+        ({0: 1, 1: 1, 2: 1}, [{}, {0: 1}, {1: 1}], "boundary squared nonzero from degree 2"),
+    ],
+    ids=["zero", "own-degree", "squared"],
+)
+def test_validate_reads_the_runs(ranks, runs, message):
+    with pytest.raises(ValidationError, match=message):
+        ChainComplex(ranks=ranks, runs=runs).validate()
+
+
 def test_homology_result_json():
     result = homology(model_circle())
     data = result.to_json()
@@ -434,6 +449,30 @@ CUBES = {
         model_wedge_of_circles(3), [["v", "e0"], ["v", "e1"], ["v", "e2"]]
     ),
 }
+
+
+def test_cube_cofiber_numbering_of_the_broken_square():
+    # generators by degree, then corner, then each corner's own order
+    cx = cube_cofiber(broken_square())
+    assert dict(cx.ranks) == {0: 2, 1: 4, 2: 1}
+    assert cx.entries == {
+        1: [(0, 0, 1), (1, 1, 1), (0, 2, 1), (1, 3, 1), (0, 3, -1)],
+        2: [(1, 0, -1), (0, 0, 1), (3, 0, 1)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(set(CUBES) - {"negative"}))
+def test_cover_cube_counts_its_generators(monkeypatch, case):
+    # the count made before any corner is built is the sum of the
+    # corners' sizes: a cap one below it refuses the cube, one at it not
+    corners = CUBES[case]()
+    total = sum(len(obj.dim_of) for obj in corners.values())
+    monkeypatch.setattr(homology_module, "CUBE_GENERATOR_CAP", total)
+    assert CUBES[case]().keys() == corners.keys()
+    monkeypatch.setattr(homology_module, "CUBE_GENERATOR_CAP", total - 1)
+    message = f"cube has {total} generators, exceeds cap {total - 1}"
+    with pytest.raises(CapExceededError, match=message):
+        CUBES[case]()
 
 
 @pytest.mark.parametrize("case", sorted(CUBES))

@@ -186,10 +186,14 @@ def test_one_coreduction_in_production():
 def test_one_boundary_layout_in_production():
     # every boundary is laid out once, straight from each generator's
     # summed faces: the package builds every chain complex from runs,
-    # homology.py lays runs out from one call site and sorts nothing by
-    # a key into runs; the product face table has one mode, computing
-    # each face on lookup, simplicial.py defines one smash, and the
-    # suspension model, built in closed form, never calls it
+    # on one numbering with no labels, homology.py lays runs out from one
+    # call site and sorts nothing by a key into runs, a cube's total
+    # cofiber is summed from its corners' faces with no complex per
+    # corner, and the checks read the runs, not triples; the product
+    # face table has one mode, computing each face on lookup,
+    # simplicial.py defines one smash and takes the faces of a simplex
+    # in one routine, and the suspension model, built in closed form,
+    # never calls smash
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     complexes = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
@@ -198,9 +202,18 @@ def test_one_boundary_layout_in_production():
             if isinstance(node, ast.Call) and _called_name(node) == "ChainComplex":
                 complexes.append((module, node.lineno, {k.arg for k in node.keywords}))
     assert complexes
-    assert all("runs" in keys and "entries" not in keys for _, _, keys in complexes), complexes
+    assert all("runs" in keys and not keys & {"entries", "labels"} for _, _, keys in complexes), (
+        complexes
+    )
     simplicial = _parse(os.path.join(PACKAGE, "simplicial.py"))
     defined = {node.name: node for node in ast.walk(simplicial) if isinstance(node, functions)}
+    (simplicial_object,) = [
+        node
+        for node in simplicial.body
+        if isinstance(node, ast.ClassDef) and node.name == "SimplicialObject"
+    ]
+    methods = [node.name for node in simplicial_object.body if isinstance(node, functions)]
+    assert "face_of_ref" not in methods, methods
     (product_faces,) = [
         node
         for node in simplicial.body
@@ -224,6 +237,21 @@ def test_one_boundary_layout_in_production():
         if isinstance(node, ast.Call) and _called_name(node) == "_lay_out"
     ]
     assert layout_sites == ["__init__"], layout_sites
+    (chain_complex_class,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ChainComplex"
+    ]
+    methods = {node.name: node for node in chain_complex_class.body if isinstance(node, functions)}
+    assert "labels" not in {arg.arg for arg in methods["__init__"].args.args}
+    validate_reads = {
+        getattr(node, "attr", None) for node in ast.walk(methods["validate"])
+    }
+    assert not validate_reads & {"entries", "boundary"}, validate_reads
+    (cube_cofiber,) = [
+        node for node in tree.body if isinstance(node, functions) and node.name == "cube_cofiber"
+    ]
+    cube_calls = {_called_name(node) for node in ast.walk(cube_cofiber) if isinstance(node, ast.Call)}
+    assert "chain_complex" not in cube_calls, cube_calls
+    assert "labels" not in {getattr(node, "attr", None) for node in ast.walk(cube_cofiber)}
     keyed_sorts = [
         node.lineno
         for node in ast.walk(tree)
