@@ -15,7 +15,9 @@ in a lower dimension.  Because both actions are simplicial, the
 identifications of degenerate simplices follow from these.  The colimit
 reads the faces of a piece's cell only when the cell becomes a glued
 representative, and never the faces of a mixing piece; `smash` computes
-each face on lookup, so no other face is computed.
+each face on lookup, so no other face is computed.  The relation maps
+compute each image when the colimit looks it up, once per cell of the
+mixing piece, and keep none (`product_map`).
 
 The pieces and relations are built once per coend, and glued once.
 Filtration stage i is the subobject of the glued cells of the objects
@@ -146,7 +148,9 @@ def _coend_pieces(M, table, pairs=None, trees=None):
     Every power is counted against the product caps before the first is
     built.  The pieces and mixing pieces compute their faces on lookup:
     `_glue` reads only the faces of its glued representatives, and the
-    relation maps read only cells.
+    relation maps read only cells.  They compute each image on lookup
+    and keep none, so a relation holds its two factor maps, not a table
+    over the cells of w.
 
     Only the generating arrows get a relation.  For f = g' f0 g with g,
     g' automorphisms, functoriality of both actions chains

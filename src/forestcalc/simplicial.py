@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
@@ -259,9 +260,10 @@ class JointNormalizer:
     """Joint normal forms of tuples of refs, with the per-word work
     memoized: each word's bitmask of degenerate positions (bit t when
     a[t] == a[t + 1]), each word's stripped form under a shared mask,
-    and each mask's outer word.  One normalizer serves one `product_map`
-    call or one face table (`ProductFaces`), and its memos live as long
-    as that call or that table.
+    and each mask's outer word.  One normalizer serves one table of
+    computed values: the images of a product map (`ProductImages`) or
+    the faces of a product (`ProductFaces`), and its memos live as long
+    as that table.
     """
 
     def __init__(self):
@@ -575,12 +577,13 @@ class SimplicialMap:
     """A map of simplicial objects given on nondegenerate cells.
 
     mapping sends each source cell to a ref of the target; the whole
-    map is determined by naturality.
+    map is determined by naturality.  It is a dict, or a table that
+    computes each image on lookup (`ProductImages`).
     """
 
     source: SimplicialObject
     target: SimplicialObject
-    mapping: dict
+    mapping: Mapping
 
     def cell_image(self, cell):
         return self.mapping[cell]
@@ -591,6 +594,9 @@ class SimplicialMap:
         return (tcell, surj_compose(gamma, alpha))
 
     def validate(self):
+        # each image is read once, so a table that computes images on
+        # lookup computes each once here too
+        images = {}
         for c, (tcell, gamma) in self.mapping.items():
             k = self.source.dim_of[c]
             if tcell not in self.target.dim_of:
@@ -598,13 +604,15 @@ class SimplicialMap:
             p = self.target.dim_of[tcell]
             if len(gamma) != k + 1 or gamma[0] != 0 or gamma[-1] != p:
                 raise ValidationError(f"bad image word {gamma} on {c!r}")
-        for c in self.mapping:
+            images[c] = (tcell, gamma)
+        for c, image in images.items():
             k = self.source.dim_of[c]
             if k == 0:
                 continue
-            image_faces = self.target.faces_of_ref(self.mapping[c], {})
-            for i in range(k + 1):
-                if image_faces[i] != self.ref_image(self.source.faces[c][i]):
+            image_faces = self.target.faces_of_ref(image, {})
+            for i, (fcell, alpha) in enumerate(self.source.faces[c]):
+                tcell, gamma = images[fcell]
+                if image_faces[i] != (tcell, surj_compose(gamma, alpha)):
                     raise ValidationError(
                         f"map not simplicial at face {i} of {c!r}"
                     )
@@ -612,7 +620,7 @@ class SimplicialMap:
             self.source.basepoint is not None
             and self.target.basepoint is not None
         ):
-            bp_img = self.mapping[self.source.basepoint]
+            bp_img = images[self.source.basepoint]
             if bp_img != (self.target.basepoint, (0,)):
                 raise ValidationError("map does not preserve the basepoint")
         return True
@@ -636,37 +644,61 @@ def compose_simplicial(g, f):
     return SimplicialMap(f.source, g.target, mapping)
 
 
-def product_map(maps, source, target):
-    """The map source -> target acting on coordinate j by maps[j].
+class ProductImages(Mapping):
+    """The images of a product map (`product_map`), computed on each
+    lookup and never stored.
 
-    source and target are products, or smash products, of the factors'
-    sources and targets.  A factor given as None is the identity: its
-    coordinate ref is copied unchanged.  The image refs are renormalized
-    jointly, since a factor's image can add degeneracies shared by all
-    coordinates.  An image outside target (a simplex of the collapsed
-    wedge, when target is a smash) goes to the basepoint.  Within the
-    call each coordinate's image of a ref is computed once.
+    A factor given as None is the identity: its coordinate ref is copied
+    unchanged.  The image refs are renormalized jointly, since a
+    factor's image can add degeneracies shared by all coordinates.  An
+    image outside target (a simplex of the collapsed wedge, when target
+    is a smash) goes to the basepoint.  Each coordinate's image of a ref
+    is computed once and kept, as are the normalizer's memos, for as
+    long as the table lives; the images themselves are not kept.
     """
-    normalize = JointNormalizer()
-    image_memos = [{} for _ in maps]  # per coordinate: ref -> image ref
-    mapping = {}
-    for cell in source.all_cells():
+
+    def __init__(self, maps, source, target):
+        self.maps = maps
+        self.source = source
+        self.target = target
+        self.normalize = JointNormalizer()
+        self.image_memos = [{} for _ in maps]  # per coordinate: ref -> image ref
+
+    def __getitem__(self, cell):
+        dim_of = self.source.dim_of
+        if cell not in dim_of:
+            raise KeyError(cell)
         if cell == BASEPOINT:
-            mapping[cell] = (BASEPOINT, (0,))
-            continue
+            return (BASEPOINT, (0,))
         refs = []
-        for f, memo, ref in zip(maps, image_memos, cell):
+        for f, memo, ref in zip(self.maps, self.image_memos, cell):
             if f is not None:
                 image = memo.get(ref)
                 if image is None:
                     image = memo[ref] = f.ref_image(ref)
                 ref = image
             refs.append(ref)
-        image = normalize(refs)
-        if image[0] not in target.dim_of:
-            image = (BASEPOINT, surj_zero(source.dim_of[cell]))
-        mapping[cell] = image
-    return SimplicialMap(source, target, mapping)
+        image = self.normalize(refs)
+        if image[0] not in self.target.dim_of:
+            return (BASEPOINT, surj_zero(dim_of[cell]))
+        return image
+
+    def __iter__(self):
+        return self.source.all_cells()
+
+    def __len__(self):
+        return len(self.source.dim_of)
+
+
+def product_map(maps, source, target):
+    """The map source -> target acting on coordinate j by maps[j] (None
+    for the identity).
+
+    source and target are products, or smash products, of the factors'
+    sources and targets.  The images are computed on each lookup and
+    none is stored (see `ProductImages`).
+    """
+    return SimplicialMap(source, target, ProductImages(maps, source, target))
 
 
 def descend_to_quotients(mapping, src_quot, tgt_quot):
@@ -846,11 +878,22 @@ def model_from_json(data):
 
     Faces are lists of cell ids; all faces must be nondegenerate, which
     covers ordered complexes and circle-like identifications.
+
+    More than CUBE_GENERATOR_CAP cells are refused before any is built:
+    a cube of covers has at least one generator per cell, and a power
+    of support 2 or more in a layer at least the square of the cell
+    count, over PRODUCT_CELL_CAP long before.
     """
+    from .homology import CUBE_GENERATOR_CAP
+
     try:
         items = list(data["cells"])
     except (TypeError, KeyError) as exc:
         raise ValidationError("model JSON needs a 'cells' list") from exc
+    if len(items) > CUBE_GENERATOR_CAP:
+        raise CapExceededError(
+            f"model has {len(items)} cells, exceeds cap {CUBE_GENERATOR_CAP}"
+        )
     cells = {}
     dims = {}
     for item in items:

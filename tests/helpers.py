@@ -8,8 +8,9 @@ chain-level `layers.stratum` is checked against.  The unreduced route
 reads homology off a complex's raw boundary matrices, over F_p by the
 reference mod-p elimination, not off the kernel's divisors.  The
 reference reducer removes unit pairs through dicts, where production
-uses flat arrays, and the nerve route to a tree space stores every face
-that production computes on lookup.
+uses flat arrays, the nerve route to a tree space stores every face
+that production computes on lookup, and the reference product map
+stores every image that production computes on lookup.
 """
 
 import itertools
@@ -40,6 +41,7 @@ from forestcalc.partitions import (
 )
 from forestcalc.powers import fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
+    BASEPOINT,
     JointNormalizer,
     SimplicialMap,
     SimplicialObject,
@@ -53,6 +55,7 @@ from forestcalc.simplicial import (
     smash,
     subobject,
     surj_identity,
+    surj_zero,
     t_space,
 )
 
@@ -263,6 +266,32 @@ def suspension_via_nerve(lam):
     )
     away = [c for c in renamed.all_cells() if mn - (mn > mx) not in c]
     return smash(model_circle(pointed=True), quotient(renamed, away))
+
+
+def product_map_reference(maps, source, target):
+    """The images of `product_map(maps, source, target)`, each computed
+    once and all stored in one dict: the oracle for `ProductImages`,
+    which computes them on lookup."""
+    normalize = JointNormalizer()
+    image_memos = [{} for _ in maps]  # per coordinate: ref -> image ref
+    mapping = {}
+    for cell in source.all_cells():
+        if cell == BASEPOINT:
+            mapping[cell] = (BASEPOINT, (0,))
+            continue
+        refs = []
+        for f, memo, ref in zip(maps, image_memos, cell):
+            if f is not None:
+                image = memo.get(ref)
+                if image is None:
+                    image = memo[ref] = f.ref_image(ref)
+                ref = image
+            refs.append(ref)
+        image = normalize(refs)
+        if image[0] not in target.dim_of:
+            image = (BASEPOINT, surj_zero(source.dim_of[cell]))
+        mapping[cell] = image
+    return mapping
 
 
 def identity_simplicial(obj):

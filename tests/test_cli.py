@@ -9,8 +9,9 @@ import time
 import pytest
 
 import forestcalc
-from forestcalc import commands, layers
+from forestcalc import commands, layers, simplicial
 from forestcalc.cli import main, parse_partition
+from forestcalc.homology import CUBE_GENERATOR_CAP
 from forestcalc.partitions import make_partition
 from forestcalc.simplicial import ProductFaces, SimplicialObject
 
@@ -559,6 +560,28 @@ def test_cube_over_the_generator_cap_is_rejected_at_once(capsys, tmp_path):
     assert time.monotonic() - start < 1.0
     assert (code, out) == (2, "")
     assert err == "error: cube has 409600 generators, exceeds cap 170000\n"
+
+
+@pytest.mark.parametrize("command", ["layer", "cube-check"])
+def test_model_file_over_the_cell_cap_is_rejected_before_it_is_built(
+    capsys, tmp_path, monkeypatch, command
+):
+    # one cell more than a cube may have generators: refused as soon as
+    # the cells are listed, before any cell is checked or built
+    count = CUBE_GENERATOR_CAP + 1
+    model = {"cells": [{"id": i, "dim": 0} for i in range(count)]}
+    data = model if command == "layer" else {"model": model, "covers": [[]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was checked")
+
+    monkeypatch.setattr(simplicial, "check_cell_id", refuse)
+    flag = ["--m", str(path), "--n", "1"] if command == "layer" else ["--file", str(path)]
+    code, out, err = run_cli(capsys, [command] + flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: model has {count} cells, exceeds cap {CUBE_GENERATOR_CAP}\n"
 
 
 def test_cube_file_missing_keys(capsys, tmp_path):

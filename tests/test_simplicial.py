@@ -2,6 +2,8 @@
 group actions, tree spaces, and the JSON model format."""
 
 import math
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given
@@ -55,6 +57,7 @@ from helpers import (
     identity_simplicial,
     indiscrete,
     joint_normalize,
+    product_map_reference,
     quotient_by_group,
     smash_via_product,
     surj_degeneracy,
@@ -386,6 +389,7 @@ def test_product_map_renormalizes_and_collapses():
     m = product_map([squash, None], square, square)
     m.validate()
     assert m.cell_image(square.cells_of_dim(2)[0])[1] in ((0, 0, 1), (0, 1, 1))
+    assert dict(m.mapping) == product_map_reference([squash, None], square, square)
     # on a smash, an image in the collapsed wedge goes to the basepoint
     circle = model_circle(pointed=True)
     torus = smash(circle, circle)
@@ -393,7 +397,52 @@ def test_product_map_renormalizes_and_collapses():
     m = product_map([constant, None], torus, torus)
     m.validate()
     assert m.mapping == {c: (BASEPOINT, surj_zero(torus.dim_of[c])) for c in torus.dim_of}
+    assert dict(m.mapping) == product_map_reference([constant, None], torus, torus)
     assert product_map([None, None], torus, torus).mapping == identity_simplicial(torus).mapping
+
+
+def test_product_map_computes_images_on_lookup():
+    # the images are computed on each lookup: the table lists the
+    # source's cells, a second full read gives the same images as the
+    # first, and a cell outside the source is a KeyError
+    interval = model_interval()
+    squash = SimplicialMap(
+        interval, interval, {"v0": ("v0", (0,)), "v1": ("v0", (0,)), "e": ("v0", (0, 0))}
+    )
+    square = product([interval, interval])
+    images = product_map([None, squash], square, square).mapping
+    assert len(images) == len(square.dim_of)
+    assert list(images) == list(square.all_cells())
+    first = dict(images.items())
+    assert first == product_map_reference([None, squash], square, square)
+    assert dict(images.items()) == first
+    assert "e" not in images and images.get("e") is None
+    with pytest.raises(KeyError):
+        images["e"]
+
+
+def test_map_validation_reads_each_image_once():
+    interval = model_interval()
+    squash = SimplicialMap(
+        interval, interval, {"v0": ("v0", (0,)), "v1": ("v0", (0,)), "e": ("v0", (0, 0))}
+    )
+    square = product([interval, interval])
+    images = product_map([squash, None], square, square).mapping
+    reads = Counter()
+
+    class CountingImages(Mapping):
+        def __getitem__(self, cell):
+            reads[cell] += 1
+            return images[cell]
+
+        def __iter__(self):
+            return iter(images)
+
+        def __len__(self):
+            return len(images)
+
+    assert SimplicialMap(square, square, CountingImages()).validate()
+    assert reads == dict.fromkeys(square.dim_of, 1)
 
 
 def test_map_validation_catches_bad_word():

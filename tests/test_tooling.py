@@ -7,7 +7,8 @@ function; homology eliminates through the one kernel, leaving the
 reference routes to verify and the tests; coreduction has one routine
 and one caller, its dict-based reference living in the tests; one
 routine lays out every boundary, and simplicial.py has one smash, whose
-face table computes each face on lookup; and the package leaves no
+face table computes each face on lookup; a product map computes each
+image on lookup and stores no table of them; and the package leaves no
 reference cycles for the garbage collector, so no nested function refers
 to itself."""
 
@@ -262,6 +263,48 @@ def test_one_boundary_layout_in_production():
     ]
     assert not keyed_sorts, keyed_sorts
     assert "itemgetter" not in {getattr(node, "id", None) for node in ast.walk(tree)}
+
+
+def test_product_map_stores_no_image_table():
+    # product_map wraps a ProductImages and loops over no cell; that
+    # table is a read-only Mapping, not a dict that fills, binds no table
+    # to a name like mapping, and stores nothing under the cell it is
+    # asked for
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    simplicial = _parse(os.path.join(PACKAGE, "simplicial.py"))
+    (product_map,) = [
+        node for node in simplicial.body if isinstance(node, functions) and node.name == "product_map"
+    ]
+    (images,) = [
+        node for node in simplicial.body if isinstance(node, ast.ClassDef) and node.name == "ProductImages"
+    ]
+    loops = (ast.For, ast.While, ast.comprehension, ast.Dict, ast.DictComp)
+    assert not [node.lineno for node in ast.walk(product_map) if isinstance(node, loops)]
+    assert "ProductImages" in {
+        _called_name(node) for node in ast.walk(product_map) if isinstance(node, ast.Call)
+    }
+    assert [getattr(base, "id", None) for base in images.bases] == ["Mapping"]
+    methods = {node.name: node for node in images.body if isinstance(node, functions)}
+    assert not methods.keys() & {"__setitem__", "__missing__"}, sorted(methods)
+    tables = [
+        node.lineno
+        for scope in (product_map, images)
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if (getattr(target, "id", None) or getattr(target, "attr", None)) in ("mapping", "images", "table")
+    ]
+    assert not tables, tables
+    getitem = methods["__getitem__"]
+    key = getitem.args.args[1].arg
+    keyed_stores = [
+        node.lineno
+        for node in ast.walk(images)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and key in {getattr(name, "id", None) for name in ast.walk(node.slice)}
+    ]
+    assert not keyed_stores, keyed_stores
 
 
 def test_no_self_referencing_nested_functions():
