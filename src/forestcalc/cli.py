@@ -53,7 +53,7 @@ def parse_partition(text):
     if text.startswith("["):
         try:
             blocks = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"bad partition JSON: {exc}") from exc
         if not all(isinstance(b, list) for b in blocks):
             raise ValidationError(

@@ -61,7 +61,7 @@ def load_model(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValidationError(f"bad model JSON in {spec}: {exc}") from exc
         return model_from_json(data)
     raise ValidationError(
@@ -169,7 +169,7 @@ def run_cube_check(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"bad cube JSON: {exc}") from exc
     if not isinstance(data, dict) or "model" not in data or "covers" not in data:
         raise ValidationError('cube files need an object with "model" and "covers" keys')

@@ -6,9 +6,18 @@ the same bytes, so timing and host details stay out of the payload.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to:
+# the same digests, without loading OpenSSL into every process
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 from . import __version__
 
@@ -22,7 +31,7 @@ def canonical_json(data):
 
 
 def _digest_of(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 class Envelope(dict):
@@ -115,7 +124,7 @@ def cache_directory(flag_value=None):
 
 def cache_key(command, config, input_blobs=()):
     """Digest of everything that determines a result."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(__version__.encode())
     h.update(b"\x00")
     h.update(command.encode())
@@ -135,7 +144,7 @@ def cache_get(directory, key, command, config):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             env = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(env, dict) or "payload" not in env:
         return None

@@ -230,6 +230,17 @@ def check_badness_hereditary(budget, ctx):
 
 def check_badness_pushforward(budget, ctx):
     """Strict fusions carry bad partitions to bad partitions."""
+    bad = {}
+
+    def bad_of(lam):
+        # the partitions bad relative to lam, in all_partitions order,
+        # found once per check; a dict keeps the order and tests membership
+        if lam not in bad:
+            bad[lam] = dict.fromkeys(
+                d for d in all_partitions(lam.support_size) if not is_good(d, lam)
+            )
+        return bad[lam]
+
     checked = 0
     top = min(budget["support"], 4)
     for m in range(2, top + 1):
@@ -238,11 +249,10 @@ def check_badness_pushforward(budget, ctx):
                 if not is_strict_fusion(morphism):
                     continue
                 lam, lam2, f = morphism.source, morphism.target, morphism.map
-                for delta in all_partitions(m):
-                    if is_good(delta, lam):
-                        continue
+                bad_targets = bad_of(lam2)
+                for delta in bad_of(lam):
                     img = image_partition(f, delta)
-                    if is_good(img, lam2):
+                    if img not in bad_targets:
                         return False, {"instances": checked}, {
                             "fusion": str(morphism),
                             "bad": str(delta),

@@ -654,6 +654,41 @@ def test_bad_json_is_one_error_line(capsys, tmp_path, command, data, message):
     assert message in err
 
 
+def nested_json(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "command, depth",
+    [("layer", 200_000), ("cube-check", 200_000), ("tspace", 30_000)],
+)
+def test_too_deep_json_is_one_error_line(capsys, tmp_path, command, depth):
+    # json gives up on deep nesting with RecursionError, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text(nested_json(depth), encoding="utf-8")
+    argv = {
+        "layer": ["layer", "--m", str(path), "--n", "1"],
+        "cube-check": ["cube-check", "--file", str(path)],
+        "tspace": ["tspace", "--lambda", nested_json(depth)],
+    }[command]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_too_deep_cache_entry_is_a_miss(capsys, tmp_path):
+    argv = ["tspace", "--lambda", "(0 1 2)"]
+    _, fresh, _ = run_cli(capsys, argv)
+    cache = tmp_path / "cache"
+    run_cli(capsys, ["--cache", str(cache)] + argv)
+    (name,) = os.listdir(cache)
+    (cache / name).write_text(nested_json(200_000), encoding="utf-8")
+    assert run_cli(capsys, ["--cache", str(cache)] + argv) == (0, fresh, "")
+    # the fresh envelope replaced the corrupt entry
+    assert (cache / name).read_text(encoding="utf-8") == fresh
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -877,6 +912,33 @@ def loaded_after(code):
 def test_parsing_loads_no_compute_module():
     _, loaded = loaded_after("import forestcalc.cli\nforestcalc.cli.build_parser()")
     assert not loaded & COMPUTE_MODULES, sorted(loaded & COMPUTE_MODULES)
+
+
+def test_no_process_loads_openssl(tmp_path):
+    # the envelope digests come from the interpreter's built-in SHA-256;
+    # hashlib's OpenSSL module costs every process megabytes of memory
+    run = (
+        "from forestcalc.cli import main\n"
+        f"assert main(['--cache', {str(tmp_path)!r}, 'tspace', '--lambda', '(0 1)']) == 0"
+    )
+    _, loaded = loaded_after("import forestcalc.cli\nforestcalc.cli.build_parser()")
+    assert "_hashlib" not in loaded
+    miss, loaded = loaded_after(run)  # loads the whole compute layer
+    assert "_hashlib" not in loaded
+    hit, loaded = loaded_after(run)
+    assert "_hashlib" not in loaded
+    assert hit == miss and len(os.listdir(tmp_path)) == 1
+
+
+def test_envelope_digests_without_openssl():
+    import hashlib
+    import importlib.util
+
+    from forestcalc import envelope
+
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256")
+    assert envelope.sha256 is not hashlib.sha256
 
 
 def test_cache_hit_loads_no_compute_module(capsys, tmp_path):

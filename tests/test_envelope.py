@@ -2,9 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import forestcalc
 from forestcalc import __version__
 from forestcalc.envelope import (
+    _digest_of,
     cache_directory,
     cache_get,
     cache_key,
@@ -123,3 +130,53 @@ def test_cache_get_tolerates_garbage(tmp_path):
     for text in ("{not json", "[1, 2]", '{"payload": {"rank": 1}}'):
         (d / (key + ".json")).write_text(text, encoding="utf-8")
         assert cache_get(str(d), key, "tspace", {}) is None
+
+
+# --- digests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "forestcalc", "(0 1)(2 3) é∂∧ \U0001d54a"],
+    ids=["empty", "ascii", "non-ascii"],
+)
+def test_digest_equals_the_openssl_route(text):
+    assert _digest_of(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_digest_of_a_large_payload_equals_the_openssl_route():
+    from forestcalc.category import enumerate_en
+
+    text = canonical_json(enumerate_en(4).to_json())  # the enumerate --n 4 payload
+    assert len(text) > 1_000_000
+    assert _digest_of(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cache_key_equals_the_openssl_route():
+    config = {"m": "model.json", "n": 2, "coeff": "F3"}
+    blobs = (b'{"cells":[]}', b"\x00\xff", b"")
+    h = hashlib.sha256()
+    h.update(__version__.encode() + b"\x00layer\x00" + canonical_json(config).encode())
+    for blob in blobs:
+        h.update(b"\x00" + blob)
+    assert cache_key("layer", config, blobs) == h.hexdigest()
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_modules():
+    # a build without the built-in hashes still digests, through hashlib
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from forestcalc import envelope\n"
+        "assert envelope.sha256 is hashlib.sha256\n"
+        "print(envelope.envelope('x', {}, {'x': 1})['digest'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(forestcalc.__file__)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == sha256_of_payload({"x": 1}) + "\n"
