@@ -31,13 +31,20 @@ EXIT_INPUT = 2
 CUBE_DEMO_NAMES = ("interval", "circle", "negative")
 
 
+ECHO_CHARS = 40  # of a bad token, quoted in its one-line error
+
+
 def _element(token):
-    """A partition element: a digit string or a JSON integer, at least 0."""
+    """A partition element: a digit string or a JSON integer, at least 0.
+    The error quotes at most ECHO_CHARS characters of a bad token."""
     if isinstance(token, str) and re.fullmatch(r"[0-9]+", token):
         return int(token)
     if type(token) is int and token >= 0:
         return token
-    raise ValidationError(f"partition element {token!r} is not a non-negative integer")
+    shown = repr(token)
+    if len(shown) > ECHO_CHARS:
+        shown = shown[:ECHO_CHARS] + "…"
+    raise ValidationError(f"partition element {shown} is not a non-negative integer")
 
 
 def parse_partition(text):

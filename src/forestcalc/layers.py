@@ -7,17 +7,25 @@ generating arrows of the table are applied: a minimal set of
 automorphism generators of each object and one arrow per double coset
 of automorphisms in each other hom set
 (`CategoryTable.generating_arrows`).  Both actions are functorial, so
-the relation of a composite follows from those of its factors.  The
-colimit is computed from nondegenerate cells alone, one dimension at a
-time: the relations are applied to the cells of each mixing piece, and
-a degenerate image stands for its Eilenberg-Zilber normal form, fixed
-in a lower dimension.  Because both actions are simplicial, the
-identifications of degenerate simplices follow from these.  The colimit
-reads the faces of a piece's cell only when the cell becomes a glued
-representative, and never the faces of a mixing piece; `smash` computes
-each face on lookup, so no other face is computed.  The relation maps
-compute each image when the colimit looks it up, once per cell of the
-mixing piece, and keep none (`product_map`).
+the relation of a composite follows from those of its factors.
+
+An automorphism acts on both factors of its object's piece by
+isomorphisms, cell to cell with identity words, so it glues the piece's
+cells with the same words along the orbits of their pairs of factor
+cells.  These orbits are found once per object, by one union-find over
+the pairs of non-basepoint factor cells (`_aut_orbits`); the stratum of
+an object takes the same orbits on the pairs off the fat diagonal.  The
+colimit is then computed from the orbits' representative cells alone,
+one dimension at a time: the relations of the other generating arrows
+are applied to the cells of their mixing pieces, and a degenerate image
+stands for its Eilenberg-Zilber normal form, fixed in a lower
+dimension.  Because both actions are simplicial, the identifications
+of degenerate simplices follow from these.  The colimit reads the faces
+of a piece's cell only when the cell becomes a glued representative,
+and never the faces of a mixing piece; `smash` computes each face on
+lookup, so no other face is computed.  The relation maps compute each
+image when the colimit looks it up, once per cell of the mixing piece,
+and keep none (`product_map`).
 
 The pieces and relations are built once per coend, and glued once.
 Filtration stage i is the subobject of the glued cells of the objects
@@ -32,6 +40,8 @@ homotopy are natural and keep the wedge, so they pass to coinvariants.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -135,15 +145,75 @@ class CoendAssembly:
         return self.stages[self.n]
 
 
+def _arrow_maps(table, i, j, pairs, trees):
+    """The factor maps (pw, tw) of each generating arrow f: lam_i -> lam_j:
+    pw the wrong-way map of power quotients, tw the map of tree spaces.
+    pairs holds the power pairs by object index; trees is as in `_tree`."""
+    lam, lam_j = table.objects[i], table.objects[j]
+    maps = []
+    for values in table.generating_arrows(i, j):
+        f = SetMap(lam.support_size, lam_j.support_size, values)
+        maps.append(
+            (power_quotient_map(f, pairs[i], pairs[j]), t_space_map(f, lam, lam_j, trees))
+        )
+    return maps
+
+
+def _aut_orbits(xs, ys, generators, what):
+    """The orbits of the pairs (x, y) in xs x ys under (pw x, y) ~ (x, tw y)
+    for each generator (pw, tw) of a group acting on both factors, as a
+    dict sending each pair to the first pair of its orbit in
+    `itertools.product` order.
+
+    These are the orbits of the diagonal action (x, y) -> (pw_g^-1 x,
+    tw_g y).  xs and ys are invariant sets of cells of the maps' sources:
+    a generator must send each cell of xs (of ys) to a cell of xs (of ys)
+    with the identity word, or the relation would not be one of pairs;
+    anything else raises ValidationError naming what.
+    """
+    pairs = list(itertools.product(xs, ys))
+    orbits = UnionFind(pairs)
+    factors = ((xs, set(xs)), (ys, set(ys)))
+    for generator in generators:
+        px, ty = (
+            _cell_images(m, cells, kept, what)
+            for m, (cells, kept) in zip(generator, factors)
+        )
+        for x, y in pairs:
+            orbits.union((px[x], y), (x, ty[y]))
+    first = {}
+    return {p: first.setdefault(id(orbits.find(p)), p) for p in pairs}
+
+
+def _cell_images(m, cells, kept, what):
+    """cell -> image cell of the map m on cells, each image a cell of the
+    set kept with the identity word."""
+    images = {}
+    for c in cells:
+        image, word = m.mapping[c]
+        if image not in kept or word[-1] != len(word) - 1:
+            raise ValidationError(
+                f"an automorphism of {what} is not an isomorphism: it sends "
+                f"{c!r} to {(image, word)!r}"
+            )
+        images[c] = image
+    return images
+
+
 def _coend_pieces(M, table, pairs=None, trees=None):
-    """The pieces of the coend and the relations that glue them.
+    """The pieces of the coend, the relations that glue them, and the
+    automorphism generators that each piece is divided by.
 
     Piece i is the power quotient of object i smashed with its tree
-    space.  An arrow f: lam_i -> lam_j gives the relation (i, j, w, a, b)
-    on the mixing piece w = (power quotient of lam_j) smashed with (tree
-    space of lam_i), with a: w -> piece i and b: w -> piece j.  A caller
-    that keeps the power pairs (by object index) and the tree spaces (see
-    `_tree`) passes the dicts to fill.
+    space.  Its automorphisms are given as a list, automorphisms[i], of
+    the factor maps (pw, tw) of the generators of Aut(lam_i): each acts
+    on both factors by isomorphisms, and `_glue` divides the piece by
+    them as orbits of factor-cell pairs.  An arrow f: lam_i -> lam_j with
+    i != j gives the relation (i, j, w, a, b) on the mixing piece w =
+    (power quotient of lam_j) smashed with (tree space of lam_i), with
+    a: w -> piece i and b: w -> piece j.  A caller that keeps the power
+    pairs (by object index) and the tree spaces (see `_tree`) passes the
+    dicts to fill.
 
     Every power is counted against the product caps before the first is
     built.  The pieces and mixing pieces compute their faces on lookup:
@@ -152,7 +222,7 @@ def _coend_pieces(M, table, pairs=None, trees=None):
     and keep none, so a relation holds its two factor maps, not a table
     over the cells of w.
 
-    Only the generating arrows get a relation.  For f = g' f0 g with g,
+    Only the generating arrows are applied.  For f = g' f0 g with g,
     g' automorphisms, functoriality of both actions chains
     (pw_g pw_f0 pw_g' q, t) ~ (pw_f0 pw_g' q, tw_g t)
     ~ (pw_g' q, tw_f0 tw_g t) ~ (q, tw_g' tw_f0 tw_g t), which is the
@@ -167,60 +237,87 @@ def _coend_pieces(M, table, pairs=None, trees=None):
         pairs[i] = power_pair(M, lam)
         pieces[i] = smash(pairs[i].quotient, _tree(trees, lam)[1])
     relations = []
+    automorphisms = {}
     for i, lam in enumerate(table.objects):
         tree = trees[lam][1]
-        for j, lam_j in enumerate(table.objects):
-            arrows = table.generating_arrows(i, j)
-            if not arrows:
+        automorphisms[i] = _arrow_maps(table, i, i, pairs, trees)
+        for j in range(len(table.objects)):
+            maps = _arrow_maps(table, i, j, pairs, trees) if j != i else ()
+            if not maps:
                 continue
-            if i == j:
-                w = pieces[i]
-            else:
-                w = smash(pairs[j].quotient, tree)
-            for values in arrows:
-                f = SetMap(lam.support_size, lam_j.support_size, values)
-                pw = power_quotient_map(f, pairs[i], pairs[j])
-                tw = t_space_map(f, lam, lam_j, trees)
+            w = smash(pairs[j].quotient, tree)
+            for pw, tw in maps:
                 a = product_map([pw, None], w, pieces[i])
                 b = product_map([None, tw], w, pieces[j])
                 relations.append((i, j, w, a, b))
-    return pieces, relations
+    return pieces, relations, automorphisms
 
 
-def _glue(pieces, relations):
-    """Colimit of the pieces along a(w) ~ b(w), with shared basepoints.
+def _glue(pieces, relations, automorphisms=None):
+    """Colimit of the pieces along a(w) ~ b(w), with shared basepoints,
+    each piece i divided by the generators in automorphisms[i].
 
-    In each dimension k, union-find runs over the nondegenerate k-cells
-    (i, cell) of the pieces.  A degenerate image enters as its normal
-    form (glued cell, word), which a lower dimension fixed; a class that
-    holds one takes it, any other class becomes a glued cell named after
-    its first member: lowest piece first, then the piece's cell order.
-    Only such a representative's faces are read from its piece, and only
-    cells are read from a mixing piece.
+    A generator's factor maps (pw, tw) send cells to cells with identity
+    words, so (pw q, t) ~ (q, tw t) sends a piece cell ((x, alpha),
+    (y, beta)) to the cell with the same words on another pair: its
+    classes are the orbits of the pairs (x, y) of non-basepoint factor
+    cells (`_aut_orbits`), the same for every word pair.  They are found
+    once per piece, and a cell of the piece stands for the cell of its
+    orbit's first pair, which comes first in the piece's cell order.
+    A relation passed with i == j is glued cell by cell, like any other.
+
+    Then, in each dimension k, union-find runs over those representative
+    k-cells (i, cell) of the pieces.  A degenerate image enters as its
+    normal form (glued cell, word), which a lower dimension fixed; a
+    class that holds one takes it, any other class becomes a glued cell
+    named after its first member: lowest piece first, then the piece's
+    cell order.  Only such a representative's faces are read from its
+    piece, and only cells are read from a mixing piece.
     gluing counts, per dimension k, the identifications the colimit makes
     among all k-simplices: the pieces have sum over q of n_q * C(k, q) of
     them, the glued space the same sum over its own q-cells.
     """
+    moved = {}  # piece -> pair -> its orbit's first pair, for each pair not first
+    for i, generators in (automorphisms or {}).items():
+        if not generators:
+            continue
+        pw, tw = generators[0]
+        xs = [c for c in pw.source.all_cells() if c != pw.source.basepoint]
+        ys = [c for c in tw.source.all_cells() if c != tw.source.basepoint]
+        first = _aut_orbits(xs, ys, generators, f"object {i}")
+        moved[i] = {p: r for p, r in first.items() if r is not p}
+
+    def rep(i, cell):
+        orbit = moved.get(i)
+        if orbit is None or cell == pieces[i].basepoint:
+            return cell
+        (x, alpha), (y, beta) = cell
+        r = orbit.get((x, y))
+        return cell if r is None else ((r[0], alpha), (r[1], beta))
+
     top = max(p.dimension for p in pieces.values())
-    normal = {}  # (piece, cell) -> normal form in the glued space
+    normal = {}  # (piece, representative cell) -> normal form in the glued space
     cells = {}
     faces = {}
 
     def form(i, ref):
         cell, alpha = ref
-        name, beta = normal[(i, cell)]
+        name, beta = normal[(i, rep(i, cell))]
         return name, surj_compose(beta, alpha)
 
     gluing = {}
     for k in range(top + 1):
         uf = UnionFind(
-            (i, cell) for i, piece in pieces.items() for cell in piece.cells_of_dim(k)
+            (i, cell)
+            for i, piece in pieces.items()
+            for cell in piece.cells_of_dim(k)
+            if rep(i, cell) is cell
         )
 
         def node(i, ref):
             # a degenerate simplex is the node (None, its normal form)
             cell, alpha = ref
-            return (i, cell) if alpha[-1] == k else (None, form(i, ref))
+            return (i, rep(i, cell)) if alpha[-1] == k else (None, form(i, ref))
 
         if k == 0:
             # wedge convention: one shared basepoint
@@ -274,8 +371,8 @@ def coend(M, n):
         raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
     table = enumerate_en(n)
     pairs, trees = {}, {}
-    pieces, relations = _coend_pieces(M, table, pairs, trees)
-    total, gluing = _glue(pieces, relations)
+    pieces, relations, automorphisms = _coend_pieces(M, table, pairs, trees)
+    total, gluing = _glue(pieces, relations, automorphisms)
     stages = {0: point_object()}
     for i in range(1, n):
         keep = [c for c in total.dim_of if table.strata[c[0]] <= i]
@@ -324,9 +421,11 @@ def stratum(assembly, lam):
     the basepoint.  Both factors carry the left relabeling action:
     coordinates read through the inverse permutation, refinements pushed
     forward.  Each sends cells to cells without signs, so the
-    coinvariant classes are the orbits of the generators.  The
-    stabilizer of q (x) t is stab(q) & stab(t), so the action is free
-    exactly when every orbit has as many members as the group.
+    coinvariant classes are the orbits of the generators: those of the
+    coend's pieces (`_aut_orbits`), restricted to the power cells off
+    the fat diagonal, an invariant set of cells of the power quotient.
+    The stabilizer of q (x) t is stab(q) & stab(t), so the action is
+    free exactly when every orbit has as many members as the group.
     """
     table = assembly.table
     if lam not in table.objects:
@@ -337,27 +436,18 @@ def stratum(assembly, lam):
     if not pair.bad_cells <= fat:
         raise ValidationError("bad diagonal is not contained in the fat diagonal")
     tree = _tree(assembly.trees, lam)[1]
-    generators = [
-        (q, t)
-        for q in pair.power.all_cells()
-        if q not in fat
-        for t in tree.all_cells()
-        if t != BASEPOINT
-    ]
-    orbits = UnionFind(generators)
-    m = lam.support_size
+    first = _aut_orbits(
+        [q for q in pair.power.all_cells() if q not in fat],
+        [t for t in tree.all_cells() if t != BASEPOINT],
+        _arrow_maps(table, idx, idx, assembly.pairs, assembly.trees),
+        str(lam),
+    )
     group = table.groups[idx]
-    for g in table.generating_arrows(idx, idx):
-        gmap = SetMap(m, m, g)
-        pmap = induced_power_map(gmap.inverse(), pair.power, pair.power).mapping
-        tmap = t_space_map(gmap, lam, lam, assembly.trees).mapping
-        for q, t in generators:
-            orbits.union((q, t), (pmap[q][0], tmap[t][0]))
-    class_of = {x: orbits.find(x) for x in generators}
+    orbit_sizes = Counter(first.values()).values()
     return StratumResult(
         lam=lam,
-        complex=tensor_chain_complex(pair.power, tree, fat, {BASEPOINT}, class_of),
-        free=all(len(orbit) == group.order for orbit in orbits.classes()),
+        complex=tensor_chain_complex(pair.power, tree, fat, {BASEPOINT}, first),
+        free=all(size == group.order for size in orbit_sizes),
         group_order=group.order,
     )
 

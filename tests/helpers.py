@@ -10,11 +10,14 @@ reference mod-p elimination, not off the kernel's divisors.  The
 reference reducer removes unit pairs through dicts, where production
 uses flat arrays, the nerve route to a tree space stores every face
 that production computes on lookup, and the reference product map
-stores every image that production computes on lookup.
+stores every image that production computes on lookup.  The cell-by-cell
+colimit glues each piece along its automorphisms one cell at a time,
+where production glues orbits of factor-cell pairs.
 """
 
 import itertools
 from collections import Counter, deque
+from math import comb
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +57,7 @@ from forestcalc.simplicial import (
     quotient,
     smash,
     subobject,
+    surj_compose,
     surj_identity,
     surj_zero,
     t_space,
@@ -292,6 +296,80 @@ def product_map_reference(maps, source, target):
             image = (BASEPOINT, surj_zero(source.dim_of[cell]))
         mapping[cell] = image
     return mapping
+
+
+def automorphism_relations(pieces, automorphisms):
+    """The relations (i, i, piece, a, b) that glue each piece along its
+    automorphism generators (pw, tw) from `layers._coend_pieces`, as
+    product maps a = pw x id and b = id x tw of the piece to itself."""
+    return [
+        (i, i, pieces[i], product_map([pw, None], pieces[i], pieces[i]),
+         product_map([None, tw], pieces[i], pieces[i]))
+        for i, generators in automorphisms.items()
+        for pw, tw in generators
+    ]
+
+
+def glue_cell_by_cell(pieces, relations):
+    """The colimit of the pieces along a(w) ~ b(w) for plain relations
+    only, every relation applied to each nondegenerate cell of its w: the
+    oracle for `layers._glue`, which divides each piece by its
+    automorphisms as orbits of factor-cell pairs.  Union-find runs per
+    dimension k over every nondegenerate k-cell of the pieces; a
+    degenerate image enters as its normal form, fixed in a lower
+    dimension, and any other class becomes a glued cell named after its
+    first member."""
+    top = max(p.dimension for p in pieces.values())
+    normal = {}  # (piece, cell) -> normal form in the glued space
+    cells = {}
+    faces = {}
+
+    def form(i, ref):
+        cell, alpha = ref
+        name, beta = normal[(i, cell)]
+        return name, surj_compose(beta, alpha)
+
+    gluing = {}
+    for k in range(top + 1):
+        uf = UnionFind(
+            (i, cell) for i, piece in pieces.items() for cell in piece.cells_of_dim(k)
+        )
+
+        def node(i, ref, k=k):
+            cell, alpha = ref
+            return (i, cell) if alpha[-1] == k else (None, form(i, ref))
+
+        if k == 0:
+            for i in pieces:
+                uf.union((0, pieces[0].basepoint), (i, pieces[i].basepoint))
+        for i, j, w, a, b in relations:
+            for cell in w.cells_of_dim(k):
+                uf.union(node(i, a.mapping[cell]), node(j, b.mapping[cell]))
+        for group in uf.classes():
+            forms = [nf for i, nf in group if i is None]
+            if len(forms) > 1:
+                raise ValidationError("gluing maps are not simplicial")
+            group = [x for x in group if x[0] is not None]
+            if forms:
+                nf = forms[0]
+            else:
+                name = group[0]
+                nf = (name, surj_identity(k))
+                cells.setdefault(k, []).append(name)
+                if k > 0:
+                    i, cell = name
+                    faces[name] = tuple(
+                        form(i, pieces[i].face(cell, t)) for t in range(k + 1)
+                    )
+            for x in group:
+                normal[x] = nf
+        gluing[k] = sum(
+            n_q * comb(k, q)
+            for piece in pieces.values()
+            for q, n_q in piece.cell_count().items()
+        ) - sum(len(names) * comb(k, q) for q, names in cells.items())
+    bp_name = normal[(0, pieces[0].basepoint)][0]
+    return SimplicialObject(cells, faces, basepoint=bp_name), gluing
 
 
 def identity_simplicial(obj):

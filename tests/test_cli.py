@@ -181,6 +181,23 @@ def test_bad_partition_is_one_error_line(capsys, command, text, message):
 
 @pytest.mark.parametrize(
     "text",
+    ["[" * 960 + "]" * 960, '[[0,"' + "x" * 5000 + '"]]'],
+    ids=["nested-brackets", "long-string"],
+)
+def test_bad_partition_element_error_is_short(text):
+    # the error quotes the start of the offending token, not all of it;
+    # run in a fresh interpreter, whose stack leaves the JSON parser
+    # room for 960 levels
+    proc = run_fresh("-m", "forestcalc", "tspace", "--lambda", text)
+    code, out, err = proc.returncode, proc.stdout, proc.stderr
+    assert (code, out) == (2, "")
+    assert err.startswith("error: partition element ") and err.count("\n") == 1
+    assert len(err) < 120 and "…" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
     ["(0 1)(2 3)", " (0 1) (2 3) ", "(0,1)(2,3)"],
     ids=["adjacent", "spaced", "commas"],
 )
@@ -397,6 +414,27 @@ def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
     # the 570 glued cells of positive dimension, out of 6,420 piece cells
     assert computed == 570
     assert sum(n_k for p in pieces for k, n_k in p.cell_count().items() if k) == 6420
+
+
+def test_coend_reads_each_relation_image_once(capsys, monkeypatch):
+    # each piece is divided by its automorphisms as orbits of factor-cell
+    # pairs, read off the generators' factor maps, so only the relation
+    # of the one non-iso arrow reads images through ProductImages: once
+    # per cell of its 529-cell mixing piece on each side (26,746 reads
+    # when every generator was applied cell by cell)
+    reads = []
+    getitem = simplicial.ProductImages.__getitem__
+
+    def counting(self, cell):
+        reads.append(self.source)
+        return getitem(self, cell)
+
+    monkeypatch.setattr(simplicial.ProductImages, "__getitem__", counting)
+    code, _, _ = run_cli(capsys, ["layer", "--m", "circle", "--n", "2"])
+    assert code == 0
+    assert len(reads) == 1058
+    (w,) = {id(source): source for source in reads}.values()
+    assert sum(w.cell_count().values()) == 529
 
 
 def test_layer_coend_cap_message(capsys):

@@ -27,6 +27,7 @@ from forestcalc.layers import (
 from forestcalc.partitions import SetMap, make_partition
 from forestcalc.powers import PowerPair, power_pair
 from forestcalc.simplicial import (
+    BASEPOINT,
     SimplicialMap,
     SimplicialObject,
     compose_simplicial,
@@ -38,15 +39,18 @@ from forestcalc.simplicial import (
     quotient,
     same_object,
     smash,
+    surj_compose,
     surj_identity,
     t_space,
 )
 
 from helpers import (
     assert_same_reduction,
+    automorphism_relations,
     betti_numbers,
     compose,
     filtration,
+    glue_cell_by_cell,
     identity_simplicial,
     indiscrete,
     orbit_stratum,
@@ -287,9 +291,11 @@ def glue_all_simplices(pieces, relations):
 )
 def test_glue_matches_all_simplices_colimit(model, n):
     table = enumerate_en(n, include_homs=True)
-    pieces, relations = _coend_pieces(model(), table)
-    total, gluing = _glue(pieces, relations)
-    oracle_total, oracle_gluing = glue_all_simplices(pieces, relations)
+    pieces, relations, automorphisms = _coend_pieces(model(), table)
+    total, gluing = _glue(pieces, relations, automorphisms)
+    oracle_total, oracle_gluing = glue_all_simplices(
+        pieces, relations + automorphism_relations(pieces, automorphisms)
+    )
     assert same_object(total, oracle_total)
     assert gluing == oracle_gluing
 
@@ -382,13 +388,77 @@ def all_arrow_relations(M, table):
 def test_generating_arrows_glue_like_all_arrows(model, n):
     M = model()
     table = enumerate_en(n, include_homs=True)
-    pieces, relations = _coend_pieces(M, table)
-    total, gluing = _glue(pieces, relations)
+    pieces, relations, automorphisms = _coend_pieces(M, table)
+    total, gluing = _glue(pieces, relations, automorphisms)
     oracle_pieces, oracle_relations = all_arrow_relations(M, table)
-    assert len(relations) < len(oracle_relations)
+    assert len(relations + automorphism_relations(pieces, automorphisms)) < len(oracle_relations)
     oracle_total, oracle_gluing = _glue(oracle_pieces, oracle_relations)
     assert same_object(total, oracle_total)
     assert gluing == oracle_gluing
+
+
+ORBIT_CASES = [(name, n) for name in ("circle", "interval", "points3", "wedge2") for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, n", ORBIT_CASES, ids=[f"{c}-n{n}" for c, n in ORBIT_CASES])
+def test_glue_matches_cell_by_cell_oracle(name, n):
+    # production divides each piece by its automorphisms as orbits of
+    # factor-cell pairs; the oracle applies every generating arrow,
+    # automorphisms included, to each cell through product_map
+    pieces, relations, automorphisms = _coend_pieces(
+        MODELS[name](), enumerate_en(n, include_homs=True)
+    )
+    total, gluing = _glue(pieces, relations, automorphisms)
+    oracle_total, oracle_gluing = glue_cell_by_cell(
+        pieces, relations + automorphism_relations(pieces, automorphisms)
+    )
+    assert same_object(total, oracle_total)
+    assert gluing == oracle_gluing
+
+
+def _corrupted(m, send):
+    """m with its first cell of positive dimension sent by send(cell, k)
+    instead, k the cell's dimension."""
+    cell = next(c for c in m.source.all_cells() if m.source.dim_of[c] > 0)
+    k = m.source.dim_of[cell]
+    return SimplicialMap(m.source, m.target, {**m.mapping, cell: send(cell, k)})
+
+
+@pytest.mark.parametrize("factor", [0, 1], ids=["power", "tree"])
+@pytest.mark.parametrize("image", ["degenerate", "basepoint"])
+def test_glue_rejects_an_automorphism_that_is_not_an_isomorphism(factor, image):
+    # a generator whose factor map sends a cell to a degenerate simplex
+    # or to the basepoint would glue that piece's cells short of their
+    # orbits; it is an error naming the object
+    pieces, relations, automorphisms = _coend_pieces(
+        model_circle(), enumerate_en(2, include_homs=True)
+    )
+    maps = list(automorphisms[1][0])
+
+    def send(cell, k):
+        if image == "basepoint":
+            return (BASEPOINT, (0,) * (k + 1))
+        # the cell's first face, degenerated back to dimension k
+        face, gamma = maps[factor].source.face(cell, 0)
+        return (face, surj_compose(gamma, (0,) + tuple(range(k))))
+
+    maps[factor] = _corrupted(maps[factor], send)
+    automorphisms[1] = [tuple(maps)] + automorphisms[1][1:]
+    with pytest.raises(ValidationError, match="automorphism of object 1 is not an isomorphism"):
+        _glue(pieces, relations, automorphisms)
+
+
+def test_stratum_rejects_an_automorphism_that_is_not_an_isomorphism(monkeypatch):
+    assembly = assembled("circle", 1)
+    arrow_maps = layers._arrow_maps
+
+    def corrupting(*args):
+        (pw, tw), *rest = arrow_maps(*args)
+        return [(_corrupted(pw, lambda cell, k: (BASEPOINT, (0,) * (k + 1))), tw)] + rest
+
+    monkeypatch.setattr(layers, "_arrow_maps", corrupting)
+    with pytest.raises(ValidationError, match=r"automorphism of \(0 1\) is not"):
+        stratum(assembly, indiscrete(2))
 
 
 @pytest.mark.parametrize(
@@ -397,14 +467,29 @@ def test_generating_arrows_glue_like_all_arrows(model, n):
     ids=["points2-n2", "circle-n1"],
 )
 def test_relation_maps_are_simplicial(model, n):
+    # the relations of the non-iso arrows, and those the automorphism
+    # generators give as product maps of each piece to itself; each
+    # generator's factor maps are simplicial bijections on cells, with
+    # identity words
     table = enumerate_en(n, include_homs=True)
-    pieces, relations = _coend_pieces(model(), table)
-    assert relations
-    for i, j, w, a, b in relations:
+    pieces, relations, automorphisms = _coend_pieces(model(), table)
+    assert len(relations) == n - 1
+    assert all(automorphisms[i] for i in pieces)
+    for i, j, w, a, b in relations + automorphism_relations(pieces, automorphisms):
         assert a.source is w and a.target is pieces[i]
         assert b.source is w and b.target is pieces[j]
         a.validate()
         b.validate()
+    for i, generators in automorphisms.items():
+        for pw, tw in generators:
+            assert (pw.source, tw.source) == pieces[i].faces.factors
+            for m in (pw, tw):
+                assert m.target is m.source
+                m.validate()
+                images = [m.mapping[c] for c in m.source.all_cells()]
+                assert all(word == surj_identity(len(word) - 1) for _, word in images)
+                assert {c for c, _ in images} == set(m.source.dim_of)
+                assert len(images) == len(m.source.dim_of)
 
 
 @pytest.mark.parametrize(
@@ -423,9 +508,9 @@ def test_relation_maps_are_simplicial(model, n):
 def test_relation_images_match_stored_reference(model, n):
     # each relation map computes its images on lookup; they are the ones
     # the stored loop gives, and a second full read gives them again
-    pieces, relations = _coend_pieces(model(), enumerate_en(n, include_homs=True))
-    assert relations
-    for _, _, w, a, b in relations:
+    pieces, relations, automorphisms = _coend_pieces(model(), enumerate_en(n, include_homs=True))
+    assert len(relations) == n - 1
+    for _, _, w, a, b in relations + automorphism_relations(pieces, automorphisms):
         for m in (a, b):
             images = dict(m.mapping)
             assert images == product_map_reference(m.mapping.maps, w, m.target)
@@ -447,11 +532,15 @@ def test_coend_in_small_memory():
     assert peak < 6_000_000
     tracemalloc.start()
     try:
-        pieces, relations = _coend_pieces(model_circle(), enumerate_en(2, include_homs=True))
+        pieces, relations, automorphisms = _coend_pieces(
+            model_circle(), enumerate_en(2, include_homs=True)
+        )
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(relations) == 5
+    # one non-iso arrow and two generators for each of the two objects
+    assert len(relations) == 1
+    assert [len(automorphisms[i]) for i in pieces] == [2, 2]
     assert held < 3_000_000
 
 
@@ -581,8 +670,10 @@ def test_stages_match_filtration_rebuild(name, n):
     assembly = assembled(name, n)
     assert homology(assembly.stages[0]).is_acyclic()
     for i in range(1, n + 1):
-        pieces, relations = _coend_pieces(MODELS[name](), filtration(assembly.table, i))
-        rebuilt, _ = _glue(pieces, relations)
+        pieces, relations, automorphisms = _coend_pieces(
+            MODELS[name](), filtration(assembly.table, i)
+        )
+        rebuilt, _ = _glue(pieces, relations, automorphisms)
         assert same_object(assembly.stages[i], rebuilt), i
 
 
@@ -592,8 +683,10 @@ def test_stage_one_is_the_glued_filtration_at_n2(name):
     # filtered table on their own gives the same cells, names, order and
     # faces (wedge2 at n = 2 is left out of STAGE_CASES)
     assembly = assembled(name, 2)
-    pieces, relations = _coend_pieces(MODELS[name](), filtration(assembly.table, 1))
-    rebuilt, _ = _glue(pieces, relations)
+    pieces, relations, automorphisms = _coend_pieces(
+        MODELS[name](), filtration(assembly.table, 1)
+    )
+    rebuilt, _ = _glue(pieces, relations, automorphisms)
     assert same_object(assembly.stages[1], rebuilt)
 
 
