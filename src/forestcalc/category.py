@@ -8,10 +8,7 @@ target class with excess budget left, never closing a cycle among the
 block images; that is exactly strictness.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
@@ -119,13 +116,21 @@ def _place_blocks(blocks, b, classes, budgets, parent, values, out):
 # automorphism groups
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
-    """A permutation group on the support, with its exact order."""
+    """A permutation group on the support, with its exact order.  Frozen."""
 
-    degree: int
-    generators: tuple  # tuple of value tuples
-    order: int
+    __slots__ = ("degree", "generators", "order")
+
+    def __init__(self, degree, generators, order):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)  # tuple of value tuples
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupPresentation is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupPresentation is frozen: cannot delete {name}")
 
     def to_json(self):
         return {
@@ -214,7 +219,6 @@ def aut_order_formula(p):
 # the category table
 
 
-@dataclass
 class CategoryTable:
     """Skeletal table: canonical objects, strata, hom sets, groups.
 
@@ -222,11 +226,14 @@ class CategoryTable:
     every accessor that needs them raises then.
     """
 
-    n: int
-    objects: tuple
-    strata: tuple  # per object: its block count i
-    groups: tuple  # per object: GroupPresentation
-    homs: dict | None  # (i, j) -> sorted tuple of value tuples
+    __slots__ = ("n", "objects", "strata", "groups", "homs")
+
+    def __init__(self, n, objects, strata, groups, homs):
+        self.n = n
+        self.objects = objects
+        self.strata = strata  # per object: its block count i
+        self.groups = groups  # per object: GroupPresentation
+        self.homs = homs  # (i, j) -> sorted tuple of value tuples, or None
 
     def hom(self, i, j):
         if self.homs is None:

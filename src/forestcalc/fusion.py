@@ -5,14 +5,9 @@ partition f(p) is coarsened by q, i.e. f(p) <= q.  It is a fusion when
 f(p) = q exactly, and a refinement when f is the identity.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import NotAFusionError, SupportMismatchError, ValidationError
 from .kernel import sparse_elementary_divisors
 from .partitions import (
-    Partition,
     SetMap,
     UnionFind,
     all_partitions,
@@ -22,25 +17,33 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
 class PartitionMorphism:
-    source: Partition
-    target: Partition
-    map: SetMap
+    """A morphism source -> target carried by a set map.  Frozen."""
 
-    def __post_init__(self):
-        if self.map.source_size != self.source.support_size:
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source, target, map):
+        if map.source_size != source.support_size:
             raise SupportMismatchError(
-                f"map source {self.map.source_size} != partition support {self.source.support_size}"
+                f"map source {map.source_size} != partition support {source.support_size}"
             )
-        if self.map.target_size != self.target.support_size:
+        if map.target_size != target.support_size:
             raise SupportMismatchError(
-                f"map target {self.map.target_size} != partition support {self.target.support_size}"
+                f"map target {map.target_size} != partition support {target.support_size}"
             )
-        if not image_partition(self.map, self.source).leq(self.target):
+        if not image_partition(map, source).leq(target):
             raise ValidationError(
                 "not a morphism: target does not refine the image partition"
             )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartitionMorphism is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PartitionMorphism is frozen: cannot delete {name}")
 
     def __str__(self):
         return f"{self.source} -> {self.target} via {list(self.map.values)}"

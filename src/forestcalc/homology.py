@@ -23,17 +23,14 @@ divisors above 1 are the torsion.  The mod-p Gaussian elimination and
 the dense Smith form are reference routes for the checks, not used here.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from operator import sub
 
 from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
-from .simplicial import _debug, subobject, surj_identity
+from .simplicial import ChainFaces, _debug, subobject, surj_identity
 
 # a cube has 2^d corners: 12 interval covers take about 0.4 s and 35 MB,
 # and each further cover doubles both
@@ -181,10 +178,32 @@ def _kept_face_sums(obj, index, augmentation=None):
     """Each cell that index numbers with its boundary in normalized
     chains: the alternating sum of its faces that are nondegenerate and
     numbered, as face number -> nonzero coefficient.  A vertex's
-    boundary is the augmentation's number with coefficient 1, if given."""
+    boundary is the augmentation's number with coefficient 1, if given.
+
+    index numbers distinct cells apart.  A space of chains
+    (`ChainFaces`) has the faces of each k-chain, k >= 2, read straight
+    from the chain, one face for all its chains at a time: face i drops
+    element i, with sign (-1)^i, for 1 <= i <= k, or i < k when the last
+    face collapses; a collapsed face is the basepoint degenerated and
+    adds nothing.  An edge's collapsed faces are the basepoint itself,
+    so edges, like the cells of every other object, have their faces
+    read as refs from the face table.
+    """
     vertex = {} if augmentation is None else {augmentation: 1}
+    chains = isinstance(obj.faces, ChainFaces)
     for k in sorted(obj.cells):
         ident, signs = surj_identity(k - 1), (1, -1) * (k // 2 + 1)
+        if chains and k > 1:
+            cells = [c for c in obj.cells[k] if c in index]
+            inner, inner_signs = range(1, k + 1 - obj.faces.last_collapses), signs[1:]
+            # one column per inner face: its number for each cell
+            columns = [list(map(index.get, [c[:i] + c[i + 1:] for c in cells])) for i in inner]
+            runs = (
+                {j: v for j, v in zip(faces, inner_signs) if j is not None}
+                for faces in zip(*columns)
+            )
+            yield from zip(cells, runs)
+            continue
         for c in obj.cells[k]:
             if c not in index:
                 continue
@@ -394,10 +413,33 @@ def rank_mod_p(entries, nrows, ncols, p):
 # homology groups
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
-    rank: int
-    torsion: tuple  # invariant factors > 1, in divisibility order
+    """A finitely generated abelian group: free rank and invariant
+    factors > 1, in divisibility order.  Frozen; equal fields give
+    equal, equally hashed groups."""
+
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank, torsion):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HomologyGroup is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HomologyGroup is frozen: cannot delete {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not HomologyGroup:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion))
+
+    def __repr__(self):
+        return f"HomologyGroup(rank={self.rank!r}, torsion={self.torsion!r})"
 
     def is_zero(self):
         return self.rank == 0 and not self.torsion
@@ -406,11 +448,13 @@ class HomologyGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-@dataclass
 class HomologyResult:
-    coefficients: str
-    reduced: bool
-    groups: dict  # degree -> HomologyGroup
+    __slots__ = ("coefficients", "reduced", "groups")
+
+    def __init__(self, coefficients, reduced, groups):
+        self.coefficients = coefficients
+        self.reduced = reduced
+        self.groups = groups  # degree -> HomologyGroup
 
     def group(self, k):
         return self.groups.get(k, HomologyGroup(0, ()))

@@ -38,17 +38,13 @@ exact: the shuffle and Alexander-Whitney maps and the Eilenberg-Zilber
 homotopy are natural and keep the wedge, so they pass to coinvariants.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
 from .category import enumerate_en
 from .errors import CapExceededError, ValidationError
 from .homology import (
-    ChainComplex,
     HomologyResult,
     homology,
     homology_of_complex,
@@ -130,15 +126,17 @@ def power_quotient_map(f, pair_source, pair_target):
 # the coend
 
 
-@dataclass
 class CoendAssembly:
-    n: int
-    stages: dict  # i -> filtration stage i, a subobject of the total; 0 is the point
-    pieces: dict  # object index -> pointed piece
-    pairs: dict  # object index -> power pair
-    trees: dict  # partition -> (refinement poset, tree space)
-    gluing_log: dict  # dimension -> number of identifications (stage n)
-    table: object
+    __slots__ = ("n", "stages", "pieces", "pairs", "trees", "gluing_log", "table")
+
+    def __init__(self, n, stages, pieces, pairs, trees, gluing_log, table):
+        self.n = n
+        self.stages = stages  # i -> filtration stage i, a subobject of the total; 0 is the point
+        self.pieces = pieces  # object index -> pointed piece
+        self.pairs = pairs  # object index -> power pair
+        self.trees = trees  # partition -> (refinement poset, tree space)
+        self.gluing_log = gluing_log  # dimension -> number of identifications (stage n)
+        self.table = table
 
     @property
     def total(self):
@@ -401,12 +399,14 @@ def coend_over_filtration(M, n, i):
 # strata
 
 
-@dataclass
 class StratumResult:
-    lam: object
-    complex: ChainComplex  # reduced chains of the stratum
-    free: bool
-    group_order: int
+    __slots__ = ("lam", "complex", "free", "group_order")
+
+    def __init__(self, lam, complex, free, group_order):
+        self.lam = lam
+        self.complex = complex  # reduced chains of the stratum
+        self.free = free
+        self.group_order = group_order
 
 
 def stratum(assembly, lam):

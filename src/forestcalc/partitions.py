@@ -5,11 +5,8 @@ one-block partition is the minimum and the all-singletons partition is
 the maximum of every refinement poset.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import CapExceededError, SupportMismatchError, ValidationError
 
@@ -71,39 +68,56 @@ class UnionFind:
         return tuple(sorted(tuple(sorted(g)) for g in self.classes()))
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition of the support {0..support_size-1} into disjoint blocks.
 
     Blocks are stored canonically: each block sorted, blocks ordered by
     their minimum element, and together they cover the support exactly.
+    Frozen: equal fields give equal, equally hashed partitions.
     """
 
-    support_size: int
-    blocks: tuple
+    __slots__ = ("support_size", "blocks")
 
-    def __post_init__(self):
-        seen = [False] * self.support_size
+    def __init__(self, support_size, blocks):
+        seen = [False] * support_size
         prev_min = -1
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValidationError("empty block")
             if list(block) != sorted(block):
                 raise ValidationError(f"block {block} is not sorted")
-            if block[0] <= prev_min:
-                raise ValidationError("blocks are not ordered by minimum")
-            prev_min = block[0]
             for x in block:
-                if not 0 <= x < self.support_size:
-                    raise ValidationError(
-                        f"element {x} outside support of size {self.support_size}"
-                    )
+                if not 0 <= x < support_size:
+                    raise ValidationError(f"element {x} outside support of size {support_size}")
                 if seen[x]:
                     raise ValidationError(f"element {x} appears in two blocks")
                 seen[x] = True
+            # a repeated element is named before the order of minima
+            if block[0] <= prev_min:
+                raise ValidationError("blocks are not ordered by minimum")
+            prev_min = block[0]
         for x, hit in enumerate(seen):
             if not hit:
                 raise ValidationError(f"element {x} missing from every block")
+        object.__setattr__(self, "support_size", support_size)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Partition is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Partition is frozen: cannot delete {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.support_size == other.support_size and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.support_size, self.blocks))
+
+    def __repr__(self):
+        return f"Partition(support_size={self.support_size!r}, blocks={self.blocks!r})"
 
     def __str__(self):
         return "".join("(" + " ".join(str(x) for x in b) + ")" for b in self.blocks)
@@ -202,22 +216,27 @@ def check_support_cap(m):
         raise CapExceededError(f"support {m} exceeds cap {POSET_SUPPORT_CAP}")
 
 
-@dataclass(frozen=True)
 class SetMap:
-    """A map {0..source_size-1} -> {0..target_size-1} stored by its values."""
+    """A map {0..source_size-1} -> {0..target_size-1} stored by its
+    values.  Frozen."""
 
-    source_size: int
-    target_size: int
-    values: tuple
+    __slots__ = ("source_size", "target_size", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.source_size:
-            raise ValidationError(
-                f"expected {self.source_size} values, got {len(self.values)}"
-            )
-        for x, v in enumerate(self.values):
-            if not 0 <= v < self.target_size:
-                raise ValidationError(f"value {v} at {x} outside target of size {self.target_size}")
+    def __init__(self, source_size, target_size, values):
+        if len(values) != source_size:
+            raise ValidationError(f"expected {source_size} values, got {len(values)}")
+        for x, v in enumerate(values):
+            if not 0 <= v < target_size:
+                raise ValidationError(f"value {v} at {x} outside target of size {target_size}")
+        object.__setattr__(self, "source_size", source_size)
+        object.__setattr__(self, "target_size", target_size)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SetMap is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SetMap is frozen: cannot delete {name}")
 
     def __call__(self, x):
         return self.values[x]

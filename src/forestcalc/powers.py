@@ -7,16 +7,11 @@ partition is then a single goodness test, thanks to the heredity of
 badness under coarsening.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import SupportMismatchError, ValidationError
 from .fusion import is_good
-from .partitions import Partition, make_partition
+from .partitions import make_partition
 from .simplicial import (
     SimplicialMap,
-    SimplicialObject,
     power,
     quotient,
     surj_identity,
@@ -63,14 +58,16 @@ def bad_diagonal_cells(power_obj, lam):
     return out
 
 
-@dataclass
 class PowerPair:
     """A power with the cells of its bad diagonal and the quotient by them."""
 
-    lam: Partition
-    power: SimplicialObject
-    bad_cells: frozenset
-    quotient: SimplicialObject
+    __slots__ = ("lam", "power", "bad_cells", "quotient")
+
+    def __init__(self, lam, power, bad_cells, quotient):
+        self.lam = lam
+        self.power = power
+        self.bad_cells = bad_cells  # a frozenset
+        self.quotient = quotient
 
 
 def power_pair(model, lam):

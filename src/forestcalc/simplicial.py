@@ -8,15 +8,12 @@ unique such normal form, so products, quotients and maps can all be
 computed concretely.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
 from .partitions import check_support_cap, refinement_poset
@@ -572,7 +569,6 @@ def suspension(obj):
 # simplicial maps
 
 
-@dataclass
 class SimplicialMap:
     """A map of simplicial objects given on nondegenerate cells.
 
@@ -581,9 +577,12 @@ class SimplicialMap:
     computes each image on lookup (`ProductImages`).
     """
 
-    source: SimplicialObject
-    target: SimplicialObject
-    mapping: Mapping
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source, target, mapping):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def cell_image(self, cell):
         return self.mapping[cell]
@@ -763,6 +762,10 @@ class ChainFaces(dict):
     Face i of a k-chain drops its element i and keeps the identity
     word.  The first face falls to the basepoint, and so does the last
     when last_collapses; every other face is again a chain of the space.
+    The faces follow from the chain alone, so the boundary reads those
+    of chains of three or more elements straight from it
+    (`homology._kept_face_sums`); this table serves edges, the checks,
+    the products and smashes with a tree space, and the suspension.
     """
 
     def __init__(self, last_collapses):

@@ -5,10 +5,7 @@ first counterexample when one exists.  The quick level is meant to stay
 under half a minute; exhaustive pushes every budget one notch up.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
 
 from .category import (
     aut_order_formula,
@@ -56,12 +53,14 @@ from .simplicial import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    counterexample: dict | None = None
+    __slots__ = ("name", "passed", "details", "counterexample")
+
+    def __init__(self, name, passed, details=None, counterexample=None):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.counterexample = counterexample
 
     def to_json(self):
         out = {"name": self.name, "passed": self.passed, "details": self.details}

@@ -12,7 +12,9 @@ uses flat arrays, the nerve route to a tree space stores every face
 that production computes on lookup, and the reference product map
 stores every image that production computes on lookup.  The cell-by-cell
 colimit glues each piece along its automorphisms one cell at a time,
-where production glues orbits of factor-cell pairs.
+where production glues orbits of factor-cell pairs.  The reference face
+sums read every face of a cell as a ref from its face table, where
+production reads the faces of a space of chains straight from each chain.
 """
 
 import itertools
@@ -213,6 +215,28 @@ def reduce_complex_reference(cx):
             for f, v in bd[g].items()
         ]
     return ChainComplex(ranks=ranks, entries=entries)
+
+
+def kept_face_sums_reference(obj, index, augmentation=None):
+    """`homology._kept_face_sums` with every face read as a ref from the
+    face table, a space of chains included: the oracle for the faces
+    that production reads straight from each chain."""
+    vertex = {} if augmentation is None else {augmentation: 1}
+    for k in sorted(obj.cells):
+        ident, signs = surj_identity(k - 1), (1, -1) * (k // 2 + 1)
+        for c in obj.cells[k]:
+            if c not in index:
+                continue
+            if not k:
+                yield c, dict(vertex)
+                continue
+            acc = {}
+            for (t, alpha), v in zip(obj.faces[c], signs):
+                if alpha == ident:
+                    j = index.get(t)
+                    if j is not None:
+                        acc[j] = acc.get(j, 0) + v
+            yield c, {j: v for j, v in acc.items() if v}
 
 
 def t_space_via_nerve(lam):

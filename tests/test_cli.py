@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -177,6 +178,22 @@ def test_bad_partition_is_one_error_line(capsys, command, text, message):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tspace", "--lambda", "[[0,1],[0,2]]"],
+        ["tspace", "--lambda", "(0 1)(0 2)"],
+        ["goodness", "--lambda", "(0 1)", "--delta", "(0)(0 1)"],
+    ],
+    ids=["json", "cycles", "delta"],
+)
+def test_repeated_element_is_named(capsys, argv):
+    # a repeated element is reported as such, not as blocks out of order
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: element 0 appears in two blocks\n"
 
 
 @pytest.mark.parametrize(
@@ -907,6 +924,8 @@ def test_module_entrypoint():
 
 # --- start-up -------------------------------------------------------------------
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+
 # what the compute layer loads; none of it is needed to parse arguments
 # or to serve a cache hit
 COMPUTE_MODULES = {"dataclasses"} | {
@@ -952,9 +971,13 @@ def test_parsing_loads_no_compute_module():
     assert not loaded & COMPUTE_MODULES, sorted(loaded & COMPUTE_MODULES)
 
 
-def test_no_process_loads_openssl(tmp_path):
+def test_no_process_loads_openssl(monkeypatch, tmp_path):
     # the envelope digests come from the interpreter's built-in SHA-256;
-    # hashlib's OpenSSL module costs every process megabytes of memory
+    # hashlib's OpenSSL module costs every process megabytes of memory.
+    # Nor does the compute layer load dataclasses, which brings inspect,
+    # ast and dis; a miss still loads every module the benchmark traces
+    monkeypatch.syspath_prepend(PERFBENCH)
+    traced = {f"forestcalc.{modname}" for modname, *_ in importlib.import_module("tracing").TARGETS}
     run = (
         "from forestcalc.cli import main\n"
         f"assert main(['--cache', {str(tmp_path)!r}, 'tspace', '--lambda', '(0 1)']) == 0"
@@ -963,6 +986,8 @@ def test_no_process_loads_openssl(tmp_path):
     assert "_hashlib" not in loaded
     miss, loaded = loaded_after(run)  # loads the whole compute layer
     assert "_hashlib" not in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+    assert traced <= loaded, sorted(traced - loaded)
     hit, loaded = loaded_after(run)
     assert "_hashlib" not in loaded
     assert hit == miss and len(os.listdir(tmp_path)) == 1

@@ -38,6 +38,7 @@ from forestcalc.kernel import (
 from forestcalc.layers import coend, derivative_report, stratum
 from forestcalc.partitions import all_partitions, make_partition
 from forestcalc.simplicial import (
+    ChainFaces,
     SimplicialObject,
     model_circle,
     model_from_json,
@@ -52,7 +53,13 @@ from forestcalc.simplicial import (
 )
 from forestcalc.verify import CUBE_DEMOS
 
-from helpers import assert_same_reduction, betti_numbers, indiscrete, unreduced_groups
+from helpers import (
+    assert_same_reduction,
+    betti_numbers,
+    indiscrete,
+    kept_face_sums_reference,
+    unreduced_groups,
+)
 
 # the package exports a function named homology, which hides the module
 homology_module = importlib.import_module("forestcalc.homology")
@@ -607,6 +614,38 @@ TREE_SPACE_MODELS = [(t_space, lam) for lam in tree_space_shapes()] + [
 )
 def test_reduction_matches_reference_on_tree_spaces(build, lam):
     assert_same_reduction(chain_complex(build(lam)))
+
+
+# --- faces read from the chains against the ref route --------------------------
+
+
+@pytest.mark.parametrize("lam", tree_space_shapes(), ids=str)
+def test_chain_faces_read_from_chains_match_the_ref_route(monkeypatch, lam):
+    # the tree space, and the chain space inside the suspension model,
+    # whose last face does not collapse; both reduced and not
+    spaces = [t_space(lam)]
+    if lam.excess:
+        spaces.append(t_space_suspension_model(lam).faces.obj)
+    looked_up = []
+    missing = ChainFaces.__missing__
+
+    def recording(self, chain):
+        looked_up.append(chain)
+        return missing(self, chain)
+
+    for obj in spaces:
+        assert lam.excess == 0 or isinstance(obj.faces, ChainFaces)
+        for reduced in (True, False):
+            with monkeypatch.context() as m:
+                m.setattr(ChainFaces, "__missing__", recording)
+                ours = chain_complex(obj, reduced=reduced)
+            # production looks up no face of a chain of three or more
+            assert all(len(chain) == 2 for chain in looked_up), lam
+            with monkeypatch.context() as m:
+                m.setattr(homology_module, "_kept_face_sums", kept_face_sums_reference)
+                theirs = chain_complex(obj, reduced=reduced)
+            assert ours.ranks == theirs.ranks, (lam, reduced)
+            assert (ours.start, ours.face, ours.coef) == (theirs.start, theirs.face, theirs.coef)
 
 
 @pytest.mark.parametrize("case", sorted(CUBE_DEMOS))

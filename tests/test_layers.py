@@ -1,6 +1,7 @@
 """Tests for the glued layer spaces: induced maps, coends, strata, reports."""
 
 import functools
+import importlib
 import json
 import math
 import tracemalloc
@@ -53,6 +54,7 @@ from helpers import (
     glue_cell_by_cell,
     identity_simplicial,
     indiscrete,
+    kept_face_sums_reference,
     orbit_stratum,
     product_map_reference,
     smash_via_product,
@@ -829,6 +831,21 @@ def test_strata_obey_universal_coefficients(name, n):
         res = stratum(assembly, lam)
         assert res.free, lam
         assert_universal_coefficients(res.complex, lam)
+
+
+@pytest.mark.parametrize("name, n", UCT_CASES, ids=[f"{c}-n{n}" for c, n in UCT_CASES])
+def test_strata_read_tree_faces_as_the_ref_route_does(monkeypatch, name, n):
+    # the tree space's faces, read straight from its chains, give the
+    # complex that reading every face as a ref gives
+    homology_module = importlib.import_module("forestcalc.homology")
+    assembly = strata_inputs(name, n)
+    for lam in assembly.table.objects:
+        ours = stratum(assembly, lam).complex
+        with monkeypatch.context() as m:
+            m.setattr(homology_module, "_kept_face_sums", kept_face_sums_reference)
+            theirs = stratum(assembly, lam).complex
+        assert ours.ranks == theirs.ranks, (name, lam)
+        assert (ours.start, ours.face, ours.coef) == (theirs.start, theirs.face, theirs.coef)
 
 
 # wedge2 at n = 2 is left out: its glue alone takes about 9 s

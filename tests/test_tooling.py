@@ -8,9 +8,10 @@ reference routes to verify and the tests; coreduction has one routine
 and one caller, its dict-based reference living in the tests; one
 routine lays out every boundary, and simplicial.py has one smash, whose
 face table computes each face on lookup; a product map computes each
-image on lookup and stores no table of them; and the package leaves no
+image on lookup and stores no table of them; the package leaves no
 reference cycles for the garbage collector, so no nested function refers
-to itself."""
+to itself; and no package module imports dataclasses, its records being
+plain classes whose frozen ones refuse assignment."""
 
 import ast
 import gc
@@ -23,9 +24,11 @@ from collections import Counter
 import pytest
 
 import forestcalc.verify
-from forestcalc.category import enumerate_en
+from forestcalc.category import automorphism_group, enumerate_en
+from forestcalc.fusion import PartitionMorphism
+from forestcalc.homology import HomologyGroup
 from forestcalc.layers import coend, derivative_report
-from forestcalc.partitions import all_partitions
+from forestcalc.partitions import Partition, SetMap, all_partitions, make_partition
 from forestcalc.simplicial import model_circle, model_points
 from forestcalc.verify import run_checks
 
@@ -104,6 +107,48 @@ def test_no_unused_imports():
 def _parse(path):
     with open(path, encoding="utf-8") as fh:
         return ast.parse(fh.read())
+
+
+def test_package_imports_no_dataclasses():
+    # dataclasses loads inspect, ast and dis into every process, and
+    # each decorated class compiles its methods at import; the records
+    # are plain classes with slots
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append((os.path.basename(path), node.lineno))
+    assert not found, found
+
+
+def test_frozen_records_refuse_assignment_and_compare_by_fields():
+    # partitions and homology groups, compared and used as keys, are
+    # equal and equally hashed when their fields are
+    p = make_partition(3, [[2], [1, 0]])
+    assert p == Partition(3, ((0, 1), (2,))) and hash(p) == hash(Partition(3, ((0, 1), (2,))))
+    assert p != Partition(3, ((0,), (1, 2)))
+    g = HomologyGroup(1, (2,))
+    assert g == HomologyGroup(1, (2,)) and hash(g) == hash(HomologyGroup(1, (2,)))
+    assert g != HomologyGroup(1, ())
+    assert repr(g) == "HomologyGroup(rank=1, torsion=(2,))"
+    f = SetMap(3, 2, (0, 0, 1))
+    morphism = PartitionMorphism(p, Partition(2, ((0,), (1,))), f)
+    for record in (p, g, f, morphism, automorphism_group(p)):
+        for name in record.__slots__:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is before
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 def test_lazy_exports_are_defined():

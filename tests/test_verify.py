@@ -1,12 +1,11 @@
 """Tests for the invariant check catalog and its fault injection."""
 
-import dataclasses
 import json
 
 import pytest
 
 import forestcalc.verify
-from forestcalc.category import enumerate_en
+from forestcalc.category import CategoryTable, enumerate_en
 from forestcalc.envelope import canonical_json
 from forestcalc.verify import (
     BUDGETS,
@@ -78,7 +77,7 @@ def test_composition_closure_check_fails_on_a_hom_set_not_closed(monkeypatch):
             return table
         homs = dict(table.homs)
         homs[(1, 0)] = homs[(1, 0)][1:]
-        return dataclasses.replace(table, homs=homs)
+        return CategoryTable(table.n, table.objects, table.strata, table.groups, homs)
 
     monkeypatch.setattr(forestcalc.verify, "enumerate_en", broken_table)
     passed, details, counterexample = check_composition_closure(BUDGETS["quick"], {})
@@ -90,7 +89,7 @@ def test_composition_closure_check_fails_on_a_hom_set_not_closed(monkeypatch):
 def test_composition_closure_check_lets_programming_errors_raise(monkeypatch):
     def no_table(n):
         table = enumerate_en(n)
-        return dataclasses.replace(table, homs={})
+        return CategoryTable(table.n, table.objects, table.strata, table.groups, {})
 
     monkeypatch.setattr(forestcalc.verify, "enumerate_en", no_table)
     with pytest.raises(KeyError):
