@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
 from .fusion import PartitionMorphism
-from .partitions import SetMap, UnionFind, make_partition
+from .partitions import SetMap, UnionFind, canonical_object
 
 EN_CAP = 5
 HOM_MATERIALIZE_CAP = 4  # full hom sets above this get impractically large
@@ -36,16 +36,6 @@ def _integer_partitions(total, most):
     for first in range(min(total, most), 0, -1):
         for rest in _integer_partitions(total - first, first):
             yield (first,) + rest
-
-
-def canonical_object(shape):
-    """The canonical partition with consecutive blocks of the given sizes."""
-    blocks = []
-    at = 0
-    for size in shape:
-        blocks.append(range(at, at + size))
-        at += size
-    return make_partition(at, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,15 @@ def _input_blobs(args):
 def _unwritable(cache_dir, out):
     """Why the cache directory or the --out file cannot be written, or
     None; checked before any work."""
-    if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
-        return f"cache path {cache_dir} is not a directory"
+    if cache_dir is not None:
+        # the cache is made below its nearest existing ancestor
+        path = at = os.path.abspath(cache_dir)
+        while not os.path.exists(at):
+            at = os.path.dirname(at)
+        if not os.path.isdir(at):
+            if at == path:
+                return f"cache path {cache_dir} is not a directory"
+            return f"cache path {cache_dir} is below {at}, which is not a directory"
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         return f"no directory for --out {out}"
     return None

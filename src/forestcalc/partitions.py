@@ -298,19 +298,23 @@ def join(p, q):
     return from_block_of([(where_p[x], where_q[x]) for x in range(p.support_size)])
 
 
+def canonical_object(shape):
+    """The canonical partition with consecutive blocks of the given sizes."""
+    blocks = []
+    at = 0
+    for size in shape:
+        blocks.append(tuple(range(at, at + size)))
+        at += size
+    return Partition(at, tuple(blocks))
+
+
 def canonicalize(p):
     """Canonical representative of the isomorphism class of p.
 
     Blocks get weakly decreasing sizes and consecutive labels, so two
     partitions are isomorphic iff their canonical forms are equal.
     """
-    sizes = sorted((len(b) for b in p.blocks), reverse=True)
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append(tuple(range(start, start + s)))
-        start += s
-    return Partition(p.support_size, tuple(blocks))
+    return canonical_object(p.shape())
 
 
 class PosetTable:

@@ -489,27 +489,23 @@ def _smash_cells(a, b):
 
 
 class SuspensionFaces(dict):
-    """Face table of the suspension S^1 smash X (`suspension`), computed
-    on each lookup and never stored.
+    """Face table of the suspension S^1 smash X of a space of chains X
+    whose last face stays (`suspension`), computed on each lookup and
+    never stored.
 
     A cell pairs (e, alpha), alpha a surjection [d] -> [1] that steps up
-    at position a, with (x, beta), beta either the identity of a d-cell
-    x or s, the degeneracy of a (d - 1)-cell that repeats a - 1.  Face i
-    drops position i from both words by the simplicial identities.  It
+    at position a, with (x, beta), beta either the identity of a d-chain
+    x or s, the degeneracy of a (d - 1)-chain that repeats a - 1.  Face
+    i drops position i from both words by the simplicial identities.  It
     falls to the basepoint when alpha loses its only 0 or its only 1
-    (the circle's vertex), or when it takes a face of x that is X's
-    basepoint.  Otherwise alpha's face steps up at a2, and beta's face
-    is face i of x, or x itself when s repeats i, or face i - (i > a)
-    of x degenerated by the s that repeats a2 - 1.  The two words are
-    then jointly nondegenerate, unless X has degenerate faces, which are
-    normalized as in a product.
+    (the circle's vertex), or when it takes face 0 of x, which is X's
+    basepoint; face 0 always does one or the other.  Otherwise alpha's
+    face steps up at a2, and beta's face is x itself when s repeats i,
+    or x with element i - (i > a) dropped, degenerated by the s that
+    repeats a2 - 1.  Every face of X keeps the identity word, so the
+    two words are jointly nondegenerate and each face is a cell with
+    the identity word.
     """
-
-    def __init__(self, obj):
-        super().__init__()
-        self.obj = obj
-        self.normalize = JointNormalizer()
-        self.last = (None, None)  # the last cell of obj looked up, its faces
 
     def __missing__(self, cell):
         # only a cell of positive dimension has faces
@@ -520,33 +516,19 @@ class SuspensionFaces(dict):
         a = alpha.index(1)
         degenerate = beta[-1] < d
         ident, collapsed = surj_identity(d - 1), (BASEPOINT, surj_zero(d - 1))
-        # cells come x by x, so the faces of the last x are kept
-        x_faces = self.last[1] if self.last[0] == x else None
-        out = []
-        for i in range(d + 1):
-            if (i == 0 and a == 1) or (i == d and a == d):
+        out = [collapsed]
+        for i in range(1, d + 1):
+            if i == d and a == d:
                 out.append(collapsed)
                 continue
             a2 = a - (i < a)
             if degenerate and a - 1 <= i <= a:
                 t, gamma = x, ident
             else:
-                if x_faces is None:
-                    x_faces = self.obj.faces[x]
-                    self.last = (x, x_faces)
-                t, gamma = x_faces[i - (degenerate and i > a)]
-                if t == self.obj.basepoint:
-                    out.append(collapsed)
-                    continue
-                if degenerate:
-                    s = _degeneracy(d - 1, a2 - 1)
-                    gamma = s if gamma[-1] == len(gamma) - 1 else surj_compose(gamma, s)
-            refs = ((e, alpha[:i] + alpha[i + 1:]), (t, gamma))
-            # only a repeat of gamma away from alpha's step is shared
-            if gamma[-1] == d - 1 or (gamma[-1] == d - 2 and gamma[a2 - 1] == gamma[a2]):
-                out.append((refs, ident))
-            else:
-                out.append(self.normalize(refs))
+                j = i - (degenerate and i > a)
+                t = x[:j] + x[j + 1:]
+                gamma = _degeneracy(d - 1, a2 - 1) if degenerate else ident
+            out.append((((e, alpha[:i] + alpha[i + 1:]), (t, gamma)), ident))
         return tuple(out)
 
 
@@ -557,12 +539,14 @@ def _degeneracy(k, j):
 
 
 def suspension(obj):
-    """The smash product of the pointed circle with a pointed object,
-    with the cells, cell order and faces of
+    """The smash product of the pointed circle with a space of chains
+    whose last face stays, with the cells, cell order and faces of
     smash(model_circle(pointed=True), obj), its faces in closed form
-    (`SuspensionFaces`)."""
+    (`SuspensionFaces`).  Any other object is a ValidationError."""
+    if not isinstance(obj.faces, ChainFaces) or obj.faces.last_collapses:
+        raise ValidationError("suspension needs a space of chains whose last face stays")
     cells = _smash_cells(model_circle(pointed=True), obj)
-    return SimplicialObject(cells, SuspensionFaces(obj), basepoint=BASEPOINT)
+    return SimplicialObject(cells, SuspensionFaces(), basepoint=BASEPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +749,7 @@ class ChainFaces(dict):
     The faces follow from the chain alone, so the boundary reads those
     of chains of three or more elements straight from it
     (`homology._kept_face_sums`); this table serves edges, the checks,
-    the products and smashes with a tree space, and the suspension.
+    and the products and smashes with a tree space.
     """
 
     def __init__(self, last_collapses):

@@ -44,6 +44,7 @@ from forestcalc.partitions import (
     image_partition,
     refinement_poset,
 )
+from forestcalc import simplicial
 from forestcalc.powers import fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
     BASEPOINT,
@@ -62,6 +63,7 @@ from forestcalc.simplicial import (
     surj_compose,
     surj_identity,
     surj_zero,
+    suspension,
     t_space,
 )
 
@@ -294,6 +296,18 @@ def suspension_via_nerve(lam):
     )
     away = [c for c in renamed.all_cells() if mn - (mn > mx) not in c]
     return smash(model_circle(pointed=True), quotient(renamed, away))
+
+
+def suspended_objects(monkeypatch):
+    """The objects that `t_space_suspension_model` suspends, recorded."""
+    objects = []
+
+    def recording_suspension(obj):
+        objects.append(obj)
+        return suspension(obj)
+
+    monkeypatch.setattr(simplicial, "suspension", recording_suspension)
+    return objects
 
 
 def product_map_reference(maps, source, target):

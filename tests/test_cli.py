@@ -869,13 +869,19 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the command ran")
 
 
-def test_cache_path_that_is_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "not-a-dir"
-    path.write_text("x", encoding="utf-8")
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_cache_path_that_is_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch, below):
+    # the file itself, or a path below it that no directory could hold
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    path = blocker / below if below else blocker
     monkeypatch.setattr(commands, "enumerate_en", _must_not_run)
     code, out, err = run_cli(capsys, ["--cache", str(path), "enumerate", "--n", "2"])
     assert (code, out) == (2, "")
-    assert err == f"error: cache path {path} is not a directory\n"
+    if below:
+        assert err == f"error: cache path {path} is below {blocker}, which is not a directory\n"
+    else:
+        assert err == f"error: cache path {path} is not a directory\n"
 
 
 def test_out_into_missing_directory_exits_2_before_any_work(capsys, tmp_path, monkeypatch):

@@ -17,10 +17,10 @@ from forestcalc.partitions import (
     make_partition,
     refinement_poset,
 )
-from forestcalc import simplicial
 from forestcalc.simplicial import (
     BASEPOINT,
     PRODUCT_DIM_CAP,
+    ChainFaces,
     JointNormalizer,
     SimplicialMap,
     SimplicialObject,
@@ -62,6 +62,7 @@ from helpers import (
     smash_via_product,
     surj_degeneracy,
     surjections,
+    suspended_objects,
     suspension_via_nerve,
     t_space_via_nerve,
 )
@@ -285,18 +286,6 @@ def test_smash_with_point_collapses():
     s1 = model_circle(pointed=True)
     out = smash(s1, point_object())
     assert homology(out).is_acyclic()
-
-
-def suspended_objects(monkeypatch):
-    """The objects that `t_space_suspension_model` suspends, recorded."""
-    objects = []
-
-    def recording_suspension(obj):
-        objects.append(obj)
-        return suspension(obj)
-
-    monkeypatch.setattr(simplicial, "suspension", recording_suspension)
-    return objects
 
 
 def test_smash_of_suspension_factors_matches_product_over_wedge(monkeypatch):
@@ -545,24 +534,41 @@ def test_suspension_model_matches_smash_of_its_factors(monkeypatch):
         assert dict.__len__(model.faces) == 0
 
 
-def test_suspension_normalizes_degenerate_faces():
-    # a 2-cell f whose first face is the degenerate edge on a vertex v
-    # off the basepoint: faces of the suspension then repeat twice in
-    # the second coordinate and are normalized as in the smash product
-    x = SimplicialObject(
+def degenerate_face_object():
+    """A 2-cell f whose first face is the degenerate edge on a vertex v
+    off the basepoint."""
+    return SimplicialObject(
         {0: [BASEPOINT, "v"], 1: ["a"], 2: ["f"]},
         {"a": (("v", (0,)), (BASEPOINT, (0,))), "f": (("v", (0, 0)), ("a", (0, 1)), ("a", (0, 1)))},
         basepoint=BASEPOINT,
     )
+
+
+def test_smash_normalizes_degenerate_faces():
+    # faces of the smash of the circle with a cell whose first face is
+    # degenerate repeat twice in the second coordinate and are
+    # normalized as in a product
+    x = degenerate_face_object()
     assert x.validate()
     for obj in (x, model_circle(pointed=True), smash(model_circle(pointed=True), x)):
-        built = suspension(obj)
-        assert same_object(built, smash(model_circle(pointed=True), obj))
+        built = smash(model_circle(pointed=True), obj)
         shifted = {k + 1: r for k, r in betti_numbers(obj).items()}
         assert betti_numbers(built) == shifted
-    sx = suspension(x)
+    sx = smash(model_circle(pointed=True), x)
     faces = [f for c in sx.cells[3] for f in sx.faces[c]]
     assert any(tau != surj_identity(2) for _, tau in faces)
+
+
+def test_suspension_needs_a_chain_space_whose_last_face_stays():
+    # the closed form holds for a space of chains whose faces all keep
+    # the identity word; an object with a degenerate face, the pointed
+    # circle and a tree space, whose last face collapses, are refused
+    x = degenerate_face_object()
+    tree_space = t_space(make_partition(3, [[0, 1, 2]]))
+    assert isinstance(tree_space.faces, ChainFaces)
+    for obj in (x, model_circle(pointed=True), tree_space):
+        with pytest.raises(ValidationError):
+            suspension(obj)
 
 
 def test_t_space_faces_on_lookup_match_nerve_route():

@@ -8,7 +8,9 @@ reference routes to verify and the tests; coreduction has one routine
 and one caller, its dict-based reference living in the tests; one
 routine lays out every boundary, and simplicial.py has one smash, whose
 face table computes each face on lookup; a product map computes each
-image on lookup and stores no table of them; the package leaves no
+image on lookup and stores no table of them; only the two tables whose
+words can become degenerate, the product's faces and a product map's
+images, normalize refs jointly; the package leaves no
 reference cycles for the garbage collector, so no nested function refers
 to itself; and no package module imports dataclasses, its records being
 plain classes whose frozen ones refuse assignment."""
@@ -350,6 +352,23 @@ def test_product_map_stores_no_image_table():
         and key in {getattr(name, "id", None) for name in ast.walk(node.slice)}
     ]
     assert not keyed_stores, keyed_stores
+
+
+def test_joint_normalizer_only_where_words_can_degenerate():
+    # a product's faces and a product map's images renormalize refs
+    # whose words can share a degeneracy; every face of the suspension
+    # of a chain space is a cell with the identity word, so no other
+    # code in the package constructs a JointNormalizer
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    sites = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        tree = _parse(path)
+        for scope in tree.body:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and _called_name(node) == "JointNormalizer":
+                    name = scope.name if isinstance(scope, functions) else None
+                    sites.append((os.path.basename(path), name))
+    assert sorted(sites) == [("simplicial.py", "ProductFaces"), ("simplicial.py", "ProductImages")], sites
 
 
 def test_no_self_referencing_nested_functions():
