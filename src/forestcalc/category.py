@@ -71,6 +71,11 @@ def _place_blocks(blocks, b, classes, budgets, parent, values, out):
     those trees, recurses on the next block, and unlinks them again.
     Each complete map in `values` is appended to out.
 
+    The class's points are grouped by tree once; an image is an ordered
+    choice of |block| distinct trees, then one point in each.  The last
+    block's images complete a map each, so they are appended without
+    linking or recursing.
+
     The budgets start at |class| - 1 and sum to the blocks' total
     weight, because the excesses agree; so a complete map has spent every
     budget, and |class| - 1 acyclic merges span each class.
@@ -80,23 +85,31 @@ def _place_blocks(blocks, b, classes, budgets, parent, values, out):
         return
     block = blocks[b]
     weight = len(block) - 1
+    last = b + 1 == len(blocks)
     for c, cls in enumerate(classes):
         if budgets[c] < weight:
             continue
+        trees = {}  # root -> the class's points in its tree
+        for y in cls:
+            root = y
+            while parent[root] != root:
+                root = parent[root]
+            trees.setdefault(root, []).append(y)
         budgets[c] -= weight
-        for image in itertools.permutations(cls, len(block)):
-            roots = []
-            for y in image:
-                while parent[y] != y:
-                    y = parent[y]
-                roots.append(y)
-            if len(set(roots)) < len(roots):
+        for roots in itertools.permutations(trees, len(block)):
+            choices = itertools.product(*(trees[r] for r in roots))
+            if last:
+                for image in choices:
+                    for x, y in zip(block, image):
+                        values[x] = y
+                    out.append(tuple(values))
                 continue
             for r in roots[1:]:
                 parent[r] = roots[0]
-            for x, y in zip(block, image):
-                values[x] = y
-            _place_blocks(blocks, b + 1, classes, budgets, parent, values, out)
+            for image in choices:
+                for x, y in zip(block, image):
+                    values[x] = y
+                _place_blocks(blocks, b + 1, classes, budgets, parent, values, out)
             for r in roots[1:]:
                 parent[r] = r
         budgets[c] += weight

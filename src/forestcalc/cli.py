@@ -193,13 +193,19 @@ def main(argv=None):
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT
-    env = None
+    text = None
     exit_code = EXIT_OK
     try:
         if cache_dir is not None:
             key = cache_key(args.command, config, _input_blobs(args))
-            env = cache_get(cache_dir, key, args.command, config)
-        if env is None:
+            # a hit is the stored canonical JSON, served as it stands
+            text = cache_get(cache_dir, key, args.command, config)
+            if text is not None and args.format == "text":
+                try:
+                    text = render(json.loads(text), "text")
+                except (ValueError, RecursionError):
+                    text = None  # a payload stored with its own digest, but not JSON
+        if text is None:
             # the compute layer loads only when a command has to be computed
             from .commands import RUNNERS
 
@@ -207,7 +213,7 @@ def main(argv=None):
             env = envelope(args.command, config, payload)
             if cache_dir is not None and exit_code == EXIT_OK:
                 cache_put(cache_dir, key, env)
-        text = render(env, args.format)
+            text = render(env, args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -60,18 +60,28 @@ def envelope(command, config, payload):
     )
 
 
+_PAYLOAD_KEY = '","payload":'
+
+
+def _frame(command, config):
+    """The canonical text of an envelope for this command and config, cut
+    around its digest and its payload: the text is
+    head + digest + _PAYLOAD_KEY + payload text less its newline + tail.
+    The keys are those of `envelope`, in sorted order."""
+    fields = tuple(canonical_json(v)[:-1] for v in (command, config, TOOL_NAME, __version__))
+    head = '{"command":%s,"config":%s,"digest":"' % fields[:2]
+    tail = ',"tool":%s,"version":%s}\n' % fields[2:]
+    return head, tail
+
+
 def _envelope_json(env):
     """canonical_json(env), with the payload text of an Envelope spliced
     in rather than serialized again."""
     if not isinstance(env, Envelope):
         return canonical_json(env)
-    fields = (
-        json.dumps(key) + ":" + (
-            env.payload_text if key == "payload" else canonical_json(value)
-        )[:-1]
-        for key, value in sorted(env.items())
-    )
-    return "{" + ",".join(fields) + "}\n"
+    head, tail = _frame(env["command"], env["config"])
+    # one join, so no partial sum of the payload's size is held beside it
+    return "".join((head, env["digest"], _PAYLOAD_KEY, env.payload_text[:-1], tail))
 
 
 def render(env, fmt="json"):
@@ -97,7 +107,8 @@ def _render_value(value, indent):
                 parts.append(f"{pad}{k}: {sub.strip()}")
         return "\n".join(parts)
     if isinstance(value, (list, tuple)):
-        flat = json.dumps(value)
+        # keys sorted, as a payload read back from its canonical JSON has them
+        flat = json.dumps(value, sort_keys=True)
         if len(flat) <= 72:
             return f"{pad}{flat}"
         return "\n".join(_render_value(v, indent) for v in value)
@@ -137,21 +148,35 @@ def cache_key(command, config, input_blobs=()):
 
 
 def cache_get(directory, key, command, config):
-    """The cached envelope, or None when the entry is missing, unreadable
-    or differs from the envelope of its payload for this command and
-    config (an edited digest, config or version)."""
+    """The cached envelope's canonical JSON text, served as stored, or
+    None when the entry is missing or unreadable, or is not byte for byte
+    the frame of an envelope for this command, config, tool and version
+    around a digest that is the sha256 of the payload text between them.
+
+    An edit to the frame, the digest or the payload, or a re-formatted
+    entry, is a miss.  The digest guards against edits and damage, not
+    against a writer of the cache directory: a payload stored with its
+    own digest is served unparsed, as it stands.
+    """
     path = os.path.join(directory, key + ".json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            env = json.load(fh)
-    except (OSError, ValueError, RecursionError):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, ValueError):
         return None
-    if not isinstance(env, dict) or "payload" not in env:
+    head, tail = _frame(command, config)
+    start = len(head) + 64 + len(_PAYLOAD_KEY)
+    end = len(text) - len(tail)
+    if not (
+        start < end
+        and text.startswith(head)
+        and text.startswith(_PAYLOAD_KEY, start - len(_PAYLOAD_KEY))
+        and text.endswith(tail)
+    ):
         return None
-    fresh = envelope(command, config, env["payload"])
-    if env != fresh:
+    if _digest_of(text[start:end] + "\n") != text[len(head):len(head) + 64]:
         return None
-    return fresh
+    return text
 
 
 def cache_put(directory, key, env):

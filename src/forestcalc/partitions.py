@@ -63,10 +63,6 @@ class UnionFind:
             groups.setdefault(id(self.find(x)), []).append(x)
         return list(groups.values())
 
-    def blocks(self):
-        """Current classes as a tuple of sorted tuples, ordered by minimum."""
-        return tuple(sorted(tuple(sorted(g)) for g in self.classes()))
-
 
 class Partition:
     """A partition of the support {0..support_size-1} into disjoint blocks.
@@ -152,6 +148,8 @@ class Partition:
             raise SupportMismatchError(
                 f"supports {self.support_size} and {other.support_size} differ"
             )
+        if other is self:
+            return True  # a fusion checked against its own image partition
         where = other.block_of()
         return all(all(where[x] == where[b[0]] for x in b) for b in self.blocks)
 
@@ -218,9 +216,14 @@ def check_support_cap(m):
 
 class SetMap:
     """A map {0..source_size-1} -> {0..target_size-1} stored by its
-    values.  Frozen."""
+    values.  Frozen.
 
-    __slots__ = ("source_size", "target_size", "values")
+    `images` holds the image partitions computed so far, keyed by the
+    source partition's blocks; `image_partition` fills it, so the cache
+    lives and dies with its map.
+    """
+
+    __slots__ = ("source_size", "target_size", "values", "images")
 
     def __init__(self, source_size, target_size, values):
         if len(values) != source_size:
@@ -231,6 +234,7 @@ class SetMap:
         object.__setattr__(self, "source_size", source_size)
         object.__setattr__(self, "target_size", target_size)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "images", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SetMap is frozen: cannot assign {name}")
@@ -261,32 +265,67 @@ class SetMap:
         return SetMap(self.target_size, self.source_size, tuple(inv))
 
 
+def _merged_blocks(size, blocks, values):
+    """Canonical blocks of the equivalence relation on {0..size-1} that
+    joins values[x] and values[y] whenever x and y share one of blocks.
+
+    Each union keeps the smaller root, so parent[x] <= x throughout and
+    every class's root is its minimum.  One ascending pass then finds
+    each root from its parent's and lists the classes in canonical
+    order, with no sorting.
+    """
+    parent = list(range(size))
+    for block in blocks:
+        a = values[block[0]]
+        while parent[a] != a:
+            a = parent[a]
+        for x in block[1:]:
+            b = values[x]
+            while parent[b] != b:
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+                a = b
+    classes = {}
+    for x in range(size):
+        root = parent[parent[x]]
+        parent[x] = root
+        if root == x:
+            classes[x] = [x]
+        else:
+            classes[root].append(x)
+    return tuple(tuple(c) for c in classes.values())
+
+
 def image_partition(f, p):
     """The equivalence relation on the target generated by the image of p.
 
-    Elements outside the image of f become singleton blocks.
+    Elements outside the image of f become singleton blocks.  The result
+    is kept in f.images, so a map computes each image once.
     """
     if p.support_size != f.source_size:
         raise SupportMismatchError(
             f"partition support {p.support_size} != map source {f.source_size}"
         )
-    uf = UnionFind(range(f.target_size))
-    for block in p.blocks:
-        first = f.values[block[0]]
-        for x in block[1:]:
-            uf.union(first, f.values[x])
-    return Partition(f.target_size, uf.blocks())
+    image = f.images.get(p.blocks)
+    if image is None:
+        image = f.images[p.blocks] = _image(f, p)
+    return image
+
+
+def _image(f, p):
+    """image_partition(f, p), computed afresh by the merge kernel."""
+    return Partition(f.target_size, _merged_blocks(f.target_size, p.blocks, f.values))
 
 
 def meet(p, q):
     """Finest common coarsening: transitive closure of the union relation."""
     if p.support_size != q.support_size:
         raise SupportMismatchError("meet needs equal supports")
-    uf = UnionFind(range(p.support_size))
-    for block in itertools.chain(p.blocks, q.blocks):
-        for x in block[1:]:
-            uf.union(block[0], x)
-    return Partition(p.support_size, uf.blocks())
+    n = p.support_size
+    return Partition(n, _merged_blocks(n, itertools.chain(p.blocks, q.blocks), range(n)))
 
 
 def join(p, q):

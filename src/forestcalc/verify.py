@@ -91,8 +91,9 @@ def _surjections_onto(m, mp):
 
 def _all_fusions(m, mp):
     """Every fusion between partitions of the two supports."""
+    sources = list(all_partitions(m))
     for f in _surjections_onto(m, mp):
-        for src in all_partitions(m):
+        for src in sources:
             tgt = image_partition(f, src)
             yield PartitionMorphism(src, tgt, f)
 
@@ -128,9 +129,10 @@ def check_image_partition_closure(budget, ctx):
     checked = 0
     top = min(budget["support"], 4)
     for m in range(2, top + 1):
+        sources = list(all_partitions(m))
         for mp in range(1, m + 1):
             for f in _surjections_onto(m, mp):
-                for src in all_partitions(m):
+                for src in sources:
                     img = image_partition(f, src)
                     reach = [[False] * mp for _ in range(mp)]
                     for i in range(mp):
@@ -213,11 +215,12 @@ def check_badness_hereditary(budget, ctx):
     for m in range(2, budget["support"] + 1):
         parts = list(all_partitions(m))
         for lam in parts:
-            for delta in parts:
-                if is_good(delta, lam):
+            good = [is_good(delta, lam) for delta in parts]
+            for delta, delta_good in zip(parts, good):
+                if delta_good:
                     continue
-                for coarser in parts:
-                    if delta.refines(coarser) and is_good(coarser, lam):
+                for coarser, coarser_good in zip(parts, good):
+                    if coarser_good and delta.refines(coarser):
                         return False, {"instances": checked}, {
                             "lam": str(lam),
                             "bad": str(delta),
@@ -331,9 +334,10 @@ def check_tree_map_functoriality(budget, ctx):
     trees = {}  # each partition's poset and tree space, built once
     top = min(budget["support"], 4)
     for m in range(2, top + 1):
+        sources = list(all_partitions(m))
         for mid in range(1, m + 1):
             for f in _surjections_onto(m, mid):
-                for src in all_partitions(m):
+                for src in sources:
                     lam_mid = image_partition(f, src)
                     if src.excess != lam_mid.excess:
                         continue

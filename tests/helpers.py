@@ -15,6 +15,9 @@ colimit glues each piece along its automorphisms one cell at a time,
 where production glues orbits of factor-cell pairs.  The reference face
 sums read every face of a cell as a ref from its face table, where
 production reads the faces of a space of chains straight from each chain.
+The reference image partition and meet merge through a union-find and
+sort the classes, where production keeps each class's minimum as its
+root and lists the blocks in one ascending pass.
 """
 
 import itertools
@@ -423,6 +426,33 @@ def surj_degeneracy(alpha, i):
 def compose(g, f):
     """The set map g after f."""
     return SetMap(f.source_size, g.target_size, tuple(g.values[v] for v in f.values))
+
+
+# --- oracles for the partition merge kernel --------------------------------------
+
+
+def union_find_blocks(uf):
+    """A union-find's classes as sorted tuples, ordered by minimum."""
+    return tuple(sorted(tuple(sorted(g)) for g in uf.classes()))
+
+
+def image_partition_reference(f, p):
+    """The image partition through a union-find over the target, sorted
+    afterwards; production merges over an int list with no sorting."""
+    uf = UnionFind(range(f.target_size))
+    for block in p.blocks:
+        for x in block[1:]:
+            uf.union(f.values[block[0]], f.values[x])
+    return Partition(f.target_size, union_find_blocks(uf))
+
+
+def meet_reference(p, q):
+    """The meet through a union-find over the support, sorted afterwards."""
+    uf = UnionFind(range(p.support_size))
+    for block in itertools.chain(p.blocks, q.blocks):
+        for x in block[1:]:
+            uf.union(block[0], x)
+    return Partition(p.support_size, union_find_blocks(uf))
 
 
 # --- oracles for fusions and goodness ---------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import forestcalc
 from forestcalc import commands, layers, simplicial
 from forestcalc.cli import main, parse_partition
+from forestcalc.envelope import cache_get
 from forestcalc.homology import CUBE_GENERATOR_CAP
 from forestcalc.partitions import make_partition
 from forestcalc.simplicial import ProductFaces, SimplicialObject
@@ -863,6 +865,129 @@ def test_edited_cache_entry_is_a_miss(capsys, tmp_path):
         # the fresh envelope replaced the edited entry
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == json.loads(fresh)
+
+
+TSPACE_012 = ["tspace", "--lambda", "(0 1 2)"]
+
+
+def _cached_entry(capsys, cache, argv):
+    """Run argv against a new cache directory; its one entry's path."""
+    run_cli(capsys, ["--cache", str(cache)] + argv)
+    (name,) = os.listdir(cache)
+    return cache / name
+
+
+def _one_byte_edits(text):
+    """The entry with one byte changed in the frame (the config and the
+    tool name), in the digest and in the payload."""
+
+    def at(marker):
+        return text.index(marker) + len(marker)
+
+    def replace(i, new):
+        assert text[i] != new
+        return text[:i] + new + text[i + 1:]
+
+    digest, payload = at('"digest":"'), at('"payload":')
+    digit = next(i for i in range(payload, len(text)) if text[i].isdigit())
+    return {
+        "config": replace(at('"lam":"(0 1 '), "3"),
+        "tool": replace(at('"tool":"'), "F"),
+        "digest": replace(digest, "1" if text[digest] == "0" else "0"),
+        "payload": replace(digit, "9" if text[digit] != "9" else "8"),
+    }
+
+
+def test_one_byte_edit_of_a_cache_entry_is_a_miss(capsys, tmp_path):
+    _, fresh, _ = run_cli(capsys, TSPACE_012)
+    for where, edited in _one_byte_edits(fresh).items():
+        path = _cached_entry(capsys, tmp_path / where, TSPACE_012)
+        assert path.read_text(encoding="utf-8") == fresh
+        path.write_text(edited, encoding="utf-8")
+        key = path.name[: -len(".json")]
+        assert cache_get(str(path.parent), key, "tspace", {"lam": "(0 1 2)"}) is None, where
+        assert run_cli(capsys, ["--cache", str(path.parent)] + TSPACE_012) == (0, fresh, "")
+        # the fresh envelope replaced the edited entry
+        assert path.read_text(encoding="utf-8") == fresh, where
+
+
+def test_reformatted_cache_entry_is_a_miss_and_is_rewritten(capsys, tmp_path):
+    _, fresh, _ = run_cli(capsys, TSPACE_012)
+    path = _cached_entry(capsys, tmp_path, TSPACE_012)
+    for pretty in (
+        json.dumps(json.loads(fresh), indent=2) + "\n",
+        fresh.replace("\n", "\r\n"),
+        fresh[:-1],
+    ):
+        path.write_text(pretty, encoding="utf-8", newline="")
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(fresh)
+        key = path.name[: -len(".json")]
+        assert cache_get(str(tmp_path), key, "tspace", {"lam": "(0 1 2)"}) is None
+        assert run_cli(capsys, ["--cache", str(tmp_path)] + TSPACE_012) == (0, fresh, "")
+        assert path.read_bytes() == fresh.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TSPACE_012,
+        ["enumerate", "--n", "1"],
+        ["enumerate", "--n", "2"],
+        ["goodness", "--lambda", "(0 1)(2 3)", "--all"],
+        ["layer", "--m", "points:2", "--n", "1"],
+    ],
+    ids=["tspace", "enumerate-1", "enumerate-2", "goodness", "layer"],
+)
+def test_text_format_hit_equals_the_miss(capsys, tmp_path, argv):
+    # a hit renders the payload read back from canonical JSON, keys
+    # sorted; short lists of records (the objects of enumerate --n 1)
+    # render with sorted keys on a miss too
+    text_argv = ["--format", "text", "--cache", str(tmp_path)] + argv
+    _, uncached, _ = run_cli(capsys, ["--format", "text"] + argv)
+    miss = run_cli(capsys, text_argv)
+    assert miss == (0, uncached, "")
+    assert run_cli(capsys, text_argv) == miss
+    # the entry is the canonical JSON whatever the format of the run
+    _, fresh, _ = run_cli(capsys, argv)
+    (name,) = os.listdir(tmp_path)
+    assert (tmp_path / name).read_text(encoding="utf-8") == fresh
+    assert run_cli(capsys, ["--cache", str(tmp_path)] + argv) == (0, fresh, "")
+
+
+def test_json_hit_parses_no_json(capsys, tmp_path, monkeypatch):
+    argv = ["--cache", str(tmp_path), "enumerate", "--n", "3"]
+    code, miss, _ = run_cli(capsys, argv)
+    assert code == 0
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a hit parsed JSON")
+
+    monkeypatch.setattr(json, "load", no_parse)
+    monkeypatch.setattr(json, "loads", no_parse)
+    assert run_cli(capsys, argv) == (0, miss, "")
+    out = tmp_path / "out.json"
+    assert run_cli(capsys, ["--out", str(out)] + argv) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == miss
+
+
+def test_cache_serves_a_payload_stored_with_its_own_digest(capsys, tmp_path):
+    # the digest catches edits and damage, not a writer of the cache
+    # directory: a payload rewritten together with its digest is served
+    # as stored, and under --format text one that is not JSON is a miss
+    _, fresh, _ = run_cli(capsys, TSPACE_012)
+    path = _cached_entry(capsys, tmp_path, TSPACE_012)
+    head, rest = fresh.split('"digest":"')
+    _, tail = rest.split('","payload":', 1)
+    tail = tail[tail.index(',"tool":'):]
+    for payload in ('{"forged":true}', "not json"):
+        digest = hashlib.sha256((payload + "\n").encode()).hexdigest()
+        forged = f'{head}"digest":"{digest}","payload":{payload}{tail}'
+        path.write_text(forged, encoding="utf-8")
+        assert run_cli(capsys, ["--cache", str(tmp_path)] + TSPACE_012) == (0, forged, "")
+    code, out, err = run_cli(capsys, ["--format", "text", "--cache", str(tmp_path)] + TSPACE_012)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, ["--format", "text"] + TSPACE_012)[1]
+    assert path.read_text(encoding="utf-8") == fresh
 
 
 def _must_not_run(*args, **kwargs):

@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from forestcalc import partitions
 from forestcalc.errors import SupportMismatchError, ValidationError
 from forestcalc.partitions import (
+    Partition,
     SetMap,
     UnionFind,
     all_partitions,
@@ -15,7 +17,13 @@ from forestcalc.partitions import (
     meet,
     refinement_poset,
 )
-from helpers import discrete, indiscrete
+from helpers import (
+    discrete,
+    image_partition_reference,
+    indiscrete,
+    meet_reference,
+    union_find_blocks,
+)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -218,6 +226,61 @@ def test_image_partition_against_closure_oracle():
                         assert reach[x][y] == (where[x] == where[y])
 
 
+# --- the merge kernel against the union-find route ----------------------------
+
+
+def test_image_partition_matches_union_find_route():
+    # every surjection m -> m' for m <= 5 against every partition of m
+    for m in range(6):
+        parts = list(all_partitions(m))
+        for mp in range(m + 1):
+            for values in itertools.product(range(mp), repeat=m):
+                if len(set(values)) != mp:
+                    continue
+                f = SetMap(m, mp, values)
+                for p in parts:
+                    img = image_partition(f, p)
+                    assert img == image_partition_reference(f, p), (values, p)
+                    # canonical blocks are tuples, usable as keys
+                    assert type(img.blocks) is tuple and all(type(b) is tuple for b in img.blocks)
+
+
+def test_image_partition_outside_the_image_matches_union_find_route():
+    # points a map misses are singleton blocks of every image
+    for m in range(4):
+        for mp in range(m + 3):
+            for values in itertools.product(range(mp), repeat=m):
+                f = SetMap(m, mp, values)
+                for p in all_partitions(m):
+                    assert image_partition(f, p) == image_partition_reference(f, p)
+
+
+def test_meet_matches_union_find_route():
+    for m in range(6):
+        parts = list(all_partitions(m))
+        for p, q in itertools.product(parts, repeat=2):
+            assert meet(p, q) == meet_reference(p, q), (p, q)
+
+
+def test_image_partition_is_computed_once_per_map(monkeypatch):
+    f = SetMap(4, 3, (0, 1, 1, 2))
+    p = make_partition(4, [[0, 1], [2, 3]])
+    first = image_partition(f, p)
+    assert f.images == {p.blocks: first}
+
+    def computed_again(f, p):
+        raise AssertionError("image computed twice")
+
+    monkeypatch.setattr(partitions, "_image", computed_again)
+    # an equal partition, a distinct object, hits the map's images
+    equal = Partition(4, tuple(tuple(b) for b in [[0, 1], [2, 3]]))
+    assert equal is not p and equal == p
+    assert image_partition(f, equal) is first
+    # another map equal in values keeps images of its own
+    with pytest.raises(AssertionError, match="computed twice"):
+        image_partition(SetMap(4, 3, (0, 1, 1, 2)), p)
+
+
 # --- canonical forms --------------------------------------------------------
 
 
@@ -291,7 +354,7 @@ def test_union_find_blocks_sorted_by_minimum():
     uf.union(5, 1)
     uf.union(4, 0)
     uf.union(3, 5)
-    assert uf.blocks() == ((0, 4), (1, 3, 5), (2,))
+    assert union_find_blocks(uf) == ((0, 4), (1, 3, 5), (2,))
 
 
 def test_union_find_keys_equal_but_distinct():

@@ -12,8 +12,10 @@ image on lookup and stores no table of them; only the two tables whose
 words can become degenerate, the product's faces and a product map's
 images, normalize refs jointly; the package leaves no
 reference cycles for the garbage collector, so no nested function refers
-to itself; and no package module imports dataclasses, its records being
-plain classes whose frozen ones refuse assignment."""
+to itself; no package module imports dataclasses, its records being
+plain classes whose frozen ones refuse assignment; and the partition,
+fusion, category and verify modules keep no process-wide memo, their
+caches living on the objects that own them."""
 
 import ast
 import gc
@@ -392,6 +394,131 @@ def test_no_self_referencing_nested_functions():
                 ):
                     found.add((os.path.basename(path), inner.lineno, inner.name))
     assert not found, sorted(found)
+
+
+MUTATING_METHODS = {
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "clear", "remove", "discard", "__setitem__",
+}
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, not those of functions, lambdas or
+    classes nested in it."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, nested))
+
+
+def _module_state_stores(tree):
+    """Where a function of the module writes to a module-level name: a
+    global statement, a store into a subscript of the name, a mutating
+    method called on it, or a mutable default argument, which outlives
+    its call the same way."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, functions):
+            continue
+        args = function.args
+        for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+            literal = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+            built = isinstance(default, ast.Call) and _called_name(default) in ("dict", "list", "set")
+            if isinstance(default, literal) or built:
+                found.append((default.lineno, "mutable default"))
+        if isinstance(function, ast.Lambda):
+            continue
+        nodes = list(_own_nodes(function))
+        local = {a.arg for a in args.args + args.kwonlyargs + args.posonlyargs}
+        local |= {a.arg for a in (args.vararg, args.kwarg) if a}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = module_names - local
+        for node in nodes:
+            if isinstance(node, ast.Global):
+                found.append((node.lineno, "global " + ", ".join(node.names)))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in shared:
+                    found.append((node.lineno, base.id + "[...]"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                base = node.func.value
+                if node.func.attr in MUTATING_METHODS and isinstance(base, ast.Name) and base.id in shared:
+                    found.append((node.lineno, f"{base.id}.{node.func.attr}"))
+    return found
+
+
+def _function_caches(tree):
+    """Uses of functools' memoizing decorators."""
+    memoizers = {"cache", "lru_cache"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, a.name) for a in node.names if a.name in memoizers]
+        elif isinstance(node, ast.Attribute) and node.attr in memoizers:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append((node.lineno, "functools." + node.attr))
+    return found
+
+
+# the modules of the category, the fusions and their checks
+MEMO_FREE = ("partitions.py", "fusion.py", "verify.py", "category.py")
+
+
+def test_partition_and_fusion_work_keeps_no_module_memo():
+    # a map keeps the images computed through it and a check keeps what
+    # it tabulates, so both are freed with their owner; a process-wide
+    # memo on images, meets or partition lists would hold every value
+    # any command ever asked for (verify --level exhaustive grew from
+    # 26.9 to 37.6 MB with one)
+    found = []
+    for module in MEMO_FREE:
+        tree = _parse(os.path.join(PACKAGE, module))
+        found += [(module, *where) for where in _module_state_stores(tree) + _function_caches(tree)]
+    assert not found, found
+
+
+def test_module_memo_guard_sees_a_memo():
+    # the guard above, on code that keeps a process-wide memo each way
+    memo = ast.parse(
+        "_SEEN = {}\n"
+        "ORDER = []\n"
+        "def image(f, p):\n"
+        "    if p not in _SEEN:\n"
+        "        _SEEN[p] = f(p)\n"
+        "    ORDER.append(p)\n"
+        "    return _SEEN[p]\n"
+        "def count(p, seen={}):\n"
+        "    global ORDER\n"
+        "    return seen.setdefault(p, len(seen))\n"
+        "def local(p):\n"
+        "    ORDER = []\n"
+        "    ORDER.append(p)\n"
+        "    _SEEN = {}\n"
+        "    _SEEN[p] = p\n"
+    )
+    assert sorted(what for _, what in _module_state_stores(memo)) == [
+        "ORDER.append", "_SEEN[...]", "global ORDER", "mutable default",
+    ]
+    cached = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache, cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def meet(p, q):\n"
+        "    return p\n"
+    )
+    assert sorted(what for _, what in _function_caches(cached)) == [
+        "cache", "functools.lru_cache", "lru_cache",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import forestcalc.verify
+from forestcalc import partitions
 from forestcalc.category import CategoryTable, enumerate_en
 from forestcalc.envelope import canonical_json
 from forestcalc.verify import (
@@ -40,6 +41,30 @@ CHECK_NAMES = [
 ]
 
 
+# every check's details at the quick level, instance counts included
+QUICK_DETAILS = {
+    "partition-lattice-counts": {"supports": 4},
+    "meet-join-lattice-laws": {"support": 4, "pairs": 225},
+    "image-partition-closure": {"instances": 1196},
+    "strictness-triple": {"instances": 1196},
+    "goodness-double-criterion": {"instances": 254},
+    "badness-hereditary": {"instances": 129},
+    "badness-pushforward": {"instances": 5570},
+    "tspace-wedge-ranks": {"instances": 11},
+    "tspace-model-agreement": {"instances": 7},
+    "tree-map-functoriality": {"instances": 400, "truncated": True},
+    "nice-filtration": {"levels": {1: True, 2: True}},
+    "composition-closure": {"n": 2},
+    "aut-order-formula": {"instances": 11},
+    "iso-class-count": {"n": 1},
+    "fat-reconstruction": {"n": 1, "models": ["two points"]},
+    "coend-euler-additivity": {"cases": 1},
+    "cube-pushout-controls": {"cases": 3},
+    "kernel-vs-dense-snf": {"matrices": 5},
+    "power-diagonal-routes": {"instances": 9},
+}
+
+
 def test_catalog_names_and_order_frozen():
     assert [name for name, _ in CHECKS] == CHECK_NAMES
 
@@ -59,6 +84,23 @@ def test_quick_level_all_pass():
     assert failing == []
     for r in results:
         assert r.counterexample is None
+
+
+def test_quick_level_computes_each_image_once_per_map(monkeypatch):
+    # the checks ask for 23,792 image partitions; each map keeps its own,
+    # so only a map's first request for a partition runs the merge kernel
+    computed = 0
+    compute = partitions._image
+
+    def counted(f, p):
+        nonlocal computed
+        computed += 1
+        return compute(f, p)
+
+    monkeypatch.setattr(partitions, "_image", counted)
+    results = run_checks("quick")
+    assert {r.name: r.details for r in results} == QUICK_DETAILS
+    assert computed == 7080
 
 
 def test_fault_injection_trips_exactly_one_check():
