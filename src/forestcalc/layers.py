@@ -1,11 +1,31 @@
 """Layer assembly: powers glued with tree spaces over the fusion category.
 
-The coend is the colimit of simplicial sets that glues each piece along
-both actions of every morphism.  The relations of a set of arrows that
-generates the category under composition already fix it, so only the
-generating arrows of the table are applied: a minimal set of
-automorphism generators of each object and one arrow per double coset
-of automorphisms in each other hom set
+The layer is the coend of the power quotients Q_lam against the tree
+spaces T_lam.  `derivative_report` computes it from latching-free cells
+and top cycles, building no simplex of a power, smash or glued space:
+
+- Essential cofibrancy makes the coend's chains
+  sum over lam of Z[N_lam] (x)_{Aut lam} C~(T_lam), where N_lam is the
+  set of latching-free cells of the power, those whose coordinate refs
+  are pairwise distinct.  T_lam has reduced homology in its top degree
+  alone, spanned by explicit top cycles (`simplicial.top_cycles`), so
+  the top cycles may stand for its whole chains.  `latching_coend`
+  builds that complex, and the strata as its diagonal blocks: one
+  generator per Aut lam-orbit of latching-free cells and word choice,
+  each face moved along the coend's relations and read in the top
+  cycles of the object it lands in, with no elimination.
+- `layer_census` counts the cells of the glued space and of its pieces
+  in closed form, which gives the gluing counts, the cell dimensions
+  and the Euler characteristic of each filtration stage, after checking
+  the same caps, in the same order, as the simplicial coend.
+
+The simplicial coend stays as the oracle that the tests check both
+against.  `coend` builds it as the colimit of simplicial sets that
+glues each piece along both actions of every morphism.  The relations
+of a set of arrows that generates the category under composition
+already fix it, so only the generating arrows of the table are applied:
+a minimal set of automorphism generators of each object and one arrow
+per double coset of automorphisms in each other hom set
 (`CategoryTable.generating_arrows`).  Both actions are functorial, so
 the relation of a composite follows from those of its factors.
 
@@ -31,30 +51,39 @@ The pieces and relations are built once per coend, and glued once.
 Filtration stage i is the subobject of the glued cells of the objects
 with at most i components, a prefix of the table: essential cofibrancy
 makes each stage map injective, so gluing those pieces alone would give
-the same cells, named and ordered alike.  The stratum of an object is
-computed at chain level, as the automorphism coinvariants of the chains
-of (power / fat diagonal) tensored with those of the tree space.  This is
-exact: the shuffle and Alexander-Whitney maps and the Eilenberg-Zilber
-homotopy are natural and keep the wedge, so they pass to coinvariants.
+the same cells, named and ordered alike.  The stratum of an object
+(`stratum`) is computed at chain level, as the automorphism
+coinvariants of the chains of (power / fat diagonal) tensored with
+those of the tree space.  This is exact: the shuffle and
+Alexander-Whitney maps and the Eilenberg-Zilber homotopy are natural
+and keep the wedge, so they pass to coinvariants.
 """
 
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, perm
 
-from .category import enumerate_en
+from .category import enumerate_en, strict_fusions
 from .errors import CapExceededError, ValidationError
+from .fusion import is_good
 from .homology import (
+    ChainComplex,
     HomologyResult,
-    homology,
     homology_of_complex,
     tensor_chain_complex,
 )
-from .partitions import SetMap, UnionFind, image_partition, refinement_poset
+from .partitions import (
+    SetMap,
+    UnionFind,
+    all_partitions,
+    image_partition,
+    refinement_poset,
+)
 from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
     SimplicialObject,
+    check_product_counts,
     check_product_size,
     descend_to_quotients,
     point_object,
@@ -64,6 +93,7 @@ from .simplicial import (
     surj_compose,
     surj_identity,
     t_space,
+    top_cycles,
 )
 
 COEND_N_CAP = 2  # raise only once n = 3 is measured to fit in memory
@@ -453,6 +483,391 @@ def stratum(assembly, lam):
 
 
 # ---------------------------------------------------------------------------
+# the census: cell counts of the simplicial coend in closed form
+
+
+class LayerCensus:
+    __slots__ = (
+        "table",
+        "latching",
+        "gluing",
+        "coend_cells",
+        "cell_dim_low",
+        "cell_dim_high",
+        "stage_euler",
+    )
+
+    def __init__(self, table, latching, gluing, coend_cells, cell_dim_low, cell_dim_high, stage_euler):
+        self.table = table
+        self.latching = latching  # support k -> dimension d -> |N_{k,d}|
+        self.gluing = gluing  # dimension -> identifications, as `_glue` counts them
+        self.coend_cells = coend_cells  # dimension -> cells of the glued space
+        # the extreme dimensions of the glued cells other than the basepoint
+        self.cell_dim_low = cell_dim_low
+        self.cell_dim_high = cell_dim_high
+        self.stage_euler = stage_euler  # i -> reduced Euler characteristic of stage i
+
+
+def latching_counts(M, k):
+    """d -> |N_{k,d}|, the number of d-cells of M^k whose k coordinate
+    refs are pairwise distinct, for every d with one.
+
+    R_s = sum over cells c of C(s, dim c) counts the s-simplices of M,
+    degenerate ones included, so (R_d)_k, a falling factorial, counts
+    the k-tuples of distinct d-simplices.  Each such tuple is s_J of
+    exactly one latching-free cell, for a set J of j of the d
+    degeneracies, and inverting that sum over J gives
+    |N_{k,d}| = sum_j (-1)^j C(d, j) (R_{d-j})_k.
+    """
+    dims = M.cell_count()
+    r = [sum(comb(s, p) * count for p, count in dims.items()) for s in range(k * M.dimension + 1)]
+    out = {}
+    for d in range(k * M.dimension + 1):
+        count = sum((-1) ** j * comb(d, j) * perm(r[d - j], k) for j in range(d + 1))
+        if count:
+            out[d] = count
+    return out
+
+
+def _joint_counts(a, b):
+    """k -> the jointly nondegenerate pairs of monotone surjections
+    [k] -> [a] and [k] -> [b]: each of the k steps moves the first, the
+    second or both, and a + b - k of the first's a steps move both."""
+    return {k: comb(k, a) * comb(a, a + b - k) for k in range(max(a, b), a + b + 1)}
+
+
+def _smash_counts(xs, ys):
+    """k -> the k-cells of a smash product other than its basepoint, from
+    the non-basepoint cells of its factors per dimension."""
+    out = Counter()
+    for a, x in xs.items():
+        for b, y in ys.items():
+            for k, pairs in _joint_counts(a, b).items():
+                out[k] += x * y * pairs
+    return out
+
+
+def layer_census(M, n):
+    """The cell counts of the simplicial coend of M at n, in closed form,
+    after the same cap checks as `coend`, with nothing built but the
+    tree spaces.
+
+    The checks run in the order in which `coend` builds its products, so
+    an input over a cap raises the first CapExceededError that `coend`
+    raises: n over COEND_N_CAP, then each power, then each piece
+    smash(Q_i, T_i) in object order, then each mixing piece
+    smash(Q_j, T_i) of an arrow i -> j, for i then j.  Each product is
+    counted from its factors' cells per dimension
+    (`check_product_counts`).  The power quotient Q_i has the d-cells of
+    the power whose coincidence partition kappa is good for lam_i, so
+    sum over kappa good of |N_{|kappa|,d}| of them (`latching_counts`).
+
+    The glued space's k-cells other than its basepoint are the Aut
+    lam-orbits of the jointly nondegenerate pairs of a latching-free
+    cell of the power and a cell of T_lam, each orbit of |Aut lam| pairs
+    since the action on latching-free cells is free.  They give the
+    glued cells, the filtration stages (stage i holds those of the
+    objects with at most i components) and their reduced Euler
+    characteristics, and `gluing`: per dimension k, the simplices of the
+    pieces, sum over q of n_q C(k, q), less those of the glued space.
+    """
+    if n > COEND_N_CAP:
+        raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
+    table = enumerate_en(n, include_homs=False)
+    objects = table.objects
+    dims = Counter(M.cell_count())
+    for lam in objects:
+        m = lam.support_size
+        check_product_counts(m * M.dimension, [dims] * m)
+    latching = {k: latching_counts(M, k) for k in range(1, max(lam.support_size for lam in objects) + 1)}
+    quotients, trees = [], []
+    for lam in objects:
+        good = Counter()
+        for kappa in all_partitions(lam.support_size):
+            if is_good(kappa, lam):
+                good.update(latching[kappa.components])
+        tree = t_space(lam)
+        tree_cells = Counter({k: len(names) for k, names in tree.cells.items() if k})
+        quotients.append((max(good, default=0), good))
+        trees.append((tree.dimension, tree_cells))
+        check_product_counts(quotients[-1][0] + tree.dimension, [good, tree_cells])
+    for i, lam in enumerate(objects):
+        for j, target in enumerate(objects):
+            # an arrow to another object lowers the components
+            if table.strata[j] < table.strata[i] and strict_fusions(lam, target):
+                check_product_counts(quotients[j][0] + trees[i][0], [quotients[j][1], trees[i][1]])
+    pieces = [_smash_counts(good, tree_cells) for (_, good), (_, tree_cells) in zip(quotients, trees)]
+    glued = []  # per object: k -> its glued k-cells
+    for idx, lam in enumerate(objects):
+        pairs = _smash_counts(latching[lam.support_size], trees[idx][1])
+        glued.append({k: c // table.groups[idx].order for k, c in pairs.items()})
+    cells = Counter({0: 1})  # the basepoint
+    for counts in glued:
+        cells.update(counts)
+    top = max(max(p, default=0) for p in pieces)
+    gluing = {}
+    for k in range(top + 1):
+        # each piece has a basepoint of its own
+        simplices = len(pieces) + sum(c * comb(k, q) for p in pieces for q, c in p.items())
+        gluing[k] = simplices - sum(c * comb(k, q) for q, c in cells.items())
+    stage_euler = {0: 0}
+    for i in range(1, n + 1):
+        stage_euler[i] = sum(
+            (-1) ** k * c
+            for idx, counts in enumerate(glued)
+            if table.strata[idx] <= i
+            for k, c in counts.items()
+        )
+    live = [k for counts in glued for k, c in counts.items() if c]
+    return LayerCensus(
+        table=table,
+        latching=latching,
+        gluing=gluing,
+        coend_cells={k: c for k, c in sorted(cells.items()) if c},
+        cell_dim_low=min(live, default=0),
+        cell_dim_high=max(live, default=0),
+        stage_euler=stage_euler,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the coend from latching-free cells and top cycles
+
+
+class LatchingCoend:
+    __slots__ = ("table", "total", "strata", "representatives")
+
+    def __init__(self, table, total, strata, representatives):
+        self.table = table
+        self.total = total  # ChainComplex of the whole layer, reduced
+        self.strata = strata  # object index -> ChainComplex of its stratum
+        # object index -> dimension d -> the orbit representatives of N_{lam,d}
+        self.representatives = representatives
+
+
+def _simplices(M, top):
+    """The d-simplices of M for d <= top, degenerate ones included, as
+    two lists per dimension, each indexed like the simplices' refs
+    (cell, alpha): each simplex's degenerate positions as a bitmask (bit
+    t when alpha[t] == alpha[t + 1]), and, for d >= 1, its faces as
+    indices into the simplices of dimension d - 1."""
+    refs, masks, faces = [], [], []
+    known = {}  # cell -> its faces, read once
+    for d in range(top + 1):
+        refs.append([
+            (c, alpha)
+            for c in M.all_cells()
+            for alpha in _surjections(d, M.dim_of[c])
+        ])
+        masks.append([
+            sum(1 << t for t in range(d) if alpha[t] == alpha[t + 1]) for _, alpha in refs[d]
+        ])
+        if d:
+            index = {ref: i for i, ref in enumerate(refs[d - 1])}
+            faces.append([
+                tuple(index[f] for f in M.faces_of_ref(ref, known)) for ref in refs[d]
+            ])
+        else:
+            faces.append([])
+    return masks, faces
+
+
+def _surjections(d, p):
+    """The monotone surjections [d] -> [p], by the positions of their p
+    steps."""
+    for steps in itertools.combinations(range(d), p):
+        alpha = [0]
+        for t in range(d):
+            alpha.append(alpha[-1] + (t in steps))
+        yield tuple(alpha)
+
+
+def _representatives(sizes, masks, full):
+    """One representative of each Aut-orbit of the latching-free cells of
+    one dimension, for the canonical object with these block sizes.
+
+    A cell is a tuple of distinct simplex indices, block after block;
+    the representative has each block's indices increasing, and each
+    block larger than an equal-size block before it.  Its simplices are
+    jointly nondegenerate: their masks of degenerate positions (`masks`)
+    meet in nothing, full being the mask of every position.
+    """
+    out = []
+    _extend_representative(sizes, masks, 0, (), (), full, out)
+    return out
+
+
+def _extend_representative(sizes, masks, b, cell, previous, shared, out):
+    """Append to out each representative that completes cell with blocks
+    b, b + 1, ...; previous is the block before b and shared the
+    degenerate positions the simplices of cell have in common.  A
+    module-level recursion, so that no closure refers to itself."""
+    if b == len(sizes):
+        if not shared:
+            out.append(cell)
+        return
+    free = [x for x in range(len(masks)) if x not in cell]
+    for block in itertools.combinations(free, sizes[b]):
+        if len(previous) == len(block) and block < previous:
+            continue
+        mask = shared
+        for x in block:
+            mask &= masks[x]
+        _extend_representative(sizes, masks, b + 1, cell + block, block, mask, out)
+
+
+def _orbit_of_face(face, lam, shapes):
+    """Where a latching-free face lands, read through the coend's
+    relations: (object index, representative, h), with face = pw_h of
+    the representative for the arrow h: lam -> that object, or None when
+    the face lies on a diagonal that is bad for lam.
+
+    face is a tuple of simplex indices, one per point of lam; its
+    coincidence partition kappa joins the points with equal indices.
+    The blocks of lam join kappa's blocks into classes, the blocks of
+    h(lam), and kappa is good for lam exactly when that keeps the excess
+    (the criterion of `is_good`).  The representative lists each class's
+    indices increasing, the classes by decreasing size and then
+    increasingly, so it is the one `_representatives` lists for the
+    canonical object of h(lam)'s shape, whose index shapes gives; h sends
+    each point to the position of its index there.
+    """
+    parent = {x: x for x in face}
+    for block in lam.blocks:
+        a = face[block[0]]
+        while parent[a] != a:
+            a = parent[a]
+        for t in block[1:]:
+            b = face[t]
+            while parent[b] != b:
+                b = parent[b]
+            parent[b] = a
+    classes = {}
+    for x in parent:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        classes.setdefault(root, []).append(x)
+    if len(parent) - len(classes) != lam.excess:
+        return None
+    ordered = sorted((sorted(c) for c in classes.values()), key=lambda c: (-len(c), c))
+    rep = tuple(x for c in ordered for x in c)
+    position = {x: i for i, x in enumerate(rep)}
+    return shapes[tuple(map(len, ordered))], rep, tuple(position[x] for x in face)
+
+
+def _pushed_cycle(source, target, f, w, images):
+    """The coordinates of f_* rho_w on the top cycles of target, for the
+    top cycles source of lam, a strict fusion f: lam -> mu and the top
+    cycles target of mu.  Each chain of rho_w maps elementwise through
+    the image partition; images keeps the poset index of each element's
+    image under f.  A chain with a repeat is degenerate and no dual
+    chain, so `coordinates` skips it with the rest."""
+    terms = []
+    for chain, sign in source.cycle(w).items():
+        image = []
+        for i in chain:
+            j = images.get(i)
+            if j is None:
+                j = images[i] = target.poset.index[image_partition(f, source.poset.elements[i])]
+            image.append(j)
+        terms.append((tuple(image), sign))
+    return target.coordinates(terms)
+
+
+def latching_coend(M, n, table=None):
+    """The reduced chains of the layer of M at n, as
+    sum over lam of Z[N_lam] (x)_{Aut lam} Z_e(T_lam), and of each stratum.
+
+    N_lam is the set of latching-free cells of M^m, those whose m
+    coordinate refs are pairwise distinct, and Z_e(T_lam) the top cycles
+    of the tree space, spanned by the rho_w of `top_cycles`.  The
+    automorphisms act freely on N_lam, so a generator is q (x) rho_w for
+    an orbit representative q (`_representatives`) and a word choice w,
+    in degree dim q + n.  rho_w is a cycle, so
+    d(q (x) rho_w) = sum over i of (-1)^i (d_i q) (x) rho_w.  A face d_i q
+    is read coordinatewise, and is 0 when its refs are jointly
+    degenerate or lie on a diagonal bad for lam; otherwise it is pw_h of
+    a representative r of the object it lands in (`_orbit_of_face`), and
+    the coend's relation (pw_h r, t) ~ (r, tw_h t) makes the term
+    r (x) h_* rho_w, read in that object's top cycles (`_pushed_cycle`).
+    A face with pairwise distinct refs stays in lam's summand, h an
+    automorphism; the others land in objects with fewer points.
+
+    The stratum of lam keeps lam's generators and only the faces that
+    stay.  table is `enumerate_en(n, include_homs=False)` unless given.
+    """
+    if table is None:
+        table = enumerate_en(n, include_homs=False)
+    objects = table.objects
+    top = max(lam.support_size for lam in objects) * M.dimension
+    masks, faces = _simplices(M, top)
+    shapes = {lam.shape(): idx for idx, lam in enumerate(objects)}
+    cycles = [top_cycles(lam) for lam in objects]
+    representatives = {}
+    for idx, lam in enumerate(objects):
+        representatives[idx] = {}
+        for d in range(lam.support_size * M.dimension + 1):
+            reps = _representatives(lam.shape(), masks[d], (1 << d) - 1)
+            if reps:
+                representatives[idx][d] = reps
+    # generators numbered by degree, then object, representative and
+    # word: in the whole layer, and in the stratum of their object
+    first, ranks, numbered = {}, {}, 0
+    local_ranks, local_numbered = {idx: {} for idx in representatives}, Counter()
+    for d in range(top + 1):
+        for idx, reps in representatives.items():
+            words = len(cycles[idx].words)
+            for rep in reps.get(d, ()):
+                first[idx, d, rep] = (numbered, local_numbered[idx])
+                numbered += words
+                local_numbered[idx] += words
+                ranks[d + n] = ranks.get(d + n, 0) + words
+                local_ranks[idx][d + n] = local_ranks[idx].get(d + n, 0) + words
+    pushes = {}  # (object, h) -> its SetMap, its poset images, word -> coordinates
+    runs, local_runs = [], {idx: [] for idx in representatives}
+    for d in range(top + 1):
+        for idx, reps in representatives.items():
+            lam = objects[idx]
+            for rep in reps.get(d, ()):
+                terms = []  # (sign, object, representative, h) per face that survives
+                for i in range(d + 1) if d else ():
+                    face = tuple(faces[d][x][i] for x in rep)
+                    shared = (1 << d - 1) - 1
+                    for x in face:
+                        shared &= masks[d - 1][x]
+                    orbit = None if shared else _orbit_of_face(face, lam, shapes)
+                    if orbit is not None:
+                        terms.append((-1 if i % 2 else 1, *orbit))
+                for w in range(len(cycles[idx].words)):
+                    run, local = {}, {}
+                    for sign, mu, face_rep, h in terms:
+                        push = pushes.get((idx, h))
+                        if push is None:
+                            f = SetMap(lam.support_size, objects[mu].support_size, h)
+                            push = pushes[idx, h] = (f, {}, {})
+                        f, images, known = push
+                        if w not in known:
+                            known[w] = _pushed_cycle(cycles[idx], cycles[mu], f, w, images)
+                        at, local_at = first[mu, d - 1, face_rep]
+                        for v, c in known[w].items():
+                            run[at + v] = run.get(at + v, 0) + sign * c
+                            if mu == idx:
+                                local[local_at + v] = local.get(local_at + v, 0) + sign * c
+                    runs.append({g: c for g, c in run.items() if c})
+                    local_runs[idx].append({g: c for g, c in local.items() if c})
+    return LatchingCoend(
+        table=table,
+        total=ChainComplex(ranks=ranks, runs=runs),
+        strata={
+            idx: ChainComplex(ranks=local_ranks[idx], runs=local_runs[idx])
+            for idx in representatives
+        },
+        representatives=representatives,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the report
 
 
@@ -460,12 +875,20 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
     """Everything the layer computation determines, as plain JSON data.
 
     No raw cell names appear, so relabeling the model leaves the report
-    unchanged.  One coend assembly gives every filtration stage and the
-    power pairs and tree spaces the strata are built from.
+    unchanged.  The census (`layer_census`) checks the caps and gives
+    the cell counts of the simplicial coend; the homology of the layer
+    and of each stratum comes from `latching_coend`.  Two fields compare
+    the routes: `euler_additivity` sets the census's stage Euler
+    characteristics against the strata's homology, and `free_action`
+    checks that the orbit representatives, |Aut lam| each, number the
+    latching-free cells that the census counts.
     """
-    assembly = coend(M, n)
-    table = assembly.table
-    coend_homology = homology(assembly.total, coefficients=coefficients, reduced=True)
+    census = layer_census(M, n)
+    table = census.table
+    layer = latching_coend(M, n, table)
+    coend_homology = HomologyResult(
+        coefficients, True, homology_of_complex(layer.total, coefficients)
+    )
     report = {
         "schema": "layer-report/1",
         "n": n,
@@ -475,35 +898,30 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
             "pointed": M.basepoint is not None,
         },
         "coend": coend_homology.groups_json(),
-        "gluing": {str(k): v for k, v in sorted(assembly.gluing_log.items())},
+        "gluing": {str(k): v for k, v in sorted(census.gluing.items())},
     }
     if emit_cells:
-        report["coend_cells"] = {
-            str(k): v for k, v in assembly.total.cell_count().items()
-        }
+        report["coend_cells"] = {str(k): v for k, v in census.coend_cells.items()}
     strata = {}
-    # reduced Euler characteristic, read off the cell counts
-    stage_eulers = {
-        i: sum((-1) ** k * n_k for k, n_k in stage.cell_count().items()) - 1
-        for i, stage in assembly.stages.items()
-    }
+    stage_eulers = census.stage_euler
     additivity = []
     for i in range(1, n + 1):
         stratum_sum = 0
         for idx, lam in enumerate(table.objects):
             if table.strata[idx] != i:
                 continue
-            res = stratum(assembly, lam)
             label = "-".join(str(s) for s in lam.shape())
-            # a power cell off the fat diagonal has pairwise distinct
-            # coordinates, so only the identity fixes it
-            if not res.free:
+            order = table.groups[idx].order
+            reps = {d: len(r) * order for d, r in layer.representatives[idx].items()}
+            # a latching-free cell has pairwise distinct coordinates, so
+            # only the identity fixes it
+            if reps != census.latching[lam.support_size]:
                 raise ValidationError(f"automorphisms of stratum {label} do not act freely")
-            groups = homology_of_complex(res.complex, coefficients)
+            groups = homology_of_complex(layer.strata[idx], coefficients)
             entry = {
                 "support": lam.support_size,
-                "free_action": res.free,
-                "group_order": res.group_order,
+                "free_action": True,
+                "group_order": order,
                 "homology": HomologyResult(coefficients, True, groups).groups_json(),
                 "model": coefficients,
             }
@@ -524,15 +942,8 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
         "passed": all(step["passed"] for step in additivity),
     }
     # reduced homology must live between the extreme cell dimensions
-    dims = [
-        k
-        for k, names in assembly.total.cells.items()
-        for c in names
-        if c != assembly.total.basepoint
-    ]
     live = [k for k, g in coend_homology.groups.items() if not g.is_zero()]
-    low = min(dims) if dims else 0
-    high = max(dims) if dims else 0
+    low, high = census.cell_dim_low, census.cell_dim_high
     report["degree_support"] = {
         "cell_dim_low": low,
         "cell_dim_high": high,

@@ -27,12 +27,14 @@ def coincidence_partition(cell):
 
 
 def sub_diagonal_cells(power_obj, delta):
-    """Cells constant across every block of delta."""
+    """Cells constant across every block of delta: those whose
+    coincidence partition delta refines, read off the cell directly."""
+    pairs = [(block[0], t) for block in delta.blocks for t in block[1:]]
     out = set()
     for cell in power_obj.all_cells():
         if len(cell) != delta.support_size:
             raise SupportMismatchError("power arity differs from delta support")
-        if coincidence_partition(cell).leq(delta):
+        if all(cell[s] == cell[t] for s, t in pairs):
             out.add(cell)
     return out
 

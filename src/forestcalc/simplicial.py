@@ -308,17 +308,29 @@ def _surjection_tuples(factors, coordinate_cells):
     surjection tuples.
 
     Raises CapExceededError when the product simplices whose coordinate
-    j is a cell of coordinate_cells[j] are over a cap: the cells are
-    counted, per dims tuple the coordinate cells of those dims times the
-    surjection tuples, before any is enumerated.
+    j is a cell of coordinate_cells[j] are over a cap (see
+    `check_product_counts`).
     """
-    top = sum(f.dimension for f in factors)
-    if top > PRODUCT_DIM_CAP:
-        raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
     per_dim = [
         Counter(f.dim_of[c] for c in cs)
         for f, cs in zip(factors, coordinate_cells)
     ]
+    return check_product_counts(sum(f.dimension for f in factors), per_dim)
+
+
+def check_product_counts(top, per_dim):
+    """Per dims tuple, its jointly nondegenerate surjection tuples, for
+    the product simplices of factors of total dimension top whose
+    coordinate j ranges over per_dim[j][d] cells of each dimension d.
+
+    Raises CapExceededError when top is over the dimension cap, or when
+    those simplices are over the cell cap: they are counted, per dims
+    tuple the coordinate cells of those dims times the surjection
+    tuples, before any is enumerated.  Counts alone suffice, so a
+    product can be checked without building its factors.
+    """
+    if top > PRODUCT_DIM_CAP:
+        raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
     surjection_tuples = {}
     count = 0
     for dims in itertools.product(*per_dim):
@@ -791,6 +803,121 @@ def t_space(lam):
     for k, chains in enumerate(_chains_from_min(poset), 1):
         cells[k] = [ch + (mx,) for ch in chains]
     return SimplicialObject(cells, ChainFaces(last_collapses=True), basepoint=BASEPOINT)
+
+
+class TopCycles:
+    """A basis of the top cycles of T(lam), built with no elimination
+    (Wachs, On the (co)homology of the partition lattice and the free
+    Lie algebra, 1998).
+
+    For each block of lam choose a word: the block's least element,
+    then its others in any order, prod_b (|b| - 1)! choices w in all
+    (`words`).  Cutting a word between two adjacent letters splits its
+    block in two, so cutting the e = excess(lam) gaps one at a time, in
+    an order pi, gives a maximal chain from lam to the discrete
+    partition: a top cell of T(lam).  rho_w = sum over pi of sgn(pi)
+    (the chain of pi) is a cycle (`cycle`): its first and last faces
+    fall to the basepoint, and its inner face i cancels against that of
+    pi with its cuts i and i + 1 swapped.  T(lam) has reduced homology
+    in degree e alone, and the rho_w are a basis of it.
+
+    The dual chain of w cuts each block's gaps from right to left, one
+    block after another.  It splits off the letters of each word from
+    the last one back, so it names w, and it lies in the support of
+    rho_w alone, with the sign `sign` of that cut order.  A top cycle's
+    coordinate on rho_w is its coefficient on the dual chain of w times
+    that sign, read with no elimination (`coordinates`).
+
+    Chains are named as the cells of `t_space`: tuples of indices into
+    `poset`.  Gaps are numbered block by block, left to right, and a set
+    of cut gaps is a bitmask; each chain is read off the masks of the
+    prefixes of its cut order, and each mask's partition is computed
+    once per word (`_cut_partitions`).
+    """
+
+    __slots__ = ("poset", "at", "words", "orders", "sign", "dual")
+
+    def __init__(self, poset, at, words, orders, sign, dual):
+        self.poset = poset
+        self.at = at  # blocks of each element -> its index in poset
+        self.words = words  # per word choice, one word per block
+        self.orders = orders  # per cut order, its sign and the masks of its prefixes
+        self.sign = sign
+        self.dual = dual  # dual chain -> index of its word choice
+
+    def cycle(self, i):
+        """rho_w for the word choice words[i], as top chain -> sign."""
+        parts = _cut_partitions(self.at, self.words[i])
+        return {tuple(map(parts.__getitem__, masks)): s for s, masks in self.orders}
+
+    def coordinates(self, terms):
+        """The coordinates of a top cycle, given as (top chain,
+        coefficient) terms, on the rho_w: word index -> nonzero
+        coefficient.  Only dual chains are read; the terms must sum to a
+        cycle."""
+        out = {}
+        for chain, c in terms:
+            i = self.dual.get(chain)
+            if i is not None:
+                out[i] = out.get(i, 0) + self.sign * c
+        return {i: c for i, c in out.items() if c}
+
+
+def top_cycles(lam):
+    """The top cycles of the tree space of lam (see `TopCycles`)."""
+    poset = refinement_poset(lam)
+    at = {p.blocks: i for i, p in enumerate(poset.elements)}
+    words = tuple(
+        itertools.product(
+            *([(b[0],) + rest for rest in itertools.permutations(b[1:])] for b in lam.blocks)
+        )
+    )
+    orders = tuple(
+        (_permutation_sign(order), _prefix_masks(order))
+        for order in itertools.permutations(range(lam.excess))
+    )
+    dual_order, first = [], 0
+    for b in lam.blocks:
+        dual_order += range(first + len(b) - 2, first - 1, -1)
+        first += len(b) - 1
+    masks = _prefix_masks(dual_order)
+    dual = {}
+    for i, word in enumerate(words):
+        parts = _cut_partitions(at, word)
+        dual[tuple(parts[mask] for mask in masks)] = i
+    return TopCycles(poset, at, words, orders, _permutation_sign(dual_order), dual)
+
+
+def _cut_partitions(at, word):
+    """Per mask of cut gaps, the index (by at) of the partition that
+    cutting the words there gives."""
+    parts = []
+    for mask in range(1 << sum(len(letters) - 1 for letters in word)):
+        blocks, gap = [], 0
+        for letters in word:
+            segment = [letters[0]]
+            for x in letters[1:]:
+                if mask >> gap & 1:
+                    blocks.append(tuple(sorted(segment)))
+                    segment = []
+                segment.append(x)
+                gap += 1
+            blocks.append(tuple(sorted(segment)))
+        # sorting disjoint blocks as tuples orders them by minimum
+        parts.append(at[tuple(sorted(blocks))])
+    return parts
+
+
+def _permutation_sign(order):
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _prefix_masks(order):
+    masks = [0]
+    for gap in order:
+        masks.append(masks[-1] | 1 << gap)
+    return tuple(masks)
 
 
 def t_space_suspension_model(lam):

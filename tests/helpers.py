@@ -17,7 +17,13 @@ sums read every face of a cell as a ref from its face table, where
 production reads the faces of a space of chains straight from each chain.
 The reference image partition and meet merge through a union-find and
 sort the classes, where production keeps each class's minimum as its
-root and lists the blocks in one ascending pass.
+root and lists the blocks in one ascending pass.  The reference
+sub-diagonal sweep reads each cell's coincidence partition, where
+production compares the cell's coordinates across each block.  Route A
+builds the layer from latching-free cells and whole tree spaces, with
+the package's powers and tree space maps, where production takes the
+top cycles of each tree space and reads faces off its own simplex
+tables.
 """
 
 import itertools
@@ -26,7 +32,7 @@ from math import comb
 from dataclasses import dataclass
 from functools import cached_property
 
-from forestcalc.category import CategoryTable, automorphism_group
+from forestcalc.category import CategoryTable, automorphism_group, enumerate_en
 from forestcalc.errors import ValidationError
 from forestcalc.homology import (
     ChainComplex,
@@ -48,7 +54,8 @@ from forestcalc.partitions import (
     refinement_poset,
 )
 from forestcalc import simplicial
-from forestcalc.powers import fat_diagonal_cells, induced_power_map
+from forestcalc.fusion import is_good
+from forestcalc.powers import coincidence_partition, fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
     BASEPOINT,
     JointNormalizer,
@@ -590,3 +597,147 @@ def orbit_stratum(M, lam):
         if rep != base
     )
     return OrbitStratum(space=quotient_by_group(action), free=free)
+
+
+# --- sub-diagonals and route A of the layer ------------------------------------------
+
+
+def sub_diagonal_cells_reference(power_obj, delta):
+    """The cells of a power constant across every block of delta, read
+    off each cell's coincidence partition: the oracle for
+    `powers.sub_diagonal_cells`, which compares coordinates directly."""
+    return {c for c in power_obj.all_cells() if coincidence_partition(c).leq(delta)}
+
+
+def route_a_coend(M, n):
+    """The reduced chains of the layer of M at n as
+    sum over lam of Z[N_lam] (x)_{Aut lam} C~(T_lam), and those of each
+    stratum: the second oracle for `layers.latching_coend`, which takes
+    the top cycles of T_lam in place of its whole chains.
+
+    N_lam is read off `power(M, m)`: its cells with pairwise distinct
+    coordinates.  Every permutation of Aut lam is listed, and an orbit
+    stands for its first member in the power's cell order.  A generator
+    q (x) t pairs a representative q with a cell t of T_lam other than
+    the basepoint; d(q (x) t) = dq (x) t + (-1)^|q| q (x) dt.  A face of
+    q with coincidence partition kappa good for lam is read through the
+    map f: [m] -> [|kappa|] numbering kappa's blocks by their minima,
+    relabeled onto the canonical object mu and then onto the orbit's
+    first member; the composite h moves t by `t_space_map`, and a
+    degenerate image or the basepoint is 0.  Returns the total complex
+    and, by object index, each stratum's: lam's generators with the
+    faces that stay in lam.
+    """
+    table = enumerate_en(n, include_homs=False)
+    objects = table.objects
+    index = {lam: idx for idx, lam in enumerate(objects)}
+    powers, groups, trees = {}, [], []
+    for lam in objects:
+        m = lam.support_size
+        if m not in powers:
+            p = power(M, m)
+            powers[m] = (p, {c: i for i, c in enumerate(p.all_cells())})
+        groups.append([
+            g for g in itertools.permutations(range(m))
+            if image_partition(SetMap(m, m, g), lam) == lam
+        ])
+        trees.append(t_space(lam))
+
+    def first_of_orbit(idx, cell):
+        # (the orbit's first member r, g with (pw_g cell) = r), where
+        # (pw_g q)_t = q_{g(t)}
+        position = powers[len(cell)][1]
+        return min(
+            ((tuple(cell[g[t]] for t in range(len(cell))), g) for g in groups[idx]),
+            key=lambda pair: position[pair[0]],
+        )
+
+    reps = []
+    for idx, lam in enumerate(objects):
+        p, _ = powers[lam.support_size]
+        reps.append([
+            c for c in p.all_cells()
+            if len(set(c)) == len(c) and first_of_orbit(idx, c)[0] == c
+        ])
+    maps = {}
+
+    def moved(idx, face):
+        # (mu, r, h) with face = pw_h r, or None when kappa is bad for lam
+        lam = objects[idx]
+        kappa = coincidence_partition(face)
+        if not is_good(kappa, lam):
+            return None
+        m, k = lam.support_size, kappa.components
+        f = SetMap(m, k, tuple(kappa.block_of()))
+        image = image_partition(f, lam)
+        blocks = sorted(image.blocks, key=lambda b: -len(b))
+        relabel = {x: i for i, x in enumerate(x for b in blocks for x in b)}
+        mu = index[Partition(k, tuple(
+            tuple(range(sum(map(len, blocks[:j])), sum(map(len, blocks[: j + 1]))))
+            for j in range(len(blocks))
+        ))]
+        target = [None] * k
+        for t in range(m):
+            target[relabel[f(t)]] = face[t]
+        r, g = first_of_orbit(mu, tuple(target))
+        inverse = [0] * k
+        for s, v in enumerate(g):
+            inverse[v] = s
+        h = tuple(inverse[relabel[f(t)]] for t in range(m))
+        return mu, r, h
+
+    def tree_image(idx, mu, h, t):
+        key = idx, h
+        if key not in maps:
+            lam = objects[idx]
+            maps[key] = t_space_map(SetMap(lam.support_size, objects[mu].support_size, h), lam, objects[mu])
+        image, word = maps[key].mapping[t]
+        return None if image == BASEPOINT or word[-1] != len(word) - 1 else image
+
+    generators = {}  # degree -> (idx, q, t)
+    for idx, lam in enumerate(objects):
+        p = powers[lam.support_size][0]
+        for q in reps[idx]:
+            for t in trees[idx].all_cells():
+                if t != BASEPOINT:
+                    generators.setdefault(p.dim_of[q] + trees[idx].dim_of[t], []).append((idx, q, t))
+    order = [gen for k in sorted(generators) for gen in generators[k]]
+    number = {gen: i for i, gen in enumerate(order)}
+    local = {idx: {} for idx in range(len(objects))}
+    for gen in order:
+        local[gen[0]][gen] = len(local[gen[0]])
+    runs, local_runs = [], {idx: [] for idx in local}
+    for idx, q, t in order:
+        p = powers[objects[idx].support_size][0]
+        tree = trees[idx]
+        terms = []
+        if p.dim_of[q]:
+            ident = surj_identity(p.dim_of[q] - 1)
+            for i, (face, word) in enumerate(p.faces[q]):
+                target = moved(idx, face) if word == ident else None
+                if target is not None:
+                    mu, r, h = target
+                    image = t if mu == idx and h == tuple(range(len(h))) else tree_image(idx, mu, h, t)
+                    if image is not None:
+                        terms.append(((mu, r, image), (-1) ** i))
+        sign = (-1) ** p.dim_of[q]
+        if tree.dim_of[t]:
+            for j, (face, _) in enumerate(tree.faces[t]):
+                if face != BASEPOINT:
+                    terms.append(((idx, q, face), sign * (-1) ** j))
+        run, stays = Counter(), Counter()
+        for gen, v in terms:
+            run[number[gen]] += v
+            if gen[0] == idx:
+                stays[local[idx][gen]] += v
+        runs.append({g: v for g, v in run.items() if v})
+        local_runs[idx].append({g: v for g, v in stays.items() if v})
+    ranks = {k: len(gens) for k, gens in sorted(generators.items())}
+    strata = {}
+    for idx in local:
+        local_ranks = Counter(
+            powers[objects[i].support_size][0].dim_of[q] + trees[i].dim_of[t]
+            for i, q, t in local[idx]
+        )
+        strata[idx] = ChainComplex(ranks=dict(sorted(local_ranks.items())), runs=local_runs[idx])
+    return ChainComplex(ranks=ranks, runs=runs), strata

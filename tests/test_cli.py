@@ -326,11 +326,9 @@ def test_layer_emit_cells(capsys):
 
 @pytest.mark.parametrize("emit", [False, True], ids=["plain", "emit-cells"])
 def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
-    # one assembly gives every filtration stage and every stratum: its
-    # pieces and relations are built once, with three smashes (two
-    # pieces, one mixing piece), each computing its faces on lookup; the
-    # coend's chains come from its cells, and each of the two strata is
-    # a tensor complex, built with no smash
+    # one census gives the cell counts and one latching coend the whole
+    # layer and each of its two strata, whose homology is read once
+    # each; no coend piece, smash or simplicial chain complex is built
     calls = {}
 
     def count(module, name):
@@ -342,20 +340,14 @@ def test_layer_builds_each_coend_once(capsys, monkeypatch, emit):
 
         monkeypatch.setattr(module, name, counting)
 
-    count(layers, "_coend_pieces")
-    count(layers, "smash")
+    for name in ("layer_census", "latching_coend", "homology_of_complex", "_coend_pieces", "smash"):
+        count(layers, name)
     # the package exports a function named homology, so fetch the module
-    count(layers, "tensor_chain_complex")
     count(sys.modules["forestcalc.homology"], "chain_complex")
     argv = ["layer", "--m", "points:2", "--n", "2"] + (["--emit-cells"] if emit else [])
     code, env, _ = run_json(capsys, argv)
     assert code == 0
-    assert calls == {
-        "_coend_pieces": 1,
-        "smash": 3,
-        "chain_complex": 1,
-        "tensor_chain_complex": 2,
-    }
+    assert calls == {"layer_census": 1, "latching_coend": 1, "homology_of_complex": 3}
     assert ("coend_cells" in env["payload"]) == emit
 
 
@@ -394,30 +386,26 @@ def test_debug_validation_keeps_stdout(capsys, monkeypatch, argv):
     assert len(validated) > unchecked_plain
     assert all(not cells for cells in unchecked)
     if argv[0] == "layer":
-        # two powers, two pieces and one mixing piece
-        assert len(unchecked) == 5
+        # the layer builds no product: it reads the power's simplices off
+        # the model, and validates the model and its tree spaces
+        assert unchecked == []
 
 
-def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
+def test_coend_computes_faces_only_for_glued_cells(monkeypatch):
     # the colimit reads a piece's faces only for its glued representatives
     # and never those of a mixing piece, so only those face tuples are
     # ever computed; the coend is glued once, and stage 1 is a subobject
     # of the glued space, so it computes no faces of its own
     monkeypatch.delenv("FORESTCALC_DEBUG", raising=False)
-    built, assemblies = [], []
+    built = []
+    smash = layers.smash
 
-    def recording(wrapped, out):
-        def record(*args, **kwargs):
-            out.append(wrapped(*args, **kwargs))
-            return out[-1]
+    def recording(*args):
+        built.append(smash(*args))
+        return built[-1]
 
-        return record
-
-    monkeypatch.setattr(layers, "smash", recording(layers.smash, built))
-    monkeypatch.setattr(layers, "coend", recording(layers.coend, assemblies))
-    code, _, _ = run_cli(capsys, ["layer", "--m", "circle", "--n", "2"])
-    assert code == 0
-    (assembly,) = assemblies
+    monkeypatch.setattr(layers, "smash", recording)
+    assembly = layers.coend(simplicial.model_circle(), 2)
     pieces = list(assembly.pieces.values())
     mixing = [w for w in built if not any(w is p for p in pieces)]
     assert len(pieces) == 2 and len(mixing) == 1
@@ -435,7 +423,7 @@ def test_coend_computes_faces_only_for_glued_cells(capsys, monkeypatch):
     assert sum(n_k for p in pieces for k, n_k in p.cell_count().items() if k) == 6420
 
 
-def test_coend_reads_each_relation_image_once(capsys, monkeypatch):
+def test_coend_reads_each_relation_image_once(monkeypatch):
     # each piece is divided by its automorphisms as orbits of factor-cell
     # pairs, read off the generators' factor maps, so only the relation
     # of the one non-iso arrow reads images through ProductImages: once
@@ -449,11 +437,84 @@ def test_coend_reads_each_relation_image_once(capsys, monkeypatch):
         return getitem(self, cell)
 
     monkeypatch.setattr(simplicial.ProductImages, "__getitem__", counting)
-    code, _, _ = run_cli(capsys, ["layer", "--m", "circle", "--n", "2"])
-    assert code == 0
+    layers.coend(simplicial.model_circle(), 2)
     assert len(reads) == 1058
     (w,) = {id(source): source for source in reads}.values()
     assert sum(w.cell_count().values()) == 529
+
+
+# stdout of `layer` at the commit before the layer was computed from
+# latching-free cells, by sha256
+LAYER_STDOUT = {
+    ("circle", 1): "69c26e098f0edc1b4663ce60210a05f8d06edd828eccfa3e4dac8782d1faca23",
+    ("circle", 2): "ca306bdd556be49247a7e19063370fa87443be42b9c1be966c7d09712088dddb",
+    ("interval", 1): "7941c584810e6012ff09c12c890f88aa661567a5c81d01d5c1404179119e6c48",
+    ("interval", 2): "4ae7978bb24b7d27a7558facf615ae449ebfb66fe9b5e48fdeefe506e2bbc534",
+    ("points:3", 1): "fca8a56129c828d685fd448caeac321aa3299296b305e0dc94c571e9eee8cd2e",
+    ("points:3", 2): "140aed94aeb4cbbd33f0920a46a0987a0f061c45e3f7d7179d35a64935cdc9e7",
+    ("wedge:2", 1): "c8f8fc5354803ab51e3401e049ff2bf25abe64e461738656c65fa866dd6fc06a",
+    ("wedge:2", 2): "afa690920382e1708d06c178e29db885d830e1d09c2d1c169c3fe8a91821fff1",
+    ("points:15", 2): "a76a90cae2ae519fb7773c76eba4597e5f02715c36ee1c84aaf13bd872132520",
+}
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refused
+
+
+def test_layer_never_reaches_the_simplicial_coend(capsys, monkeypatch):
+    # the simplicial coend is the tests' oracle; with every step of it
+    # refused, `layer` prints the same bytes as when it glued the coend
+    for name in ("coend", "_coend_pieces", "_glue", "stratum", "smash", "power_pair"):
+        monkeypatch.setattr(layers, name, _refuse(name))
+    for (model, n), digest in LAYER_STDOUT.items():
+        code, out, err = run_cli(capsys, ["layer", "--m", model, "--n", str(n)])
+        assert (code, err) == (0, ""), (model, n)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (model, n)
+
+
+@pytest.mark.parametrize(
+    "model, cells", [("points:16", 171_360), ("points:17", 220_320), ("points:19", 348_840)]
+)
+def test_layer_piece_over_the_cap_is_rejected_at_once(capsys, model, cells):
+    # the powers fit the cap but a piece, the power quotient of (0 1)(2 3)
+    # smashed with its tree space, does not; its cells are counted before
+    # any is built (1.3 to 2.8 s when the coend built up to that piece)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["layer", "--m", model, "--n", "2"])
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: product has {cells} cells, exceeds cap 150000\n"
+
+
+TRIANGLE = {
+    "cells": [
+        {"id": "a", "dim": 0},
+        {"id": "b", "dim": 0},
+        {"id": "c", "dim": 0},
+        {"id": "ab", "dim": 1, "faces": ["b", "a"]},
+        {"id": "bc", "dim": 1, "faces": ["c", "b"]},
+        {"id": "ac", "dim": 1, "faces": ["c", "a"]},
+        {"id": "abc", "dim": 2, "faces": ["bc", "ac", "ab"]},
+    ]
+}
+
+
+def test_layer_of_a_triangle(capsys, tmp_path):
+    # a 2-simplex fits at n = 1, with the payload pinned before the layer
+    # was computed from latching-free cells; at n = 2 the power of
+    # (0 1)(2 3) has dimension 8, over the product dimension cap
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE), encoding="utf-8")
+    code, env, err = run_json(capsys, ["layer", "--m", str(path), "--n", "1"])
+    assert (code, err) == (0, "")
+    assert env["digest"] == "5ab7ee07eb76ee274cb403dcb8ed9831965db50036068a7ba914e12688278f3e"
+    code, out, err = run_cli(capsys, ["layer", "--m", str(path), "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: product dimension 8 exceeds cap 6\n"
 
 
 def test_layer_coend_cap_message(capsys):

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,13 @@ import pytest
 from forestcalc import layers
 from forestcalc.category import aut_order_formula, enumerate_en
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.homology import HomologyGroup, chain_complex, homology, homology_of_complex
+from forestcalc.homology import (
+    HomologyGroup,
+    HomologyResult,
+    chain_complex,
+    homology,
+    homology_of_complex,
+)
 from forestcalc.layers import (
     COEND_N_CAP,
     CoendAssembly,
@@ -21,6 +28,9 @@ from forestcalc.layers import (
     coend,
     coend_over_filtration,
     derivative_report,
+    latching_coend,
+    latching_counts,
+    layer_census,
     power_quotient_map,
     stratum,
     t_space_map,
@@ -36,6 +46,7 @@ from forestcalc.simplicial import (
     model_interval,
     model_points,
     model_wedge_of_circles,
+    power,
     product_map,
     quotient,
     same_object,
@@ -43,6 +54,7 @@ from forestcalc.simplicial import (
     surj_compose,
     surj_identity,
     t_space,
+    _surjection_tuples,
 )
 
 from helpers import (
@@ -57,6 +69,7 @@ from helpers import (
     kept_face_sums_reference,
     orbit_stratum,
     product_map_reference,
+    route_a_coend,
     smash_via_product,
     stratum_homology,
     surj_degeneracy,
@@ -909,6 +922,133 @@ def test_stage_cofibers_are_the_strata(name, n):
         (lam,) = [lam for idx, lam in enumerate(table.objects) if table.strata[idx] == i]
         cofiber = homology(quotient(stage, below_cells))
         assert live(cofiber) == live(stratum_homology(stratum(assembly, lam))), i
+
+
+# --- the layer from latching-free cells and top cycles ---------------------------------
+
+
+ROUTE_CASES = [(name, n) for name in ("circle", "interval", "points3", "wedge2") for n in (1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def latching(name, n):
+    """The latching coend of a named model, shared between tests."""
+    return latching_coend(MODELS[name](), n)
+
+
+def groups_json(cx, coefficients):
+    return HomologyResult(coefficients, True, homology_of_complex(cx, coefficients)).groups_json()
+
+
+@pytest.mark.parametrize("name, n", ROUTE_CASES, ids=[f"{c}-n{n}" for c, n in ROUTE_CASES])
+def test_latching_coend_matches_the_simplicial_coend(name, n):
+    # route B, and route A with whole tree spaces, against the homology
+    # of the glued space and of each stratum, over Z, F2 and F3
+    layer = latching(name, n)
+    route_a, route_a_strata = route_a_coend(MODELS[name](), n)
+    assert layer.total.validate() and route_a.validate()
+    total = assembled(name, n).total
+    inputs = strata_inputs(name, n)
+    for coefficients in ("Z", "F2", "F3"):
+        expected = homology(total, coefficients).groups_json()
+        assert groups_json(layer.total, coefficients) == expected, coefficients
+        assert groups_json(route_a, coefficients) == expected, coefficients
+        for idx, lam in enumerate(layer.table.objects):
+            assert layer.strata[idx].validate()
+            expected = stratum_homology(stratum(inputs, lam), coefficients).groups_json()
+            assert groups_json(layer.strata[idx], coefficients) == expected, (lam, coefficients)
+            assert groups_json(route_a_strata[idx], coefficients) == expected, (lam, coefficients)
+
+
+@pytest.mark.parametrize("name, n", ROUTE_CASES, ids=[f"{c}-n{n}" for c, n in ROUTE_CASES])
+def test_latching_generators_follow_the_closed_form(name, n):
+    # sum over lam of |N_lam,d| prod_b (|b| - 1)! / |Aut lam| generators
+    # in degree d + n, with |N_lam,d| counted on the power, where it must
+    # equal the closed form
+    M = MODELS[name]()
+    expected = Counter()
+    for lam in enumerate_en(n).objects:
+        p = power(M, lam.support_size)
+        distinct = Counter(p.dim_of[c] for c in p.all_cells() if len(set(c)) == len(c))
+        assert distinct == latching_counts(M, lam.support_size), lam
+        order = aut_order_formula(lam)
+        words = math.prod(math.factorial(len(b) - 1) for b in lam.blocks)
+        for d, count in distinct.items():
+            assert count % order == 0, (lam, d)
+            expected[d + n] += count // order * words
+    assert latching(name, n).total.ranks == expected
+
+
+CENSUS_CASES = [(name, n) for name in MODELS for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, n", CENSUS_CASES, ids=[f"{c}-n{n}" for c, n in CENSUS_CASES])
+def test_census_matches_the_simplicial_coend(name, n):
+    census = layer_census(MODELS[name](), n)
+    assembly = assembled(name, n)
+    total = assembly.total
+    assert census.gluing == assembly.gluing_log
+    assert census.coend_cells == total.cell_count()
+    dims = [k for c, k in total.dim_of.items() if c != total.basepoint]
+    # a glued space of the basepoint alone reads 0 for both
+    assert (census.cell_dim_low, census.cell_dim_high) == (min(dims, default=0), max(dims, default=0))
+    assert census.stage_euler == {
+        i: sum((-1) ** k * c for k, c in stage.cell_count().items()) - 1
+        for i, stage in assembly.stages.items()
+    }
+
+
+def product_size(factors, coordinate_cells):
+    """(top dimension, cells of each coordinate per dimension, cells) of
+    a product, counted by `_surjection_tuples` on its factors."""
+    tuples = _surjection_tuples(factors, coordinate_cells)
+    per_dim = [Counter(f.dim_of[c] for c in cs) for f, cs in zip(factors, coordinate_cells)]
+    cells = sum(math.prod(k[d] for k, d in zip(per_dim, dims)) * len(t) for dims, t in tuples.items())
+    return sum(f.dimension for f in factors), per_dim, cells
+
+
+def simplicial_coend_products(M, n):
+    """The size of each product that `coend` builds, in the order it
+    builds them, counted on the real factors: the powers, the pieces,
+    and the mixing piece of each hom set between distinct objects."""
+    table = enumerate_en(n)
+    objects = table.objects
+    sizes = [product_size([M] * lam.support_size, [list(M.all_cells())] * lam.support_size) for lam in objects]
+    factors = [(power_pair(M, lam).quotient, t_space(lam)) for lam in objects]
+    off = [[[c for c in f.all_cells() if c != f.basepoint] for f in pair] for pair in factors]
+    sizes += [product_size(pair, cells) for pair, cells in zip(factors, off)]
+    for i in range(len(objects)):
+        for j in range(len(objects)):
+            if j != i and table.hom(i, j):
+                sizes.append(
+                    product_size((factors[j][0], factors[i][1]), (off[j][0], off[i][1]))
+                )
+    return sizes
+
+
+PREFLIGHT_MODELS = {f"points{k}": functools.partial(model_points, k) for k in range(2, 9)}
+PREFLIGHT_MODELS.update(circle=model_circle, interval=model_interval, wedge2=MODELS["wedge2"])
+PREFLIGHT_CASES = [(name, n) for name in PREFLIGHT_MODELS for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, n", PREFLIGHT_CASES, ids=[f"{c}-n{n}" for c, n in PREFLIGHT_CASES])
+def test_census_checks_each_product_of_the_simplicial_coend(monkeypatch, name, n):
+    # the census counts, from cells per dimension alone, every product
+    # the simplicial coend builds, in its order, so it raises that
+    # coend's first cap error
+    checked = []
+    check = layers.check_product_counts
+
+    def recording(top, per_dim):
+        tuples = check(top, per_dim)
+        cells = sum(math.prod(k[d] for k, d in zip(per_dim, dims)) * len(t) for dims, t in tuples.items())
+        checked.append((top, per_dim, cells))
+        return tuples
+
+    monkeypatch.setattr(layers, "check_product_counts", recording)
+    M = PREFLIGHT_MODELS[name]()
+    layer_census(M, n)
+    assert checked == simplicial_coend_products(M, n)
 
 
 # --- reports -------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from forestcalc.powers import (
     sub_diagonal_cells,
 )
 from forestcalc.simplicial import (
+    model_circle,
     model_interval,
     model_points,
     power,
@@ -26,7 +27,7 @@ from forestcalc.simplicial import (
     surj_identity,
 )
 
-from helpers import betti_numbers, indiscrete
+from helpers import betti_numbers, indiscrete, sub_diagonal_cells_reference
 
 
 # --- oracle: diagonals by sweeping every partition ---------------------------
@@ -62,6 +63,18 @@ def test_sub_diagonal_count():
     cells = sub_diagonal_cells(p, indiscrete(2))
     assert len(cells) == 3
     assert sub_diagonal_cells(p, make_partition(2, [[0], [1]])) == set(p.all_cells())
+
+
+@pytest.mark.parametrize("model", [model_circle, lambda: model_points(3)], ids=["circle", "points3"])
+def test_sub_diagonal_cells_match_the_coincidence_partition_route(model):
+    # the cells constant on every block of delta, read off the cells,
+    # are those whose coincidence partition delta refines, on every
+    # power of support <= 4 and every delta
+    M = model()
+    for m in range(1, 5):
+        p = power(M, m)
+        for delta in all_partitions(m):
+            assert sub_diagonal_cells(p, delta) == sub_diagonal_cells_reference(p, delta), delta
 
 
 def test_sub_diagonal_support_mismatch():

@@ -2,6 +2,7 @@
 group actions, tree spaces, and the JSON model format."""
 
 import math
+import time
 from collections import Counter
 from collections.abc import Mapping
 
@@ -10,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forestcalc.errors import CapExceededError, ValidationError
-from forestcalc.homology import HomologyGroup, homology
+from forestcalc.homology import HomologyGroup, chain_complex, homology
+from forestcalc.kernel import sparse_elementary_divisors
 from forestcalc.partitions import (
     all_partitions,
     canonicalize,
@@ -48,6 +50,7 @@ from forestcalc.simplicial import (
     t_space,
     t_space_suspension_model,
     t_space_top_cells,
+    top_cycles,
 )
 
 from helpers import (
@@ -635,6 +638,73 @@ def test_suspension_size_cap_before_any_work(monkeypatch):
                 t_space_suspension_model(lam)
     with pytest.raises(CapExceededError, match="340200 top cells, exceeds cap 13500"):
         t_space_suspension_model(indiscrete(7))
+
+
+# --- top cycles of tree spaces ------------------------------------------------------
+
+
+def shapes_with_excess(m):
+    """One partition of each shape on m points with positive excess,
+    singleton blocks included."""
+    return sorted({canonicalize(p) for p in all_partitions(m) if p.excess > 0}, key=str)
+
+
+def test_top_cycles_are_a_basis_of_the_top_homology():
+    # every shape of support <= 6: prod_b (|b| - 1)! cycles, the rank of
+    # the top homology; each is a cycle of the chain complex; their
+    # matrix on the top cells has only unit elementary divisors, so they
+    # span the top cycles over Z; and each reads as its own unit vector
+    # through the dual chains
+    shapes = [lam for m in range(2, 7) for lam in shapes_with_excess(m)]
+    assert len(shapes) == 23
+    for lam in shapes:
+        cycles, e = top_cycles(lam), lam.excess
+        space = t_space(lam)
+        top = space.cells[e]
+        column = {chain: j for j, chain in enumerate(top)}
+        boundary = {}
+        for i, j, v in chain_complex(space).boundary(e):
+            boundary.setdefault(j, []).append((i, v))
+        count = math.prod(math.factorial(len(b) - 1) for b in lam.blocks)
+        assert len(cycles.words) == count == homology(space).group(e).rank, lam
+        entries = []
+        for w in range(count):
+            rho = cycles.cycle(w)
+            faces = Counter()
+            for chain, sign in rho.items():
+                for i, v in boundary.get(column[chain], ()):
+                    faces[i] += sign * v
+            assert not any(faces.values()), (lam, w)
+            assert cycles.coordinates(rho.items()) == {w: 1}, (lam, w)
+            entries += [(column[chain], w, sign) for chain, sign in rho.items()]
+        assert sparse_elementary_divisors(entries, len(top), count) == [1] * count, lam
+
+
+def test_top_cycles_pair_with_their_dual_chains_at_support_7():
+    # the count and the pairing, for the 14 shapes of support 7; each
+    # chain is read off the masks of its cuts, so this stays fast (48 s
+    # when each chain was built whole)
+    start = time.monotonic()
+    shapes = shapes_with_excess(7)
+    assert len(shapes) == 14
+    for lam in shapes:
+        cycles = top_cycles(lam)
+        assert len(cycles.words) == math.prod(math.factorial(len(b) - 1) for b in lam.blocks)
+        for w in range(len(cycles.words)):
+            assert cycles.coordinates(cycles.cycle(w).items()) == {w: 1}, (lam, w)
+    assert time.monotonic() - start < 2.0
+
+
+def test_top_cycle_coordinates_read_a_combination():
+    # a combination of the basis reads back its coefficients, and the
+    # chains off the dual chains do not matter to the reading
+    lam = make_partition(5, [[0, 1, 2], [3, 4]])
+    cycles = top_cycles(lam)
+    assert cycles.words == (((0, 1, 2), (3, 4)), ((0, 2, 1), (3, 4)))
+    terms = [(chain, 3 * s) for chain, s in cycles.cycle(0).items()]
+    terms += [(chain, -2 * s) for chain, s in cycles.cycle(1).items()]
+    assert cycles.coordinates(terms) == {0: 3, 1: -2}
+    assert cycles.coordinates(terms + terms) == {0: 6, 1: -4}
 
 
 # --- JSON models -----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import forestcalc.verify
-from forestcalc import partitions
+from forestcalc import partitions, powers
 from forestcalc.category import CategoryTable, enumerate_en
 from forestcalc.envelope import canonical_json
 from forestcalc.verify import (
@@ -87,7 +87,7 @@ def test_quick_level_all_pass():
 
 
 def test_quick_level_computes_each_image_once_per_map(monkeypatch):
-    # the checks ask for 23,792 image partitions; each map keeps its own,
+    # the checks ask for 23,788 image partitions; each map keeps its own,
     # so only a map's first request for a partition runs the merge kernel
     computed = 0
     compute = partitions._image
@@ -100,7 +100,25 @@ def test_quick_level_computes_each_image_once_per_map(monkeypatch):
     monkeypatch.setattr(partitions, "_image", counted)
     results = run_checks("quick")
     assert {r.name: r.details for r in results} == QUICK_DETAILS
-    assert computed == 7080
+    assert computed == 7076
+
+
+def test_quick_level_reads_few_coincidence_partitions(monkeypatch):
+    # a sub-diagonal is read off the cells' coordinates, and the layer
+    # reports build no power pairs, so only the bad cells of the
+    # power-diagonal routes and the fat reconstruction read coincidence
+    # partitions: 331, where the sweeps and power pairs made 3,068
+    calls = []
+    read = powers.coincidence_partition
+
+    def counted(cell):
+        calls.append(cell)
+        return read(cell)
+
+    monkeypatch.setattr(powers, "coincidence_partition", counted)
+    results = run_checks("quick")
+    assert all(r.passed for r in results)
+    assert len(calls) == 331
 
 
 def test_fault_injection_trips_exactly_one_check():
