@@ -50,7 +50,6 @@ _EXPORTS = {
     "product": "simplicial",
     "quotient": "simplicial",
     "smash": "simplicial",
-    "suspension": "simplicial",
     "t_space": "simplicial",
     "t_space_suspension_model": "simplicial",
     "ChainComplex": "homology",
@@ -60,6 +59,7 @@ _EXPORTS = {
     "cover_acyclicity": "homology",
     "homology": "homology",
     "smith_normal_form": "homology",
+    "suspension_homology": "homology",
     "bad_diagonal_cells": "powers",
     "fat_diagonal_cells": "powers",
     "power_pair": "powers",

@@ -16,7 +16,7 @@ from .category import enumerate_en
 from .cli import EXIT_COMPUTATION, EXIT_OK, parse_partition
 from .errors import CapExceededError, ValidationError
 from .fusion import goodness_via_graph, is_good
-from .homology import cover_acyclicity, homology, parse_coefficients
+from .homology import cover_acyclicity, homology, parse_coefficients, suspension_homology
 from .layers import derivative_report
 from .partitions import all_partitions, check_support_cap
 from .simplicial import (
@@ -127,14 +127,14 @@ def run_tspace(args):
     parse_coefficients(args.coeff)
     lam = parse_partition(args.lam)
     if args.model == "suspension":
-        space = t_space_suspension_model(lam)
+        cells, result = suspension_homology(t_space_suspension_model(lam), args.coeff)
     else:
         space = t_space(lam)
-    result = homology(space, coefficients=args.coeff)
+        cells, result = space.cell_count(), homology(space, coefficients=args.coeff)
     return {
         "lam": lam.to_json(),
         "model": args.model,
-        "cells": {str(k): v for k, v in space.cell_count().items()},
+        "cells": {str(k): v for k, v in cells.items()},
         "homology": result.to_json(),
     }, EXIT_OK
 

@@ -83,6 +83,7 @@ from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
     SimplicialObject,
+    _smash_counts,
     check_product_counts,
     check_product_size,
     descend_to_quotients,
@@ -526,24 +527,6 @@ def latching_counts(M, k):
         count = sum((-1) ** j * comb(d, j) * perm(r[d - j], k) for j in range(d + 1))
         if count:
             out[d] = count
-    return out
-
-
-def _joint_counts(a, b):
-    """k -> the jointly nondegenerate pairs of monotone surjections
-    [k] -> [a] and [k] -> [b]: each of the k steps moves the first, the
-    second or both, and a + b - k of the first's a steps move both."""
-    return {k: comb(k, a) * comb(a, a + b - k) for k in range(max(a, b), a + b + 1)}
-
-
-def _smash_counts(xs, ys):
-    """k -> the k-cells of a smash product other than its basepoint, from
-    the non-basepoint cells of its factors per dimension."""
-    out = Counter()
-    for a, x in xs.items():
-        for b, y in ys.items():
-            for k, pairs in _joint_counts(a, b).items():
-                out[k] += x * y * pairs
     return out
 
 

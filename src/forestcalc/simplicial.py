@@ -23,7 +23,10 @@ PRODUCT_DIM_CAP = 6
 # wedge:2 at n = 2 builds 83,232 cells; points:60 at n = 2 would need 216,000
 PRODUCT_CELL_CAP = 150_000
 T_SPACE_TOP_CELL_CAP = 56_700  # T7 takes about 2.6 s and 150 MB; T8 has 1,587,600
-# excess x top cells of T(lam); (0 1 2 3 4 5) takes about 1.1 s and 58 MB
+# excess x top cells of T(lam): the top cells of the suspension model
+# S^1 smash Q, which is read from Q and never built, so the cap guards no
+# costly work ((0 1 2 3 4 5), at 13,500, takes about 0.14 s).  It stays so
+# that T7's model, at 340,200, exits 2 with the same line.
 SUSPENSION_TOP_CELL_CAP = 13_500
 
 
@@ -341,6 +344,24 @@ def check_product_counts(top, per_dim):
     return surjection_tuples
 
 
+def _joint_counts(a, b):
+    """k -> the jointly nondegenerate pairs of monotone surjections
+    [k] -> [a] and [k] -> [b]: each of the k steps moves the first, the
+    second or both, and a + b - k of the first's a steps move both."""
+    return {k: math.comb(k, a) * math.comb(a, a + b - k) for k in range(max(a, b), a + b + 1)}
+
+
+def _smash_counts(xs, ys):
+    """k -> the k-cells of a smash product other than its basepoint, from
+    the non-basepoint cells of its factors per dimension."""
+    out = Counter()
+    for a, x in xs.items():
+        for b, y in ys.items():
+            for k, pairs in _joint_counts(a, b).items():
+                out[k] += x * y * pairs
+    return out
+
+
 def check_product_size(factors):
     """Raise CapExceededError when product(factors) is over a cap,
     without building it."""
@@ -498,67 +519,6 @@ def _smash_cells(a, b):
     ]
     cells = _product_cells(factors, coordinate_cells)
     return {0: [BASEPOINT] + cells.pop(0, []), **cells}
-
-
-class SuspensionFaces(dict):
-    """Face table of the suspension S^1 smash X of a space of chains X
-    whose last face stays (`suspension`), computed on each lookup and
-    never stored.
-
-    A cell pairs (e, alpha), alpha a surjection [d] -> [1] that steps up
-    at position a, with (x, beta), beta either the identity of a d-chain
-    x or s, the degeneracy of a (d - 1)-chain that repeats a - 1.  Face
-    i drops position i from both words by the simplicial identities.  It
-    falls to the basepoint when alpha loses its only 0 or its only 1
-    (the circle's vertex), or when it takes face 0 of x, which is X's
-    basepoint; face 0 always does one or the other.  Otherwise alpha's
-    face steps up at a2, and beta's face is x itself when s repeats i,
-    or x with element i - (i > a) dropped, degenerated by the s that
-    repeats a2 - 1.  Every face of X keeps the identity word, so the
-    two words are jointly nondegenerate and each face is a cell with
-    the identity word.
-    """
-
-    def __missing__(self, cell):
-        # only a cell of positive dimension has faces
-        if not isinstance(cell, tuple) or len(cell[0][1]) < 2:
-            raise KeyError(cell)
-        (e, alpha), (x, beta) = cell
-        d = len(alpha) - 1
-        a = alpha.index(1)
-        degenerate = beta[-1] < d
-        ident, collapsed = surj_identity(d - 1), (BASEPOINT, surj_zero(d - 1))
-        out = [collapsed]
-        for i in range(1, d + 1):
-            if i == d and a == d:
-                out.append(collapsed)
-                continue
-            a2 = a - (i < a)
-            if degenerate and a - 1 <= i <= a:
-                t, gamma = x, ident
-            else:
-                j = i - (degenerate and i > a)
-                t = x[:j] + x[j + 1:]
-                gamma = _degeneracy(d - 1, a2 - 1) if degenerate else ident
-            out.append((((e, alpha[:i] + alpha[i + 1:]), (t, gamma)), ident))
-        return tuple(out)
-
-
-@functools.cache
-def _degeneracy(k, j):
-    """The surjection [k] -> [k - 1] that repeats j."""
-    return tuple(range(j + 1)) + tuple(range(j, k))
-
-
-def suspension(obj):
-    """The smash product of the pointed circle with a space of chains
-    whose last face stays, with the cells, cell order and faces of
-    smash(model_circle(pointed=True), obj), its faces in closed form
-    (`SuspensionFaces`).  Any other object is a ValidationError."""
-    if not isinstance(obj.faces, ChainFaces) or obj.faces.last_collapses:
-        raise ValidationError("suspension needs a space of chains whose last face stays")
-    cells = _smash_cells(model_circle(pointed=True), obj)
-    return SimplicialObject(cells, SuspensionFaces(), basepoint=BASEPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -921,18 +881,17 @@ def _prefix_masks(order):
 
 
 def t_space_suspension_model(lam):
-    """Suspension description: the circle smashed with the nerve of the
-    refinement poset minus its maximum, modulo the chains that miss the
-    minimum.
+    """The space of chains Q that the suspension description of T(lam)
+    suspends: the nerve of the refinement poset of lam minus its
+    maximum, modulo the chains that miss the minimum.  The model of
+    T(lam) is S^1 smash Q, whose cells and homology
+    `homology.suspension_homology` reads from Q with no smash built.
 
     The cells left are the chains from the minimum: the first face of
     each falls to the basepoint, and every other face drops one element
     and stays such a chain (`ChainFaces`, computed on lookup).  Cell
-    names index the poset without its maximum, as they would in the
-    nerve of that subposet.  The smash with the circle is built in
-    closed form (`suspension`), its faces computed on lookup too.
-    Requires positive excess; the degenerate case has no suspension
-    description.
+    names index the refinement poset, as in `t_space`.  Requires
+    positive excess; the degenerate case has no suspension description.
     """
     if lam.excess == 0:
         raise ValidationError("suspension model needs positive excess")
@@ -942,13 +901,10 @@ def t_space_suspension_model(lam):
         raise CapExceededError(
             f"suspension model has {top} top cells, exceeds cap {SUSPENSION_TOP_CELL_CAP}"
         )
-    poset = refinement_poset(lam)
-    mx = poset.max_index
     cells = {0: [BASEPOINT]}
-    for k, chains in enumerate(_chains_from_min(poset)):
-        cells.setdefault(k, []).extend(tuple(i - (i > mx) for i in ch) for ch in chains)
-    q = SimplicialObject(cells, ChainFaces(last_collapses=False), basepoint=BASEPOINT)
-    return suspension(q)
+    for k, chains in enumerate(_chains_from_min(refinement_poset(lam))):
+        cells.setdefault(k, []).extend(chains)
+    return SimplicialObject(cells, ChainFaces(last_collapses=False), basepoint=BASEPOINT)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from forestcalc.partitions import (
     image_partition,
     refinement_poset,
 )
-from forestcalc import simplicial
 from forestcalc.fusion import is_good
 from forestcalc.powers import coincidence_partition, fat_diagonal_cells, induced_power_map
 from forestcalc.simplicial import (
@@ -73,7 +72,6 @@ from forestcalc.simplicial import (
     surj_compose,
     surj_identity,
     surj_zero,
-    suspension,
     t_space,
 )
 
@@ -289,35 +287,15 @@ def suspension_via_nerve(lam):
     """The suspension model by its definition: the nerve of the whole
     refinement poset of lam, with the chains through the maximum dropped
     and the chains missing the minimum collapsed, smashed with the
-    circle.  Chains are renamed to index the poset without its maximum.
-    The oracle for `t_space_suspension_model`, which builds the chains
-    from the minimum directly."""
+    circle.  The oracle for `t_space_suspension_model` and
+    `suspension_homology`, which read the model's cells and homology
+    from the chains from the minimum, built directly."""
     poset = refinement_poset(lam)
     mn, mx = poset.min_index, poset.max_index
     full = nerve(poset)
     below = subobject(full, [c for c in full.all_cells() if mx not in c])
-
-    def rename(chain):
-        return tuple(i - (i > mx) for i in chain)
-
-    renamed = SimplicialObject(
-        {k: [rename(c) for c in names] for k, names in below.cells.items()},
-        {rename(c): tuple((rename(t), a) for t, a in fs) for c, fs in below.faces.items()},
-    )
-    away = [c for c in renamed.all_cells() if mn - (mn > mx) not in c]
-    return smash(model_circle(pointed=True), quotient(renamed, away))
-
-
-def suspended_objects(monkeypatch):
-    """The objects that `t_space_suspension_model` suspends, recorded."""
-    objects = []
-
-    def recording_suspension(obj):
-        objects.append(obj)
-        return suspension(obj)
-
-    monkeypatch.setattr(simplicial, "suspension", recording_suspension)
-    return objects
+    away = [c for c in below.all_cells() if mn not in c]
+    return smash(model_circle(pointed=True), quotient(below, away))
 
 
 def product_map_reference(maps, source, target):

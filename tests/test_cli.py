@@ -142,6 +142,26 @@ def test_tspace_suspension_agrees(capsys):
     assert env_a["payload"]["homology"]["groups"] == env_b["payload"]["homology"]["groups"]
 
 
+# stdout of `tspace --model suspension` at the commit before the model
+# was read from its chain space, by sha256
+SUSPENSION_STDOUT = {
+    ("(0 1 2)", "Z"): "787e981800cdb498e4d8336f960e4b11aed1d61c070d4e65b6376ccb633dd3f8",
+    ("(0 1 2)", "F2"): "381abce1f13f33adbb97f8d839611200ecc0968ed2c8db26a7a165260278f3b8",
+    ("(0 1)(2 3)", "Z"): "b86f195ba887aedd55e71bd561296d8f94d9b9ab2794f09dd1c9bad3865b0fb3",
+    ("(0 1)(2 3)", "F2"): "de612d4a84518f2a31399ed801886cf213015444988e8d1b4a0176c6255c5c9c",
+    ("(0 1 2 3 4)", "Z"): "8996c646c3ba5dad249c11cf6a4c6ad6e7daa5048d53874db056a615fcf637a7",
+    ("(0 1 2 3 4)", "F2"): "d61db6daf40e69d266faf5456b59c3acbf5a2bd985bc118887592e3c3df11dc0",
+}
+
+
+@pytest.mark.parametrize("lam, coeff", sorted(SUSPENSION_STDOUT), ids=" ".join)
+def test_tspace_suspension_stdout_is_pinned(capsys, lam, coeff):
+    argv = ["tspace", "--lambda", lam, "--model", "suspension", "--coeff", coeff]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SUSPENSION_STDOUT[lam, coeff]
+
+
 def test_tspace_bad_partition(capsys):
     code, _, err = run_cli(capsys, ["tspace", "--lambda", "garbage"])
     assert code == 2

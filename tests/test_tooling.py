@@ -242,8 +242,8 @@ def test_one_boundary_layout_in_production():
     # corner, and the checks read the runs, not triples; the product
     # face table has one mode, computing each face on lookup,
     # simplicial.py defines one smash and takes the faces of a simplex
-    # in one routine, and the suspension model, built in closed form,
-    # never calls smash
+    # in one routine, and the suspension model, read from the chain space
+    # it suspends, builds no smash or product and has no face table
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     complexes = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
@@ -277,7 +277,9 @@ def test_one_boundary_layout_in_production():
         for node in ast.walk(defined["t_space_suspension_model"])
         if isinstance(node, ast.Call)
     ]
-    assert "suspension" in suspension_calls and "smash" not in suspension_calls
+    assert not {"smash", "_smash_cells", "product"} & set(suspension_calls), suspension_calls
+    classes = [node.name for node in simplicial.body if isinstance(node, ast.ClassDef)]
+    assert "SuspensionFaces" not in classes, classes
     tree = _parse(os.path.join(PACKAGE, "homology.py"))
     layout_sites = [
         function.name
@@ -358,9 +360,8 @@ def test_product_map_stores_no_image_table():
 
 def test_joint_normalizer_only_where_words_can_degenerate():
     # a product's faces and a product map's images renormalize refs
-    # whose words can share a degeneracy; every face of the suspension
-    # of a chain space is a cell with the identity word, so no other
-    # code in the package constructs a JointNormalizer
+    # whose words can share a degeneracy, so no other code in the
+    # package constructs a JointNormalizer
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     sites = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
