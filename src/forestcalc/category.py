@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
 from .fusion import PartitionMorphism
-from .partitions import SetMap, UnionFind, canonical_object
+from .partitions import Frozen, SetMap, UnionFind, canonical_object
 
 EN_CAP = 5
 HOM_MATERIALIZE_CAP = 4  # full hom sets above this get impractically large
@@ -119,7 +119,7 @@ def _place_blocks(blocks, b, classes, budgets, parent, values, out):
 # automorphism groups
 
 
-class GroupPresentation:
+class GroupPresentation(Frozen):
     """A permutation group on the support, with its exact order.  Frozen."""
 
     __slots__ = ("degree", "generators", "order")
@@ -128,12 +128,6 @@ class GroupPresentation:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", generators)  # tuple of value tuples
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupPresentation is frozen: cannot assign {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroupPresentation is frozen: cannot delete {name}")
 
     def to_json(self):
         return {
@@ -450,85 +444,62 @@ def verify_essentially_cofibrant(n, model):
     map one-to-one onto the fat diagonal of the full power; the
     automorphisms must act freely off the fat diagonal.
     """
-    from .powers import (
-        bad_diagonal_cells,
-        coincidence_partition,
-        fat_diagonal_cells,
-        induced_power_map,
-    )
+    from .powers import bad_diagonal_cells, coincidence_partition, fat_diagonal_cells
     from .simplicial import power
 
     if n > 3:
         raise CapExceededError("cofibrancy check is capped at excess 3")
     table = enumerate_en(n)
-    powers = {}
-
-    def power_of(m):
-        if m not in powers:
-            powers[m] = power(model, m)
-        return powers[m]
-
     sizes = [p.support_size for p in table.objects]
+    powers = {m: power(model, m) for m in sorted(set(sizes))}
     strata_reports = []
     for idx, lam in enumerate(table.objects):
-        m = lam.support_size
-        big = power_of(m)
+        big = powers[lam.support_size]
         fat = fat_diagonal_cells(big)
         bad = bad_diagonal_cells(big, lam)
         lower = [j for j in range(len(table.objects)) if table.strata[j] < table.strata[idx]]
-        arrows = []
-        for j in lower:
-            for f in table.hom(idx, j):
-                arrows.append((j, f))
-        arrow_id = {(j, f): a for a, (j, f) in enumerate(arrows)}
-        # disjoint simplices of the lower powers, glued over commuting triangles
-        uf = UnionFind(
-            (a, cell)
-            for a, (j, _) in enumerate(arrows)
-            for cell in power_of(sizes[j]).all_cells()
-        )
+        arrows = [(j, f) for j in lower for f in table.hom(idx, j)]
+        arrow_id = {arrow: a for a, arrow in enumerate(arrows)}
+        # disjoint simplices of the lower powers, glued over commuting
+        # triangles; an arrow f moves cell c to the cell reading c[f(t)]
+        uf = UnionFind()
         for a, (j, f) in enumerate(arrows):
-            pj = power_of(sizes[j])
             for k in lower:
-                pk = power_of(sizes[k])
                 for g in table.hom(j, k):
                     b = arrow_id[(k, tuple(g[x] for x in f))]
-                    gmap = induced_power_map(SetMap(sizes[j], sizes[k], g), pk, pj)
-                    for cell in pk.all_cells():
-                        image_ref = gmap.cell_image(cell)
-                        uf.union((a, image_ref[0]), (b, cell))
-        # image of each class inside the big power
+                    for cell in powers[sizes[k]].all_cells():
+                        uf.union((a, tuple(cell[x] for x in g)), (b, cell))
+        # image of each class inside the big power; every (arrow, cell)
+        # node is visited, so the keys are exactly the colimit classes
         image_of_class = {}
-        conflict = None
+        conflict = False
         for a, (j, f) in enumerate(arrows):
-            pj = power_of(sizes[j])
-            fmap = induced_power_map(SetMap(m, sizes[j], f), pj, big)
-            for cell in pj.all_cells():
+            for cell in powers[sizes[j]].all_cells():
                 root = uf.find((a, cell))
-                img = fmap.cell_image(cell)[0]
-                if root in image_of_class and image_of_class[root] != img:
-                    conflict = (root, image_of_class[root], img)
+                img = tuple(cell[x] for x in f)
+                if image_of_class.get(root, img) != img:
+                    conflict = True
                 image_of_class[root] = img
-        off_bad = {}
+        off_bad = set()
         double = None
-        for root, img in image_of_class.items():
+        for img in image_of_class.values():
             if img in bad:
                 continue
             if img in off_bad:
                 double = img
-            off_bad[img] = root
-        covered = set(off_bad) | bad
+            off_bad.add(img)
+        covered = off_bad | bad
         report = {
             "object": str(lam),
             "stratum": table.strata[idx],
             "arrows": len(arrows),
-            "colimit_classes": len(uf.classes()),
+            "colimit_classes": len(image_of_class),
             "fat_cells": len(fat),
             "bad_cells": len(bad),
             "glued_cells": len(covered),
-            "passed": covered == fat and double is None and conflict is None,
+            "passed": covered == fat and double is None and not conflict,
         }
-        if conflict is not None:
+        if conflict:
             report["conflict"] = "a colimit class maps to two different cells"
         if double is not None:
             report["overlap_cell"] = repr(double)
@@ -542,8 +513,7 @@ def verify_essentially_cofibrant(n, model):
             if cell in fat:
                 continue
             for g in group.generators:
-                moved = tuple(cell[g[t]] for t in range(m))
-                if moved == cell:
+                if tuple(cell[x] for x in g) == cell:
                     k_part = coincidence_partition(cell)
                     stuck = (repr(cell), list(g), str(k_part))
                     break

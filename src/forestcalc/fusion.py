@@ -8,6 +8,7 @@ f(p) = q exactly, and a refinement when f is the identity.
 from .errors import NotAFusionError, SupportMismatchError, ValidationError
 from .kernel import sparse_elementary_divisors
 from .partitions import (
+    Frozen,
     SetMap,
     UnionFind,
     all_partitions,
@@ -17,7 +18,7 @@ from .partitions import (
 )
 
 
-class PartitionMorphism:
+class PartitionMorphism(Frozen):
     """A morphism source -> target carried by a set map.  Frozen."""
 
     __slots__ = ("source", "target", "map")
@@ -38,12 +39,6 @@ class PartitionMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "map", map)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PartitionMorphism is frozen: cannot assign {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PartitionMorphism is frozen: cannot delete {name}")
 
     def __str__(self):
         return f"{self.source} -> {self.target} via {list(self.map.values)}"

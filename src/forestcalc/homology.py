@@ -30,6 +30,7 @@ from operator import sub
 
 from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
+from .partitions import Frozen
 from .simplicial import ChainFaces, _debug, _smash_counts, subobject, surj_identity
 
 # a cube has 2^d corners: 12 interval covers take about 0.4 s and 35 MB,
@@ -413,7 +414,7 @@ def rank_mod_p(entries, nrows, ncols, p):
 # homology groups
 
 
-class HomologyGroup:
+class HomologyGroup(Frozen):
     """A finitely generated abelian group: free rank and invariant
     factors > 1, in divisibility order.  Frozen; equal fields give
     equal, equally hashed groups."""
@@ -423,12 +424,6 @@ class HomologyGroup:
     def __init__(self, rank, torsion):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HomologyGroup is frozen: cannot assign {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"HomologyGroup is frozen: cannot delete {name}")
 
     def __eq__(self, other):
         if other.__class__ is not HomologyGroup:

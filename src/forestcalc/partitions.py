@@ -64,7 +64,21 @@ class UnionFind:
         return list(groups.values())
 
 
-class Partition:
+class Frozen:
+    """Base of the immutable records: each `__init__` sets its slots
+    through `object.__setattr__`, and afterwards every assignment or
+    deletion raises AttributeError naming the record's class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name}")
+
+
+class Partition(Frozen):
     """A partition of the support {0..support_size-1} into disjoint blocks.
 
     Blocks are stored canonically: each block sorted, blocks ordered by
@@ -97,12 +111,6 @@ class Partition:
                 raise ValidationError(f"element {x} missing from every block")
         object.__setattr__(self, "support_size", support_size)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Partition is frozen: cannot assign {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Partition is frozen: cannot delete {name}")
 
     def __eq__(self, other):
         if other.__class__ is not Partition:
@@ -214,7 +222,7 @@ def check_support_cap(m):
         raise CapExceededError(f"support {m} exceeds cap {POSET_SUPPORT_CAP}")
 
 
-class SetMap:
+class SetMap(Frozen):
     """A map {0..source_size-1} -> {0..target_size-1} stored by its
     values.  Frozen.
 
@@ -235,12 +243,6 @@ class SetMap:
         object.__setattr__(self, "target_size", target_size)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "images", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SetMap is frozen: cannot assign {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SetMap is frozen: cannot delete {name}")
 
     def __call__(self, x):
         return self.values[x]

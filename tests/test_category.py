@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import forestcalc.powers
 from forestcalc.category import (
     CategoryTable,
     GroupPresentation,
@@ -14,10 +15,12 @@ from forestcalc.category import (
     enumerate_en,
     shapes_of_excess,
     strict_fusions,
+    verify_essentially_cofibrant,
     verify_nice_filtration,
 )
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.partitions import SetMap, all_partitions, image_partition, make_partition
+from forestcalc.simplicial import model_circle, model_points
 
 from helpers import brute_force_fusions, compose, filtration
 
@@ -384,6 +387,75 @@ def test_nice_filtration_reports_bad_map():
     cert = verify_nice_filtration(broken)
     assert cert["passed"] is False
     assert cert["reason"] == "morphism into a deeper stratum"
+
+
+# --- essential cofibrancy -----------------------------------------------------
+
+COFIBRANCY_FIELDS = (
+    "object", "stratum", "arrows", "colimit_classes", "fat_cells",
+    "bad_cells", "glued_cells", "passed", "free_off_fat",
+)
+COFIBRANCY_STRATA = {
+    (1, "points:2"): [("(0 1)", 1, 0, 0, 2, 2, 2, True, True)],
+    (1, "points:3"): [("(0 1)", 1, 0, 0, 3, 3, 3, True, True)],
+    (1, "circle"): [("(0 1)", 1, 0, 0, 2, 2, 2, True, True)],
+    (2, "points:2"): [
+        ("(0 1 2)", 1, 0, 0, 8, 8, 8, True, True),
+        ("(0 1)(2 3)", 2, 24, 32, 16, 16, 16, True, True),
+    ],
+    (2, "points:3"): [
+        ("(0 1 2)", 1, 0, 0, 21, 21, 21, True, True),
+        ("(0 1)(2 3)", 2, 24, 108, 81, 57, 81, True, True),
+    ],
+    (2, "circle"): [
+        ("(0 1 2)", 1, 0, 0, 14, 14, 14, True, True),
+        ("(0 1)(2 3)", 2, 24, 104, 102, 54, 102, True, True),
+    ],
+}
+COFIBRANCY_MODELS = {
+    "points:2": lambda: model_points(2),
+    "points:3": lambda: model_points(3),
+    "circle": model_circle,
+}
+
+
+@pytest.mark.parametrize("n, model", sorted(COFIBRANCY_STRATA))
+def test_cofibrancy_report_fields(n, model):
+    report = verify_essentially_cofibrant(n, COFIBRANCY_MODELS[model]())
+    assert report["n"] == n and report["passed"] is True
+    assert [set(r) for r in report["strata"]] == [set(COFIBRANCY_FIELDS)] * len(report["strata"])
+    pinned = [tuple(r[k] for k in COFIBRANCY_FIELDS) for r in report["strata"]]
+    assert pinned == COFIBRANCY_STRATA[n, model]
+
+
+def test_cofibrancy_report_pins_a_failure(monkeypatch):
+    # dropping the smallest bad cell leaves it uncovered at the lowest
+    # stratum and glues it twice at the next one
+    keep = forestcalc.powers.bad_diagonal_cells
+
+    def drop_one(big, lam):
+        cells = set(keep(big, lam))
+        cells.discard(min(cells, key=repr))
+        return cells
+
+    monkeypatch.setattr(forestcalc.powers, "bad_diagonal_cells", drop_one)
+    point = "('p0', (0,))"
+    assert verify_essentially_cofibrant(2, model_points(2)) == {
+        "n": 2,
+        "passed": False,
+        "strata": [
+            {
+                "object": "(0 1 2)", "stratum": 1, "arrows": 0, "colimit_classes": 0,
+                "fat_cells": 8, "bad_cells": 7, "glued_cells": 7, "passed": False,
+                "mismatch_sample": [f"({point}, {point}, {point})"], "free_off_fat": True,
+            },
+            {
+                "object": "(0 1)(2 3)", "stratum": 2, "arrows": 24, "colimit_classes": 32,
+                "fat_cells": 16, "bad_cells": 15, "glued_cells": 16, "passed": False,
+                "overlap_cell": f"({point}, {point}, {point}, {point})", "free_off_fat": True,
+            },
+        ],
+    }
 
 
 # --- caps and materialization -------------------------------------------------

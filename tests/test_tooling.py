@@ -13,9 +13,9 @@ words can become degenerate, the product's faces and a product map's
 images, normalize refs jointly; the package leaves no
 reference cycles for the garbage collector, so no nested function refers
 to itself; no package module imports dataclasses, its records being
-plain classes whose frozen ones refuse assignment; and the partition,
-fusion, category and verify modules keep no process-wide memo, their
-caches living on the objects that own them."""
+plain classes whose frozen ones share one base that refuses assignment;
+and the partition, fusion, category and verify modules keep no
+process-wide memo, their caches living on the objects that own them."""
 
 import ast
 import gc
@@ -32,7 +32,7 @@ from forestcalc.category import automorphism_group, enumerate_en
 from forestcalc.fusion import PartitionMorphism
 from forestcalc.homology import HomologyGroup
 from forestcalc.layers import coend, derivative_report
-from forestcalc.partitions import Partition, SetMap, all_partitions, make_partition
+from forestcalc.partitions import Frozen, Partition, SetMap, all_partitions, make_partition
 from forestcalc.simplicial import model_circle, model_points
 from forestcalc.verify import run_checks
 
@@ -143,15 +143,20 @@ def test_frozen_records_refuse_assignment_and_compare_by_fields():
     assert repr(g) == "HomologyGroup(rank=1, torsion=(2,))"
     f = SetMap(3, 2, (0, 0, 1))
     morphism = PartitionMorphism(p, Partition(2, ((0,), (1,))), f)
+    # the five records share one frozen base, which names each class
     for record in (p, g, f, morphism, automorphism_group(p)):
+        cls = type(record)
+        assert issubclass(cls, Frozen)
+        assert "__setattr__" not in cls.__dict__ and "__delattr__" not in cls.__dict__
+        refused = f"^{cls.__name__} is frozen: cannot"
         for name in record.__slots__:
             before = getattr(record, name)
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"{refused} assign {name}$"):
                 setattr(record, name, None)
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"{refused} delete {name}$"):
                 delattr(record, name)
             assert getattr(record, name) is before
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{refused} assign extra$"):
             record.extra = None
 
 
