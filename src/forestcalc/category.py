@@ -460,12 +460,14 @@ def verify_essentially_cofibrant(n, model):
         lower = [j for j in range(len(table.objects)) if table.strata[j] < table.strata[idx]]
         arrows = [(j, f) for j in lower for f in table.hom(idx, j)]
         arrow_id = {arrow: a for a, arrow in enumerate(arrows)}
-        # disjoint simplices of the lower powers, glued over commuting
-        # triangles; an arrow f moves cell c to the cell reading c[f(t)]
+        # disjoint simplices of the lower powers, glued over the commuting
+        # triangles of generating arrows g, which fix those of every arrow
+        # j -> k; an arrow f moves cell c to the cell reading c[f(t)]
+        generating = {(j, k): table.generating_arrows(j, k) for j in lower for k in lower}
         uf = UnionFind()
         for a, (j, f) in enumerate(arrows):
             for k in lower:
-                for g in table.hom(j, k):
+                for g in generating[j, k]:
                     b = arrow_id[(k, tuple(g[x] for x in f))]
                     for cell in powers[sizes[k]].all_cells():
                         uf.union((a, tuple(cell[x] for x in g)), (b, cell))

@@ -13,7 +13,10 @@ and top cycles, building no simplex of a power, smash or glued space:
   builds that complex, and the strata as its diagonal blocks: one
   generator per Aut lam-orbit of latching-free cells and word choice,
   each face moved along the coend's relations and read in the top
-  cycles of the object it lands in, with no elimination.
+  cycles of the object it lands in, with no elimination.  A face that
+  leaves lam's summand lands in the image partition of lam under its
+  coincidences, computed by the merge kernel behind `image_partition`
+  and `meet`.
 - `layer_census` counts the cells of the glued space and of its pieces
   in closed form, which gives the gluing counts, the cell dimensions
   and the Euler characteristic of each filtration stage, after checking
@@ -75,6 +78,7 @@ from .homology import (
 from .partitions import (
     SetMap,
     UnionFind,
+    _merged_blocks,
     all_partitions,
     image_partition,
     refinement_poset,
@@ -705,57 +709,41 @@ def _orbit_of_face(face, lam, shapes):
     the representative for the arrow h: lam -> that object, or None when
     the face lies on a diagonal that is bad for lam.
 
-    face is a tuple of simplex indices, one per point of lam; its
-    coincidence partition kappa joins the points with equal indices.
-    The blocks of lam join kappa's blocks into classes, the blocks of
-    h(lam), and kappa is good for lam exactly when that keeps the excess
-    (the criterion of `is_good`).  The representative lists each class's
-    indices increasing, the classes by decreasing size and then
+    face is a tuple of simplex indices, one per point of lam.  Read as a
+    map onto its distinct indices, numbered increasingly, it carries lam
+    to the image partition h(lam), which the merge kernel behind
+    `image_partition` and `meet` computes.  The face's coincidence
+    partition is good for lam exactly when that image keeps lam's excess
+    (the criterion of `is_good`).  The representative lists each block's
+    indices increasing, the blocks by decreasing size and then
     increasingly, so it is the one `_representatives` lists for the
     canonical object of h(lam)'s shape, whose index shapes gives; h sends
     each point to the position of its index there.
     """
-    parent = {x: x for x in face}
-    for block in lam.blocks:
-        a = face[block[0]]
-        while parent[a] != a:
-            a = parent[a]
-        for t in block[1:]:
-            b = face[t]
-            while parent[b] != b:
-                b = parent[b]
-            parent[b] = a
-    classes = {}
-    for x in parent:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        classes.setdefault(root, []).append(x)
-    if len(parent) - len(classes) != lam.excess:
+    distinct = sorted(set(face))
+    label = {x: i for i, x in enumerate(distinct)}
+    blocks = _merged_blocks(len(distinct), lam.blocks, [label[x] for x in face])
+    if len(distinct) - len(blocks) != lam.excess:
         return None
-    ordered = sorted((sorted(c) for c in classes.values()), key=lambda c: (-len(c), c))
-    rep = tuple(x for c in ordered for x in c)
+    # stable, so equal sizes keep the kernel's increasing order, the indices' too
+    ordered = sorted(blocks, key=len, reverse=True)
+    rep = tuple([distinct[i] for b in ordered for i in b])
     position = {x: i for i, x in enumerate(rep)}
-    return shapes[tuple(map(len, ordered))], rep, tuple(position[x] for x in face)
+    return shapes[tuple(map(len, ordered))], rep, tuple([position[x] for x in face])
 
 
-def _pushed_cycle(source, target, f, w, images):
+def _pushed_cycle(source, target, f, w):
     """The coordinates of f_* rho_w on the top cycles of target, for the
     top cycles source of lam, a strict fusion f: lam -> mu and the top
     cycles target of mu.  Each chain of rho_w maps elementwise through
-    the image partition; images keeps the poset index of each element's
-    image under f.  A chain with a repeat is degenerate and no dual
-    chain, so `coordinates` skips it with the rest."""
-    terms = []
-    for chain, sign in source.cycle(w).items():
-        image = []
-        for i in chain:
-            j = images.get(i)
-            if j is None:
-                j = images[i] = target.poset.index[image_partition(f, source.poset.elements[i])]
-            image.append(j)
-        terms.append((tuple(image), sign))
-    return target.coordinates(terms)
+    the image partition, read once per element of lam's poset and kept
+    by f for the other words (`image_partition`).  A chain with a repeat
+    is degenerate and no dual chain, so `coordinates` skips it."""
+    index = target.poset.index
+    moved = [index[image_partition(f, p)] for p in source.poset.elements]
+    return target.coordinates([
+        (tuple([moved[i] for i in chain]), sign) for chain, sign in source.cycle(w).items()
+    ])
 
 
 def latching_coend(M, n, table=None):
@@ -807,35 +795,34 @@ def latching_coend(M, n, table=None):
                 local_numbered[idx] += words
                 ranks[d + n] = ranks.get(d + n, 0) + words
                 local_ranks[idx][d + n] = local_ranks[idx].get(d + n, 0) + words
-    pushes = {}  # (object, h) -> its SetMap, its poset images, word -> coordinates
+    pushes = {}  # (object, h) -> the coordinates of h_* rho_w, word by word
     runs, local_runs = [], {idx: [] for idx in representatives}
     for d in range(top + 1):
         for idx, reps in representatives.items():
             lam = objects[idx]
+            choices = range(len(cycles[idx].words))
             for rep in reps.get(d, ()):
-                terms = []  # (sign, object, representative, h) per face that survives
+                terms = []  # (sign, first generator, first in the stratum or None, pushes)
                 for i in range(d + 1) if d else ():
                     face = tuple(faces[d][x][i] for x in rep)
                     shared = (1 << d - 1) - 1
                     for x in face:
                         shared &= masks[d - 1][x]
                     orbit = None if shared else _orbit_of_face(face, lam, shapes)
-                    if orbit is not None:
-                        terms.append((-1 if i % 2 else 1, *orbit))
-                for w in range(len(cycles[idx].words)):
+                    if orbit is None:
+                        continue
+                    mu, face_rep, h = orbit
+                    if (idx, h) not in pushes:
+                        f = SetMap(lam.support_size, objects[mu].support_size, h)
+                        pushes[idx, h] = [_pushed_cycle(cycles[idx], cycles[mu], f, w) for w in choices]
+                    at, local_at = first[mu, d - 1, face_rep]
+                    terms.append((-1 if i % 2 else 1, at, local_at if mu == idx else None, pushes[idx, h]))
+                for w in choices:
                     run, local = {}, {}
-                    for sign, mu, face_rep, h in terms:
-                        push = pushes.get((idx, h))
-                        if push is None:
-                            f = SetMap(lam.support_size, objects[mu].support_size, h)
-                            push = pushes[idx, h] = (f, {}, {})
-                        f, images, known = push
-                        if w not in known:
-                            known[w] = _pushed_cycle(cycles[idx], cycles[mu], f, w, images)
-                        at, local_at = first[mu, d - 1, face_rep]
-                        for v, c in known[w].items():
+                    for sign, at, local_at, pushed in terms:
+                        for v, c in pushed[w].items():
                             run[at + v] = run.get(at + v, 0) + sign * c
-                            if mu == idx:
+                            if local_at is not None:
                                 local[local_at + v] = local.get(local_at + v, 0) + sign * c
                     runs.append({g: c for g, c in run.items() if c})
                     local_runs[idx].append({g: c for g, c in local.items() if c})
@@ -886,44 +873,37 @@ def derivative_report(M, n, coefficients="Z", emit_cells=False):
     if emit_cells:
         report["coend_cells"] = {str(k): v for k, v in census.coend_cells.items()}
     strata = {}
+    strata_eulers = Counter()  # filtration level -> sum of its strata's Euler characteristics
+    for idx, lam in enumerate(table.objects):
+        label = "-".join(str(s) for s in lam.shape())
+        order = table.groups[idx].order
+        reps = {d: len(r) * order for d, r in layer.representatives[idx].items()}
+        # a latching-free cell has pairwise distinct coordinates, so
+        # only the identity fixes it
+        if reps != census.latching[lam.support_size]:
+            raise ValidationError(f"automorphisms of stratum {label} do not act freely")
+        groups = homology_of_complex(layer.strata[idx], coefficients)
+        strata[label] = {
+            "support": lam.support_size,
+            "free_action": True,
+            "group_order": order,
+            "homology": HomologyResult(coefficients, True, groups).groups_json(),
+            "model": coefficients,
+        }
+        strata_eulers[table.strata[idx]] += strata[label]["homology"]["euler"]
     stage_eulers = census.stage_euler
-    additivity = []
-    for i in range(1, n + 1):
-        stratum_sum = 0
-        for idx, lam in enumerate(table.objects):
-            if table.strata[idx] != i:
-                continue
-            label = "-".join(str(s) for s in lam.shape())
-            order = table.groups[idx].order
-            reps = {d: len(r) * order for d, r in layer.representatives[idx].items()}
-            # a latching-free cell has pairwise distinct coordinates, so
-            # only the identity fixes it
-            if reps != census.latching[lam.support_size]:
-                raise ValidationError(f"automorphisms of stratum {label} do not act freely")
-            groups = homology_of_complex(layer.strata[idx], coefficients)
-            entry = {
-                "support": lam.support_size,
-                "free_action": True,
-                "group_order": order,
-                "homology": HomologyResult(coefficients, True, groups).groups_json(),
-                "model": coefficients,
-            }
-            strata[label] = entry
-            stratum_sum += entry["homology"]["euler"]
-        additivity.append(
-            {
-                "i": i,
-                "stage_euler": stage_eulers[i],
-                "previous_euler": stage_eulers[i - 1],
-                "strata_euler_sum": stratum_sum,
-                "passed": stage_eulers[i] - stage_eulers[i - 1] == stratum_sum,
-            }
-        )
+    steps = [
+        {
+            "i": i,
+            "stage_euler": stage_eulers[i],
+            "previous_euler": stage_eulers[i - 1],
+            "strata_euler_sum": strata_eulers[i],
+            "passed": stage_eulers[i] - stage_eulers[i - 1] == strata_eulers[i],
+        }
+        for i in range(1, n + 1)
+    ]
     report["strata"] = strata
-    report["euler_additivity"] = {
-        "steps": additivity,
-        "passed": all(step["passed"] for step in additivity),
-    }
+    report["euler_additivity"] = {"steps": steps, "passed": all(s["passed"] for s in steps)}
     # reduced homology must live between the extreme cell dimensions
     live = [k for k, g in coend_homology.groups.items() if not g.is_zero()]
     low, high = census.cell_dim_low, census.cell_dim_high

@@ -411,6 +411,13 @@ COFIBRANCY_STRATA = {
         ("(0 1 2)", 1, 0, 0, 14, 14, 14, True, True),
         ("(0 1)(2 3)", 2, 24, 104, 102, 54, 102, True, True),
     ],
+    # the colimit glues along generating arrows alone; these are the
+    # values of the report that glued along every arrow
+    (3, "points:2"): [
+        ("(0 1 2 3)", 1, 0, 0, 16, 16, 16, True, True),
+        ("(0 1 2)(3 4)", 2, 144, 96, 32, 32, 32, True, True),
+        ("(0 1)(2 3)(4 5)", 3, 912, 82, 64, 64, 64, True, True),
+    ],
 }
 COFIBRANCY_MODELS = {
     "points:2": lambda: model_points(2),

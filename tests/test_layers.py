@@ -13,6 +13,7 @@ import pytest
 from forestcalc import layers
 from forestcalc.category import aut_order_formula, enumerate_en
 from forestcalc.errors import CapExceededError, ValidationError
+from forestcalc.fusion import is_good
 from forestcalc.homology import (
     HomologyGroup,
     HomologyResult,
@@ -35,8 +36,8 @@ from forestcalc.layers import (
     stratum,
     t_space_map,
 )
-from forestcalc.partitions import SetMap, make_partition
-from forestcalc.powers import PowerPair, power_pair
+from forestcalc.partitions import SetMap, make_partition, meet
+from forestcalc.powers import PowerPair, coincidence_partition, power_pair
 from forestcalc.simplicial import (
     BASEPOINT,
     SimplicialMap,
@@ -874,12 +875,21 @@ def test_coend_obeys_universal_coefficients(name, n):
 
 
 @pytest.mark.parametrize(
-    "n, ranks", [(1, [0, 0, 1, 3, 6, 10]), (2, [0, 0, 0, 2, 11, 35])], ids=["n1", "n2"]
+    "n, ranks",
+    [
+        (1, [0, 0, 1, 3, 6, 10]),
+        (2, [0, 0, 0, 2, 11, 35]),
+        (3, [0, 0, 0, 0, 6, 50, 225]),
+        (4, [0, 0, 0, 0, 0, 24, 274]),
+    ],
+    ids=["n1", "n2", "n3", "n4"],
 )
 def test_point_layers_have_closed_form(n, ranks):
     # the layer of points:k has free reduced homology in degree n only, of
-    # rank sum over lam of (k)_{|lam|} prod_b (|b| - 1)! / |Aut lam|
-    objects = enumerate_en(n).objects
+    # rank sum over lam of (k)_{|lam|} prod_b (|b| - 1)! / |Aut lam|; the
+    # simplicial coend is capped at n = 2, so above it only the latching
+    # route is checked
+    objects = enumerate_en(n, include_homs=False).objects
     for k, rank in enumerate(ranks):
         formula = sum(
             Fraction(
@@ -890,9 +900,12 @@ def test_point_layers_have_closed_form(n, ranks):
             for lam in objects
         )
         assert formula == rank, k
-        groups = homology(coend(model_points(k), n).total).groups
-        live = {d: g for d, g in groups.items() if not g.is_zero()}
-        assert live == ({n: HomologyGroup(rank, ())} if rank else {}), k
+        expected = {n: HomologyGroup(rank, ())} if rank else {}
+        routes = [homology_of_complex(latching_coend(model_points(k), n).total, "Z")]
+        if n <= COEND_N_CAP:
+            routes.append(homology(coend(model_points(k), n).total).groups)
+        for groups in routes:
+            assert {d: g for d, g in groups.items() if not g.is_zero()} == expected, k
 
 
 COFIBER_CASES = [(name, n) for name in ("points2", "circle", "interval") for n in (1, 2)]
@@ -977,6 +990,53 @@ def test_latching_generators_follow_the_closed_form(name, n):
             assert count % order == 0, (lam, d)
             expected[d + n] += count // order * words
     assert latching(name, n).total.ranks == expected
+
+
+def test_latching_coend_matches_route_a_above_the_coend_cap():
+    # at n = 3 the simplicial coend is capped, so route A, with whole tree
+    # spaces, is the oracle for the total and for each stratum
+    layer = latching_coend(model_circle(), 3)
+    route_a, route_a_strata = route_a_coend(model_circle(), 3)
+    for coefficients in ("Z", "F2"):
+        assert groups_json(layer.total, coefficients) == groups_json(route_a, coefficients)
+        for idx, cx in layer.strata.items():
+            assert groups_json(cx, coefficients) == groups_json(route_a_strata[idx], coefficients)
+    groups = homology_of_complex(layer.total, "Z")
+    live = {d: g for d, g in groups.items() if not g.is_zero()}
+    assert live == {7: HomologyGroup(0, (6,)), 8: HomologyGroup(1, (2, 2)), 9: HomologyGroup(1, ())}
+
+
+FACE_CASES = [("circle", n) for n in (1, 2, 3)] + [("wedge2", n) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, n", FACE_CASES, ids=[f"{c}-n{n}" for c, n in FACE_CASES])
+def test_faces_land_as_the_public_partition_api_says(monkeypatch, name, n):
+    # every face the latching route rewrites, against its coincidence
+    # partition kappa, is_good, and the blocks of meet(lam, kappa) read as
+    # sets of simplex indices: largest first, then increasingly
+    calls = []
+    rewrite = layers._orbit_of_face
+
+    def recording(face, lam, shapes):
+        calls.append((face, lam, rewrite(face, lam, shapes)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(layers, "_orbit_of_face", recording)
+    latching_coend(MODELS[name](), n)
+    assert calls
+    objects = enumerate_en(n, include_homs=False).objects
+    for face, lam, orbit in calls:
+        kappa = coincidence_partition(face)
+        if not is_good(kappa, lam):
+            assert orbit is None, (face, lam)
+            continue
+        blocks = sorted(
+            (sorted({face[t] for t in block}) for block in meet(lam, kappa).blocks),
+            key=lambda b: (-len(b), b),
+        )
+        rep = tuple(x for b in blocks for x in b)
+        (mu,) = [i for i, obj in enumerate(objects) if obj.shape() == tuple(map(len, blocks))]
+        assert orbit == (mu, rep, tuple(rep.index(x) for x in face)), (face, lam)
 
 
 CENSUS_CASES = [(name, n) for name in MODELS for n in (1, 2)]

@@ -10,7 +10,10 @@ routine lays out every boundary, and simplicial.py has one smash, whose
 face table computes each face on lookup; a product map computes each
 image on lookup and stores no table of them; only the two tables whose
 words can become degenerate, the product's faces and a product map's
-images, normalize refs jointly; the package leaves no
+images, normalize refs jointly; the latching route moves a face onto
+its image partition through the merge kernel that `image_partition`
+and `meet` share, and pushes top cycles through the image cache of
+their map, keeping no memo of its own; the package leaves no
 reference cycles for the garbage collector, so no nested function refers
 to itself; no package module imports dataclasses, its records being
 plain classes whose frozen ones share one base that refuses assignment;
@@ -361,6 +364,31 @@ def test_product_map_stores_no_image_table():
         and key in {getattr(name, "id", None) for name in ast.walk(node.slice)}
     ]
     assert not keyed_stores, keyed_stores
+
+
+def test_latching_faces_use_the_shared_partition_kernel():
+    # the latching route moves a face onto its image partition through
+    # the merge kernel, with no union-find walk of its own, and pushes a
+    # top cycle through the image cache its map keeps, taking no memo
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    layers = {
+        node.name: node
+        for node in _parse(os.path.join(PACKAGE, "layers.py")).body
+        if isinstance(node, functions)
+    }
+    orbit, pushed = layers["_orbit_of_face"], layers["_pushed_cycle"]
+    assert "_merged_blocks" in {
+        _called_name(node) for node in ast.walk(orbit) if isinstance(node, ast.Call)
+    }
+    assert not [node.lineno for node in ast.walk(orbit) if isinstance(node, ast.While)]
+    assert [arg.arg for arg in pushed.args.args] == ["source", "target", "f", "w"]
+    assert not pushed.args.defaults and not pushed.args.kwonlyargs
+    stores = [
+        node.lineno
+        for node in ast.walk(pushed)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+    ]
+    assert not stores, stores
 
 
 def test_joint_normalizer_only_where_words_can_degenerate():
