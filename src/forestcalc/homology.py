@@ -31,7 +31,7 @@ from operator import sub
 from .errors import CapExceededError, ValidationError
 from .kernel import sparse_elementary_divisors
 from .partitions import Frozen
-from .simplicial import ChainFaces, _debug, _smash_counts, subobject, surj_identity
+from .simplicial import ChainFaces, _debug, product_counts, subobject, surj_identity
 
 # a cube has 2^d corners: 12 interval covers take about 0.4 s and 35 MB,
 # and each further cover doubles both
@@ -76,20 +76,15 @@ class ChainComplex:
 
     The boundary is held as runs in flat lists: generator g's faces are
     face[start[g]:start[g + 1]], by number, with their coefficients
-    alongside in coef.  It is given either as runs, one dict face number
-    -> nonzero coefficient per generator in numbering order, or as
-    entries: per degree k the boundary C_k -> C_{k-1} as (row, col,
-    value) triples, in which repeats are summed and a sum of 0 dropped,
-    each run keeping the order in which its faces were first given.
-    Either way one routine lays the runs out (`_lay_out`); `entries`
-    and `boundary` give the triples back.
+    alongside in coef.  It is given as runs, one dict face number ->
+    nonzero coefficient per generator in numbering order, which one
+    routine lays out (`_lay_out`); `entries` and `boundary` give the
+    boundary back as (row, col, value) triples.
     """
 
-    def __init__(self, ranks, entries=None, runs=None):
+    def __init__(self, ranks, runs):
         self.ranks = ranks
-        self.offset, n = _offsets(ranks)
-        if runs is None:
-            runs = _summed_runs(ranks, self.offset, n, entries or {})
+        self.offset = _offsets(ranks)
         self.start, self.face, self.coef = _lay_out(runs)
 
     def degrees(self):
@@ -110,6 +105,23 @@ class ChainComplex:
     @property
     def entries(self):
         return {k: self.boundary(k) for k in sorted(self.ranks) if k - 1 in self.ranks}
+
+    def block(self, generators):
+        """The diagonal block on generators, numbers given increasing:
+        each keeps its faces among them, renumbered in that order, and a
+        degree keeps a rank only if it holds one of them.  A complex
+        when no face of theirs outside them has a face among them."""
+        number = {g: i for i, g in enumerate(generators)}
+        ranks = {}
+        for k, first in self.offset.items():
+            count = sum(first <= g < first + self.ranks[k] for g in generators)
+            if count:
+                ranks[k] = count
+        runs = []
+        for g in generators:
+            s, t = self.start[g], self.start[g + 1]
+            runs.append({number[f]: c for f, c in zip(self.face[s:t], self.coef[s:t]) if f in number})
+        return ChainComplex(ranks=ranks, runs=runs)
 
     def validate(self):
         """Check the runs as they lie: each face of a degree-k generator
@@ -137,12 +149,12 @@ class ChainComplex:
 
 def _offsets(ranks):
     """The number of the first generator of each degree, numbering
-    generators by increasing degree, and the number of generators."""
+    generators by increasing degree."""
     offset, n = {}, 0
     for k in sorted(ranks):
         offset[k] = n
         n += ranks[k]
-    return offset, n
+    return offset
 
 
 def _lay_out(runs):
@@ -154,25 +166,6 @@ def _lay_out(runs):
         coef.extend(run.values())
         start.append(len(face))
     return start, face, coef
-
-
-def _summed_runs(ranks, offset, n, entries):
-    """Each generator's run from (row, col, value) triples: repeats
-    summed, a sum of 0 dropped, in the order a dict keyed by face would
-    hold them."""
-    runs = [{} for _ in range(n)]
-    for k, es in entries.items():
-        n_from, n_to = ranks.get(k, 0), ranks.get(k - 1, 0)
-        for i, j, v in es:
-            if not (0 <= i < n_to and 0 <= j < n_from):
-                raise ValidationError(f"boundary entry out of range in degree {k}")
-            run, f = runs[offset[k] + j], offset[k - 1] + i
-            w = run.get(f, 0) + v
-            if w:
-                run[f] = w
-            else:
-                run.pop(f, None)
-    return runs
 
 
 def _kept_face_sums(obj, index, augmentation=None):
@@ -522,13 +515,13 @@ def suspension_homology(obj, coefficients="Z"):
 
     Its cells are the basepoint and, in each dimension d >= 1,
     d (|obj_d| + |obj_{d-1}|) more, counting the cells of obj off its
-    basepoint (`_smash_counts`).  Its reduced homology is that of obj
+    basepoint (`product_counts`).  Its reduced homology is that of obj
     moved up one degree: the reduced suspension isomorphism for
     S^1 = Delta[1] / boundary, through normalized Eilenberg-Zilber,
     which holds over Z and over every field.
     """
     off_base = {k: sum(c != obj.basepoint for c in names) for k, names in obj.cells.items()}
-    cells = {0: 1, **dict(sorted(_smash_counts({1: 1}, off_base).items()))}
+    cells = {0: 1, **product_counts([{1: 1}, off_base])}
     inner = homology(obj, coefficients)
     groups = {0: HomologyGroup(0, ()), **{k + 1: g for k, g in inner.groups.items()}}
     return cells, HomologyResult(coefficients=coefficients, reduced=True, groups=groups)

@@ -87,12 +87,14 @@ from .powers import fat_diagonal_cells, induced_power_map, power_pair
 from .simplicial import (
     BASEPOINT,
     SimplicialObject,
-    _smash_counts,
     check_product_counts,
     check_product_size,
     descend_to_quotients,
+    nondegenerate_counts,
     point_object,
+    product_counts,
     product_map,
+    simplex_counts,
     smash,
     subobject,
     surj_compose,
@@ -517,21 +519,15 @@ def latching_counts(M, k):
     """d -> |N_{k,d}|, the number of d-cells of M^k whose k coordinate
     refs are pairwise distinct, for every d with one.
 
-    R_s = sum over cells c of C(s, dim c) counts the s-simplices of M,
-    degenerate ones included, so (R_d)_k, a falling factorial, counts
-    the k-tuples of distinct d-simplices.  Each such tuple is s_J of
-    exactly one latching-free cell, for a set J of j of the d
-    degeneracies, and inverting that sum over J gives
-    |N_{k,d}| = sum_j (-1)^j C(d, j) (R_{d-j})_k.
+    M has R_s s-simplices, degenerate ones included (`simplex_counts`),
+    so (R_s)_k, a falling factorial, counts the k-tuples of distinct
+    s-simplices.  Such a tuple is a degeneracy of exactly one
+    nondegenerate simplex of M^k, whose refs are distinct too, so
+    `nondegenerate_counts` inverts these counts into |N_{k,d}|.
     """
-    dims = M.cell_count()
-    r = [sum(comb(s, p) * count for p, count in dims.items()) for s in range(k * M.dimension + 1)]
-    out = {}
-    for d in range(k * M.dimension + 1):
-        count = sum((-1) ** j * comb(d, j) * perm(r[d - j], k) for j in range(d + 1))
-        if count:
-            out[d] = count
-    return out
+    top = k * M.dimension
+    r = simplex_counts(top, M.cell_count())
+    return nondegenerate_counts(top, [perm(x, k) for x in r])
 
 
 def layer_census(M, n):
@@ -544,19 +540,20 @@ def layer_census(M, n):
     raises: n over COEND_N_CAP, then each power, then each piece
     smash(Q_i, T_i) in object order, then each mixing piece
     smash(Q_j, T_i) of an arrow i -> j, for i then j.  Each product is
-    counted from its factors' cells per dimension
-    (`check_product_counts`).  The power quotient Q_i has the d-cells of
-    the power whose coincidence partition kappa is good for lam_i, so
-    sum over kappa good of |N_{|kappa|,d}| of them (`latching_counts`).
+    counted once, in closed form from its factors' cells per dimension
+    (`check_product_counts`), and a piece's count is also its count in
+    `gluing`.  The power quotient Q_i has the d-cells of the power whose
+    coincidence partition kappa is good for lam_i, so sum over kappa
+    good of |N_{|kappa|,d}| of them (`latching_counts`).
 
     The glued space's k-cells other than its basepoint are the Aut
     lam-orbits of the jointly nondegenerate pairs of a latching-free
-    cell of the power and a cell of T_lam, each orbit of |Aut lam| pairs
-    since the action on latching-free cells is free.  They give the
-    glued cells, the filtration stages (stage i holds those of the
-    objects with at most i components) and their reduced Euler
-    characteristics, and `gluing`: per dimension k, the simplices of the
-    pieces, sum over q of n_q C(k, q), less those of the glued space.
+    cell of the power and a cell of T_lam (`product_counts`), each orbit
+    of |Aut lam| pairs since the action on latching-free cells is free.
+    They give the glued cells, the filtration stages (stage i holds
+    those of the objects with at most i components) and their reduced
+    Euler characteristics, and `gluing`: per dimension k, the simplices
+    of the pieces less those of the glued space (`simplex_counts`).
     """
     if n > COEND_N_CAP:
         raise CapExceededError(f"coend for n={n} exceeds cap {COEND_N_CAP}")
@@ -567,7 +564,7 @@ def layer_census(M, n):
         m = lam.support_size
         check_product_counts(m * M.dimension, [dims] * m)
     latching = {k: latching_counts(M, k) for k in range(1, max(lam.support_size for lam in objects) + 1)}
-    quotients, trees = [], []
+    quotients, trees, pieces = [], [], []
     for lam in objects:
         good = Counter()
         for kappa in all_partitions(lam.support_size):
@@ -577,26 +574,26 @@ def layer_census(M, n):
         tree_cells = Counter({k: len(names) for k, names in tree.cells.items() if k})
         quotients.append((max(good, default=0), good))
         trees.append((tree.dimension, tree_cells))
-        check_product_counts(quotients[-1][0] + tree.dimension, [good, tree_cells])
+        pieces.append(check_product_counts(quotients[-1][0] + tree.dimension, [good, tree_cells]))
     for i, lam in enumerate(objects):
         for j, target in enumerate(objects):
             # an arrow to another object lowers the components
             if table.strata[j] < table.strata[i] and strict_fusions(lam, target):
                 check_product_counts(quotients[j][0] + trees[i][0], [quotients[j][1], trees[i][1]])
-    pieces = [_smash_counts(good, tree_cells) for (_, good), (_, tree_cells) in zip(quotients, trees)]
     glued = []  # per object: k -> its glued k-cells
     for idx, lam in enumerate(objects):
-        pairs = _smash_counts(latching[lam.support_size], trees[idx][1])
+        pairs = product_counts([latching[lam.support_size], trees[idx][1]])
         glued.append({k: c // table.groups[idx].order for k, c in pairs.items()})
     cells = Counter({0: 1})  # the basepoint
     for counts in glued:
         cells.update(counts)
     top = max(max(p, default=0) for p in pieces)
-    gluing = {}
-    for k in range(top + 1):
-        # each piece has a basepoint of its own
-        simplices = len(pieces) + sum(c * comb(k, q) for p in pieces for q, c in p.items())
-        gluing[k] = simplices - sum(c * comb(k, q) for q, c in cells.items())
+    piece_simplices = [simplex_counts(top, p) for p in pieces]
+    glued_simplices = simplex_counts(top, cells)
+    # each piece has a basepoint of its own
+    gluing = {
+        k: len(pieces) + sum(s[k] for s in piece_simplices) - glued_simplices[k] for k in range(top + 1)
+    }
     stage_euler = {0: 0}
     for i in range(1, n + 1):
         stage_euler[i] = sum(
@@ -765,8 +762,11 @@ def latching_coend(M, n, table=None):
     A face with pairwise distinct refs stays in lam's summand, h an
     automorphism; the others land in objects with fewer points.
 
-    The stratum of lam keeps lam's generators and only the faces that
-    stay.  table is `enumerate_en(n, include_homs=False)` unless given.
+    The stratum of lam is the diagonal block of the whole complex on
+    lam's generators (`ChainComplex.block`), keeping only the faces that
+    stay: every other face lands in an object with fewer points, whose
+    faces never come back to lam.  table is
+    `enumerate_en(n, include_homs=False)` unless given.
     """
     if table is None:
         table = enumerate_en(n, include_homs=False)
@@ -782,27 +782,25 @@ def latching_coend(M, n, table=None):
             reps = _representatives(lam.shape(), masks[d], (1 << d) - 1)
             if reps:
                 representatives[idx][d] = reps
-    # generators numbered by degree, then object, representative and
-    # word: in the whole layer, and in the stratum of their object
+    # generators numbered by degree, then object, representative and word
     first, ranks, numbered = {}, {}, 0
-    local_ranks, local_numbered = {idx: {} for idx in representatives}, Counter()
+    members = {idx: [] for idx in representatives}  # object -> its generators
     for d in range(top + 1):
         for idx, reps in representatives.items():
             words = len(cycles[idx].words)
             for rep in reps.get(d, ()):
-                first[idx, d, rep] = (numbered, local_numbered[idx])
+                first[idx, d, rep] = numbered
+                members[idx].extend(range(numbered, numbered + words))
                 numbered += words
-                local_numbered[idx] += words
                 ranks[d + n] = ranks.get(d + n, 0) + words
-                local_ranks[idx][d + n] = local_ranks[idx].get(d + n, 0) + words
     pushes = {}  # (object, h) -> the coordinates of h_* rho_w, word by word
-    runs, local_runs = [], {idx: [] for idx in representatives}
+    runs = []
     for d in range(top + 1):
         for idx, reps in representatives.items():
             lam = objects[idx]
             choices = range(len(cycles[idx].words))
             for rep in reps.get(d, ()):
-                terms = []  # (sign, first generator, first in the stratum or None, pushes)
+                terms = []  # (sign, first generator, pushes)
                 for i in range(d + 1) if d else ():
                     face = tuple(faces[d][x][i] for x in rep)
                     shared = (1 << d - 1) - 1
@@ -815,24 +813,18 @@ def latching_coend(M, n, table=None):
                     if (idx, h) not in pushes:
                         f = SetMap(lam.support_size, objects[mu].support_size, h)
                         pushes[idx, h] = [_pushed_cycle(cycles[idx], cycles[mu], f, w) for w in choices]
-                    at, local_at = first[mu, d - 1, face_rep]
-                    terms.append((-1 if i % 2 else 1, at, local_at if mu == idx else None, pushes[idx, h]))
+                    terms.append((-1 if i % 2 else 1, first[mu, d - 1, face_rep], pushes[idx, h]))
                 for w in choices:
-                    run, local = {}, {}
-                    for sign, at, local_at, pushed in terms:
+                    run = {}
+                    for sign, at, pushed in terms:
                         for v, c in pushed[w].items():
                             run[at + v] = run.get(at + v, 0) + sign * c
-                            if local_at is not None:
-                                local[local_at + v] = local.get(local_at + v, 0) + sign * c
                     runs.append({g: c for g, c in run.items() if c})
-                    local_runs[idx].append({g: c for g, c in local.items() if c})
+    total = ChainComplex(ranks=ranks, runs=runs)
     return LatchingCoend(
         table=table,
-        total=ChainComplex(ranks=ranks, runs=runs),
-        strata={
-            idx: ChainComplex(ranks=local_ranks[idx], runs=local_runs[idx])
-            for idx in representatives
-        },
+        total=total,
+        strata={idx: total.block(generators) for idx, generators in members.items()},
         representatives=representatives,
     )
 

@@ -227,10 +227,10 @@ def _joint_surjection_tuples(dims):
     """Jointly nondegenerate tuples of monotone surjections onto [dims_i],
     as a tuple of tuples of value tuples.
 
-    Every power, piece and mixing piece asks for the same dims, so the
-    result is cached for the life of the process.  It is immutable, and
-    the product dimension cap, checked before any call, bounds the dims
-    and so the cache.
+    Only the builders ask for them (`_surjection_tuples`), every power
+    and smash for the same dims, so the result is cached for the life
+    of the process.  It is immutable, and the product dimension cap,
+    checked before any call, bounds the dims and so the cache.
     """
     out = []
     _extend_jointly(dims, [[0] for _ in dims], out)
@@ -306,66 +306,78 @@ class JointNormalizer:
         return tuple(out), tau
 
 
+def nondegenerate_counts(top, simplices):
+    """d -> the nondegenerate d-simplices, for every d <= top with one,
+    of a set of simplices with simplices[s] of each dimension s <= top,
+    degenerate ones included.  The set must hold, with each simplex,
+    its degeneracies and the nondegenerate simplex it is one of.
+
+    Each d-simplex is s_J of exactly one nondegenerate simplex, for a
+    set J of j of the d degeneracies (Eilenberg-Zilber), so
+    simplices[d] = sum over j of C(d, j) N(d - j), and inverting that
+    sum gives N(d) = sum over j of (-1)^j C(d, j) simplices[d - j].
+    """
+    out = {}
+    for d in range(top + 1):
+        count = sum((-1) ** j * math.comb(d, j) * simplices[d - j] for j in range(d + 1))
+        if count:
+            out[d] = count
+    return out
+
+
+def simplex_counts(top, per_dim):
+    """s -> the s-simplices over per_dim[p] cells of each dimension p,
+    degenerate ones included, for s <= top: a p-cell has one for each
+    monotone surjection [s] -> [p], and there are C(s, p) of them."""
+    return [sum(math.comb(s, p) * count for p, count in per_dim.items()) for s in range(top + 1)]
+
+
+def product_counts(per_dim):
+    """d -> the nondegenerate d-simplices of a product whose coordinate
+    j ranges over per_dim[j][p] cells of each dimension p, for every d
+    with one.  A product simplex is a tuple of simplices of one
+    dimension, so the product has the product of its factors' simplex
+    counts in each dimension (`nondegenerate_counts`)."""
+    top = sum(max(counts, default=0) for counts in per_dim)
+    factors = [simplex_counts(top, counts) for counts in per_dim]
+    return nondegenerate_counts(top, [math.prod(f[s] for f in factors) for s in range(top + 1)])
+
+
 def _surjection_tuples(factors, coordinate_cells):
     """Per dims tuple of the coordinate cells, its jointly nondegenerate
-    surjection tuples.
-
-    Raises CapExceededError when the product simplices whose coordinate
-    j is a cell of coordinate_cells[j] are over a cap (see
-    `check_product_counts`).
-    """
+    surjection tuples, after checking the caps on the product simplices
+    whose coordinate j is a cell of coordinate_cells[j]
+    (`check_product_counts`)."""
     per_dim = [
         Counter(f.dim_of[c] for c in cs)
         for f, cs in zip(factors, coordinate_cells)
     ]
-    return check_product_counts(sum(f.dimension for f in factors), per_dim)
+    check_product_counts(sum(f.dimension for f in factors), per_dim)
+    return {dims: _joint_surjection_tuples(dims) for dims in itertools.product(*per_dim)}
 
 
 def check_product_counts(top, per_dim):
-    """Per dims tuple, its jointly nondegenerate surjection tuples, for
-    the product simplices of factors of total dimension top whose
-    coordinate j ranges over per_dim[j][d] cells of each dimension d.
+    """d -> the d-cells of a product of factors of total dimension top
+    whose coordinate j ranges over per_dim[j][p] cells of each
+    dimension p (`product_counts`).
 
     Raises CapExceededError when top is over the dimension cap, or when
-    those simplices are over the cell cap: they are counted, per dims
-    tuple the coordinate cells of those dims times the surjection
-    tuples, before any is enumerated.  Counts alone suffice, so a
+    those cells are over the cell cap.  Counts alone suffice, so a
     product can be checked without building its factors.
     """
     if top > PRODUCT_DIM_CAP:
         raise CapExceededError(f"product dimension {top} exceeds cap {PRODUCT_DIM_CAP}")
-    surjection_tuples = {}
-    count = 0
-    for dims in itertools.product(*per_dim):
-        tuples = surjection_tuples[dims] = _joint_surjection_tuples(dims)
-        count += math.prod(n[d] for n, d in zip(per_dim, dims)) * len(tuples)
+    cells = product_counts(per_dim)
+    count = sum(cells.values())
     if count > PRODUCT_CELL_CAP:
         raise CapExceededError(f"product has {count} cells, exceeds cap {PRODUCT_CELL_CAP}")
-    return surjection_tuples
-
-
-def _joint_counts(a, b):
-    """k -> the jointly nondegenerate pairs of monotone surjections
-    [k] -> [a] and [k] -> [b]: each of the k steps moves the first, the
-    second or both, and a + b - k of the first's a steps move both."""
-    return {k: math.comb(k, a) * math.comb(a, a + b - k) for k in range(max(a, b), a + b + 1)}
-
-
-def _smash_counts(xs, ys):
-    """k -> the k-cells of a smash product other than its basepoint, from
-    the non-basepoint cells of its factors per dimension."""
-    out = Counter()
-    for a, x in xs.items():
-        for b, y in ys.items():
-            for k, pairs in _joint_counts(a, b).items():
-                out[k] += x * y * pairs
-    return out
+    return cells
 
 
 def check_product_size(factors):
     """Raise CapExceededError when product(factors) is over a cap,
     without building it."""
-    _surjection_tuples(factors, [list(f.all_cells()) for f in factors])
+    check_product_counts(sum(f.dimension for f in factors), [f.cell_count() for f in factors])
 
 
 def _product_cells(factors, coordinate_cells):

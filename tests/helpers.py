@@ -163,6 +163,27 @@ def unreduced_groups(cx, coefficients):
     }
 
 
+def complex_from_triples(ranks, entries):
+    """The chain complex with ranks[k] generators in degree k and, per
+    degree k, the boundary C_k -> C_{k-1} given as (row, col, value)
+    triples: repeats summed, a sum of 0 dropped, and each generator's
+    faces in the order they were first given."""
+    offset, n = {}, 0
+    for k in sorted(ranks):
+        offset[k] = n
+        n += ranks[k]
+    runs = [{} for _ in range(n)]
+    for k, es in entries.items():
+        for i, j, v in es:
+            run, f = runs[offset[k] + j], offset[k - 1] + i
+            w = run.get(f, 0) + v
+            if w:
+                run[f] = w
+            else:
+                run.pop(f, None)
+    return ChainComplex(ranks=ranks, runs=runs)
+
+
 def reduce_complex_reference(cx):
     """The unit-pair reduction of `homology.reduce_complex`, with a
     boundary dict and a coboundary dict per generator: the oracle that
@@ -224,7 +245,7 @@ def reduce_complex_reference(cx):
             if alive[g]
             for f, v in bd[g].items()
         ]
-    return ChainComplex(ranks=ranks, entries=entries)
+    return complex_from_triples(ranks, entries)
 
 
 def kept_face_sums_reference(obj, index, augmentation=None):

@@ -496,6 +496,39 @@ def test_layer_never_reaches_the_simplicial_coend(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (model, n)
 
 
+# payload digests of `layer` at n = 2, without and with --emit-cells,
+# for models with no latching-free cell on three or more points: every
+# stratum is an empty diagonal block of an empty layer
+EMPTY_LAYER_DIGESTS = {
+    "points:1": (
+        "2362be1ca463aea45e6bda595208a7e9ddbf0bcdabddea56f743de498a17e616",
+        "d4479a123ec743b3bd3818fc187fdafb597636e6cc04164622438d0014f5b93e",
+    ),
+    "points:2": (
+        "c00f9cf27664cc5a7a15d6002e5dda962c5575dfc4b3e5aa7115968619609f3a",
+        "d528578a9ec35c4cd5eea33b818f086f613f560fe29a1beee4af5c423aaa991e",
+    ),
+    "wedge:0": (
+        "2362be1ca463aea45e6bda595208a7e9ddbf0bcdabddea56f743de498a17e616",
+        "d4479a123ec743b3bd3818fc187fdafb597636e6cc04164622438d0014f5b93e",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(EMPTY_LAYER_DIGESTS))
+def test_layer_with_no_latching_free_cells(capsys, model):
+    for emit, digest in zip(([], ["--emit-cells"]), EMPTY_LAYER_DIGESTS[model]):
+        code, env, err = run_json(capsys, ["layer", "--m", model, "--n", "2"] + emit)
+        assert (code, err) == (0, "")
+        assert env["digest"] == digest, emit
+        strata = env["payload"]["strata"]
+        assert sorted(strata) == ["2-2", "3"]
+        assert all(s["homology"]["groups"] == {} for s in strata.values())
+    layer = layers.latching_coend(commands.load_model(model), 2)
+    for cx in (layer.total, *layer.strata.values()):
+        assert (cx.ranks, cx.start, cx.face, cx.coef) == ({}, [0], [], [])
+
+
 @pytest.mark.parametrize(
     "model, cells", [("points:16", 171_360), ("points:17", 220_320), ("points:19", 348_840)]
 )

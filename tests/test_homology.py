@@ -57,6 +57,7 @@ from forestcalc.verify import CUBE_DEMOS
 from helpers import (
     assert_same_reduction,
     betti_numbers,
+    complex_from_triples,
     indiscrete,
     kept_face_sums_reference,
     unreduced_groups,
@@ -582,7 +583,7 @@ def test_reduction_exact_on_wedge_coend():
 
 
 def test_reduction_keeps_a_lone_entry_of_two():
-    cx = ChainComplex(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]})
+    cx = complex_from_triples(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]})
     assert_reduction_exact(cx)
     assert reduce_complex(cx).ranks == {0: 1, 1: 1}
     assert homology_of_complex(cx)[0] == HomologyGroup(0, (2,))
@@ -666,12 +667,12 @@ def test_reduction_matches_reference_on_cube_demos(monkeypatch, case):
 
 HAND_MADE = {
     # (0, 0) given three times sums to 1; (1, 1) cancels to 0 and is dropped
-    "repeats": ChainComplex(
+    "repeats": complex_from_triples(
         ranks={0: 2, 1: 3},
         entries={1: [(0, 0, 1), (1, 0, -1), (0, 0, 1), (1, 1, 2), (0, 0, -1), (1, 1, -2), (0, 2, 1)]},
     ),
     # (0, 0) cancels and comes back, behind (1, 0) in its column's order
-    "cancel-and-return": ChainComplex(
+    "cancel-and-return": complex_from_triples(
         ranks={0: 2, 1: 2, 2: 1},
         entries={
             1: [(0, 0, 1), (0, 0, -1), (1, 0, 1), (0, 0, -1), (0, 1, 1), (1, 1, -1)],
@@ -679,14 +680,14 @@ HAND_MADE = {
         },
     ),
     # explicit zeros, alone and beside a repeat
-    "zeros": ChainComplex(
+    "zeros": complex_from_triples(
         ranks={0: 2, 1: 2},
         entries={1: [(0, 0, 0), (1, 0, 1), (0, 1, 3), (0, 1, -3), (1, 1, 0)]},
     ),
-    "lone-two": ChainComplex(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]}),
+    "lone-two": complex_from_triples(ranks={0: 1, 1: 1}, entries={1: [(0, 0, 2)]}),
     # requeueing the cofaces of a removed pair in another order leaves
     # another residual here
-    "requeue-order": ChainComplex(
+    "requeue-order": complex_from_triples(
         ranks={0: 2, 1: 3, 2: 1, 3: 2},
         entries={
             1: [(0, 0, -1), (1, 0, -1), (0, 1, 1), (1, 1, 2), (1, 2, -1)],
@@ -695,6 +696,21 @@ HAND_MADE = {
         },
     ),
 }
+
+
+def test_hand_made_triples_lay_out_summed_runs():
+    # repeats summed, a zero sum dropped, and each generator's faces in
+    # the order they were first given: (0, 0) of "cancel-and-return"
+    # comes back behind (1, 0)
+    laid_out = {
+        "repeats": ([0, 0, 0, 2, 2, 3], [0, 1, 0], [1, -1, 1]),
+        "cancel-and-return": ([0, 0, 0, 2, 4, 6], [1, 0, 0, 1, 2, 3], [1, -1, 1, -1, 1, -1]),
+        "zeros": ([0, 0, 0, 1, 1], [1], [1]),
+        "lone-two": ([0, 0, 1], [0], [2]),
+    }
+    for name, runs in laid_out.items():
+        cx = HAND_MADE[name]
+        assert (cx.start, cx.face, cx.coef) == runs, name
 
 
 @pytest.mark.parametrize("name", sorted(HAND_MADE))
@@ -731,7 +747,7 @@ def test_reduction_matches_reference_on_random_matrices(ranks, raw):
     for k, i, j, v in raw:
         if i < ranks.get(k - 1, 0) and j < ranks.get(k, 0):
             entries.setdefault(k, []).append((i, j, v))
-    assert_same_reduction(ChainComplex(ranks=ranks, entries=entries))
+    assert_same_reduction(complex_from_triples(ranks=ranks, entries=entries))
 
 
 def test_tree_space_homology_in_small_memory():
@@ -850,9 +866,9 @@ def test_elimination_traffic_ignores_cell_names(elimination_calls, model, n):
     "broken",
     [
         # an extra cycle: the Euler characteristic moves
-        lambda cx: ChainComplex(ranks={**cx.ranks, 1: cx.ranks[1] + 1}, entries=cx.entries),
+        lambda cx: complex_from_triples(ranks={**cx.ranks, 1: cx.ranks[1] + 1}, entries=cx.entries),
         # boundary squared nonzero
-        lambda cx: ChainComplex(
+        lambda cx: complex_from_triples(
             ranks={0: 1, 1: 1, 2: 1}, entries={1: [(0, 0, 1)], 2: [(0, 0, 1)]}
         ),
     ],

@@ -1095,15 +1095,15 @@ PREFLIGHT_CASES = [(name, n) for name in PREFLIGHT_MODELS for n in (1, 2)]
 def test_census_checks_each_product_of_the_simplicial_coend(monkeypatch, name, n):
     # the census counts, from cells per dimension alone, every product
     # the simplicial coend builds, in its order, so it raises that
-    # coend's first cap error
+    # coend's first cap error; its closed-form counts match those
+    # enumerated on the real factors
     checked = []
     check = layers.check_product_counts
 
     def recording(top, per_dim):
-        tuples = check(top, per_dim)
-        cells = sum(math.prod(k[d] for k, d in zip(per_dim, dims)) * len(t) for dims, t in tuples.items())
-        checked.append((top, per_dim, cells))
-        return tuples
+        cells = check(top, per_dim)
+        checked.append((top, per_dim, sum(cells.values())))
+        return cells
 
     monkeypatch.setattr(layers, "check_product_counts", recording)
     M = PREFLIGHT_MODELS[name]()

@@ -1,7 +1,9 @@
 """Tests for simplicial objects: surjection algebra, products, quotients,
 group actions, tree spaces, and the JSON model format."""
 
+import itertools
 import math
+import random
 import time
 from collections import Counter
 from collections.abc import Mapping
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from forestcalc import simplicial
 from forestcalc.errors import CapExceededError, ValidationError
 from forestcalc.homology import HomologyGroup, chain_complex, homology, suspension_homology
 from forestcalc.kernel import sparse_elementary_divisors
@@ -25,6 +28,7 @@ from forestcalc.simplicial import (
     JointNormalizer,
     SimplicialMap,
     SimplicialObject,
+    check_product_counts,
     compose_simplicial,
     model_circle,
     model_from_json,
@@ -35,6 +39,7 @@ from forestcalc.simplicial import (
     point_object,
     power,
     product,
+    product_counts,
     product_map,
     quotient,
     same_object,
@@ -181,6 +186,66 @@ def test_product_dim_cap():
 def test_product_needs_factor():
     with pytest.raises(ValidationError):
         product([])
+
+
+def enumerated_product_counts(per_dim):
+    """d -> the d-cells of a product whose coordinate j ranges over
+    per_dim[j][p] cells of each dimension p, counted on the jointly
+    nondegenerate surjection tuples that the builders enumerate."""
+    out = Counter()
+    for dims in itertools.product(*per_dim):
+        for alphas in simplicial._joint_surjection_tuples(dims):
+            out[len(alphas[0]) - 1] += math.prod(n[d] for n, d in zip(per_dim, dims))
+    return {d: c for d, c in sorted(out.items()) if c}
+
+
+def random_per_dim(rng):
+    """Cells per dimension of 1 to 4 factors of total dimension at most
+    the product dimension cap, some of them empty or 0-dimensional."""
+    per_dim, room = [], PRODUCT_DIM_CAP
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.1:
+            counts = {}
+        elif kind < 0.3:
+            counts = {0: rng.randint(0, 4)}
+        else:
+            top = rng.randint(0, min(room, 3))
+            counts = {p: rng.randint(0, 3) for p in range(top + 1) if rng.random() < 0.8}
+        room -= max(counts, default=0)
+        per_dim.append(counts)
+    return per_dim
+
+
+def test_product_counts_match_the_enumeration():
+    # the closed form counts what the builders enumerate, for 1 to 4
+    # factors, empty and 0-dimensional ones included
+    rng = random.Random(41)
+    cases = [random_per_dim(rng) for _ in range(300)]
+    cases += [[{}], [{0: 3}], [{0: 2}, {}], [{0: 2}, {0: 3}, {1: 1}], [{1: 1}, {2: 2}, {0: 1, 3: 1}]]
+    for per_dim in cases:
+        assert product_counts(per_dim) == enumerated_product_counts(per_dim), per_dim
+    assert product_counts([model_interval().cell_count()] * 2) == {0: 4, 1: 5, 2: 2}
+
+
+def test_product_caps_hold_at_the_enumerated_thresholds(monkeypatch):
+    # a product passes at exactly the cell cap, with its cells per
+    # dimension returned, and exits one cell above it; the dimension cap
+    # is checked first
+    rng = random.Random(43)
+    for _ in range(60):
+        per_dim = random_per_dim(rng)
+        cells = enumerated_product_counts(per_dim)
+        total = sum(cells.values())
+        monkeypatch.setattr(simplicial, "PRODUCT_CELL_CAP", total)
+        assert check_product_counts(PRODUCT_DIM_CAP, per_dim) == cells
+        monkeypatch.setattr(simplicial, "PRODUCT_CELL_CAP", total - 1)
+        with pytest.raises(CapExceededError) as err:
+            check_product_counts(PRODUCT_DIM_CAP, per_dim)
+        assert str(err.value) == f"product has {total} cells, exceeds cap {total - 1}"
+        with pytest.raises(CapExceededError) as err:
+            check_product_counts(PRODUCT_DIM_CAP + 1, per_dim)
+        assert str(err.value) == f"product dimension {PRODUCT_DIM_CAP + 1} exceeds cap {PRODUCT_DIM_CAP}"
 
 
 def test_joint_normalize_strips_shared_degeneracies():

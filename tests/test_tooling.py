@@ -324,6 +324,51 @@ def test_one_boundary_layout_in_production():
     assert "itemgetter" not in {getattr(node, "id", None) for node in ast.walk(tree)}
 
 
+def test_one_product_count_and_one_numbering():
+    # every product is counted by one closed form: the surjection tuples
+    # are enumerated only for the builders, no other count of pairs or
+    # smashes is defined, and a complex is given only as runs; the layer
+    # numbers its generators once and reads each stratum off the one
+    # complex it builds
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, callers = set(), []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        for scope in ast.walk(_parse(path)):
+            if not isinstance(scope, functions):
+                continue
+            defined.add(scope.name)
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and _called_name(node) == "_joint_surjection_tuples":
+                    callers.append(scope.name)
+    assert callers == ["_surjection_tuples"], callers
+    assert {"product_counts", "nondegenerate_counts"} <= defined
+    assert not {"_joint_counts", "_smash_counts", "_summed_runs"} & defined
+    tree = _parse(os.path.join(PACKAGE, "homology.py"))
+    (chain_complex_class,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ChainComplex"
+    ]
+    (init,) = [node for node in chain_complex_class.body if getattr(node, "name", None) == "__init__"]
+    assert [arg.arg for arg in init.args.args] == ["self", "ranks", "runs"]
+    layers_tree = _parse(os.path.join(PACKAGE, "layers.py"))
+    (latching_coend,) = [
+        node for node in layers_tree.body if isinstance(node, functions) and node.name == "latching_coend"
+    ]
+    built = [
+        node.lineno
+        for node in ast.walk(latching_coend)
+        if isinstance(node, ast.Call) and _called_name(node) == "ChainComplex"
+    ]
+    assert len(built) == 1, built
+    loops = (ast.For, ast.comprehension)
+    assert not [
+        node.lineno
+        for loop in ast.walk(latching_coend)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and _called_name(node) == "ChainComplex"
+    ]
+
+
 def test_product_map_stores_no_image_table():
     # product_map wraps a ProductImages and loops over no cell; that
     # table is a read-only Mapping, not a dict that fills, binds no table
